@@ -36,6 +36,7 @@ from .errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
+from .quadrature import pointwise
 from .metrics import (
     rho0,
     rho1,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Configuration, Estimate, IntensityMeasure, SeedSpec, estimate_from_values
 from .errors import InternalConsistencyError, ValidationError
-from .quadrature import _eval_batch, integrate
+from .quadrature import eval_points, integrate
 from .simulate import TimeChangeSpec, interaction_energy, poisson_batch_with_rng, rejection_points
 
 __all__ = [
@@ -101,7 +101,7 @@ def bound_tv_poisson(p: Callable, sigma: IntensityMeasure) -> BoundResult:
     lo, hi = sigma.window.bounds()
 
     def integrand(x):
-        return np.abs(_eval_batch(p, np.atleast_2d(x)) - 1.0) * sigma.density_at(x)
+        return np.abs(eval_points(p, x) - 1.0) * sigma.density_at(x)
 
     value = integrate(integrand, lo, hi, rel_tol=1e-8)
     return BoundResult(
@@ -141,9 +141,8 @@ def bound_tv_gibbs(phi: Callable, sigma: IntensityMeasure) -> BoundResult:
     hi2 = np.concatenate([hi, hi])
 
     def integrand(z):
-        z = np.atleast_2d(z)
-        x, y = z[:, :d], z[:, d:]
-        pv = _eval_batch(phi, x - y)
+        x, y = z[..., :d], z[..., d:]
+        pv = eval_points(phi, x - y)
         if np.any(pv < 0):
             raise ValidationError("pair potential must be nonnegative")
         return pv * sigma.density_at(x) * sigma.density_at(y)
@@ -164,7 +163,7 @@ def bound_w2_halfline(tc: TimeChangeSpec) -> BoundResult:
     """
 
     def u_sq(x):
-        t = np.atleast_2d(x)[:, 0]
+        t = x[..., 0]
         u = np.asarray(tc.U(t), float)
         return u * u
 
@@ -191,13 +190,13 @@ def bound_w2_timechange(
     """
 
     def energy_form(x):
-        t = np.atleast_2d(x)[:, 0]
+        t = x[..., 0]
         u = np.asarray(tc.U(t), float)
         du = np.asarray(tc.U_prime(t), float)
         return u * u * (1.0 + du)
 
     def inverse_form(x):
-        r = np.atleast_2d(x)[:, 0]
+        r = x[..., 0]
         t = tc.v_inverse(r)
         return (r - t) ** 2
 
@@ -269,19 +268,32 @@ def nested_gradient_mc(
     if n_outer < 2 or inner_samples < 1:
         raise ValidationError("need n_outer >= 2 and inner_samples >= 1")
     mass = sigma.total_mass
-    configs = poisson_batch_with_rng(sigma, n_outer, seed.rng(base_path, 0))
-    f0 = np.array([float(F(w)) for w in configs])
+    f0, f1 = _add_one_point_values(
+        F, sigma, n_outer, inner_samples, seed.rng(base_path, 0), seed.rng(base_path, 1)
+    )
     if mass <= 0:
         return np.zeros(n_outer), f0
-    xs = rejection_points(sigma, n_outer * inner_samples, seed.rng(base_path, 1))
+    # cumsum adds left to right, so each row sum is bit-identical to a running sum
+    acc = np.cumsum(np.abs(f1 - f0[:, None]), axis=1)[:, -1]
+    return mass * acc / inner_samples, f0
+
+
+def _add_one_point_values(F, sigma, n_outer, inner_samples, config_rng, point_rng):
+    """The add-one-point loop shared by every gradient estimate.
+
+    Draws ``n_outer`` Poisson(sigma) configurations w_i from ``config_rng``
+    and, when sigma has mass, ``inner_samples`` points x_ij ~ sigma / sigma(L)
+    per configuration from ``point_rng``.  Returns the vector F(w_i) and the
+    matrix F(w_i + x_ij) (no columns when sigma has no mass).
+    """
+    configs = poisson_batch_with_rng(sigma, n_outer, config_rng)
+    f0 = np.array([float(F(w)) for w in configs])
+    if sigma.total_mass <= 0:
+        return f0, np.empty((n_outer, 0))
+    xs = rejection_points(sigma, n_outer * inner_samples, point_rng)
     xs = xs.reshape(n_outer, inner_samples, -1)
-    estimates = np.empty(n_outer)
-    for i, w in enumerate(configs):
-        acc = 0.0
-        for j in range(inner_samples):
-            acc += abs(float(F(w.add(xs[i, j]))) - f0[i])
-        estimates[i] = mass * acc / inner_samples
-    return estimates, f0
+    f1 = np.array([[float(F(w.add(x))) for x in row] for w, row in zip(configs, xs)])
+    return f0, f1
 
 
 def bound_tv_general(
@@ -335,14 +347,14 @@ def poisson_density(p: Callable, sigma: IntensityMeasure) -> Callable[[Configura
     lo, hi = sigma.window.bounds()
 
     def integrand(x):
-        return (1.0 - _eval_batch(p, np.atleast_2d(x))) * sigma.density_at(x)
+        return (1.0 - eval_points(p, x)) * sigma.density_at(x)
 
     const = integrate(integrand, lo, hi, rel_tol=1e-10)
 
     def L(config: Configuration) -> float:
         if config.n == 0:
             return math.exp(const)
-        vals = _eval_batch(p, config.atoms)
+        vals = eval_points(p, config.atoms)
         if np.any(vals <= 0):
             raise ValidationError("poisson density requires p > 0 at configuration atoms")
         return math.exp(float(np.sum(np.log(vals))) + const)

@@ -1,6 +1,6 @@
 """Reproducible experiment runner.
 
-``ppt <kind> --spec FILE [--out FILE] [--seed N] [--threads K]``
+``ppt <kind> --spec FILE [--out FILE] [--seed N]``
 
 The spec file is a JSON object with strict parsing (unknown keys are
 rejected, with the offending dotted path in the error).  Reports are JSON;
@@ -10,9 +10,7 @@ numeric results; ``Report.canonical_bytes`` exposes exactly the
 deterministic payload (spec echo, results, library version -- wall time is
 excluded, being the one field that cannot be reproducible).
 
-Execution is single-threaded with a fixed per-replicate stream fan-out, so
-results do not depend on the ``--threads`` value (kept for interface
-stability; PPT_THREADS is the environment fallback).
+Execution is single-threaded with a fixed per-replicate stream fan-out.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -84,8 +81,7 @@ def parse_density_expr(expr: str):
             raise SpecParseError(f"constant density must be nonnegative in {expr!r}", where=offset)
 
         def fn(x, _c=c):
-            x = np.asarray(x, float)
-            return np.broadcast_to(_c, x.shape[:-1]).copy() if x.ndim > 1 else _c
+            return np.full(np.shape(x)[:-1], _c)
 
         fn.sup_on = lambda window, _c=c: _c
     elif head == "poly":
@@ -159,6 +155,16 @@ def _intensity_from_params(params: dict, path: str) -> IntensityMeasure:
     fn = parse_density_expr(expr)
     return IntensityMeasure(
         density=fn, window=window, density_sup=fn.sup_on(window), label=expr
+    )
+
+
+def _tilted(sigma: IntensityMeasure, pfn) -> IntensityMeasure:
+    """The intensity p * sigma for a parsed density expression ``pfn``."""
+    return IntensityMeasure(
+        density=lambda x: pfn(x) * sigma.density(x),
+        window=sigma.window,
+        density_sup=pfn.sup_on(sigma.window) * sigma.density_sup,
+        label=f"({pfn.expr})*({sigma.label})",
     )
 
 
@@ -432,15 +438,8 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
     if estimator == "dual_count_witness":
         sigma = _intensity_from_params(p, "parameters")
         pfn = parse_density_expr(_require(p, "p"))
-        tau = IntensityMeasure(
-            density=lambda x, _p=pfn, _s=sigma: np.asarray(_p(x), float)
-            * np.asarray(_s.density(x), float),
-            window=sigma.window,
-            density_sup=pfn.sup_on(sigma.window) * sigma.density_sup,
-            label=f"({pfn.expr})*({sigma.label})",
-        )
         mu = simulate.sample_poisson_batch(sigma, spec.n_samples, spec.seed)
-        nu = simulate.poisson_batch_with_rng(tau, spec.n_samples, spec.seed.rng(1))
+        nu = simulate.poisson_batch_with_rng(_tilted(sigma, pfn), spec.n_samples, spec.seed.rng(1))
         est = transport.dual_lower_bound(lambda w: float(w.n), mu, nu)
         return {"estimator": estimator, "estimate": est.to_dict()}
     if estimator == "rubinstein":
@@ -455,15 +454,8 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
             mu = [c.left for c in sampled]
             nu = [c.right for c in sampled]
         else:
-            tau = IntensityMeasure(
-                density=lambda x, _p=pfn, _s=sigma: np.asarray(_p(x), float)
-                * np.asarray(_s.density(x), float),
-                window=sigma.window,
-                density_sup=pfn.sup_on(sigma.window) * sigma.density_sup,
-                label=f"({pfn.expr})*({sigma.label})",
-            )
             mu = simulate.sample_poisson_batch(sigma, pairs, spec.seed)
-            nu = simulate.poisson_batch_with_rng(tau, pairs, spec.seed.rng(1))
+            nu = simulate.poisson_batch_with_rng(_tilted(sigma, pfn), pairs, spec.seed.rng(1))
         est = transport.estimate_rubinstein_empirical(mu, nu, metric)
         diag = transport.doubling_diagnostic(mu, nu, metric) if pairs >= 4 else {}
         return {
@@ -475,13 +467,12 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
     raise SpecParseError(f"unknown estimator {estimator!r}", where="parameters.estimator")
 
 
-def _run_tail(spec: ExperimentSpec) -> tuple[dict, list]:
+def _run_tail(spec: ExperimentSpec) -> dict:
     p = spec.parameters
     if "masses" in p or "rs" in p:
         masses = [float(v) for v in p.get("masses", [0.5, 1.0, 2.0, 5.0])]
         rs = [float(v) for v in p.get("rs", [0.5, 1.0, 2.0, 5.0, 10.0])]
-        rows = conc.tail_grid(masses, rs)
-        return {"grid": rows}, rows
+        return {"grid": conc.tail_grid(masses, rs)}
     mass = float(_require(p, "mass"))
     r = float(_require(p, "r"))
     q = conc.TailQuery(mass=mass, r=r)
@@ -494,7 +485,7 @@ def _run_tail(spec: ExperimentSpec) -> tuple[dict, list]:
         "bound_rho_eta": conc.tail_bound_rho_eta(mass, r),
         "rho_eta_tail_exact": conc.rho_eta_tail_exact(mass, r),
     }
-    return results, []
+    return results
 
 
 def _run_isoperimetry(spec: ExperimentSpec) -> dict:
@@ -525,18 +516,24 @@ def _run_isoperimetry(spec: ExperimentSpec) -> dict:
         "bounds": {"lower": lower, "upper": upper},
     }
     if isinstance(event, conc.CountThresholdEvent) and event.k == 0 and region is None:
-        witness = 2.0 * sigma.total_mass / (-math.expm1(-sigma.total_mass))
-        out["upper_bound_discrepancy"] = {
-            "flagged": True,
-            "witness_ratio_empty_event": witness,
-            "reference_upper_bound": upper,
-            "factor": witness / upper,
-            "note": (
-                "the exact witness ratio for the empty-configuration event is twice "
-                "the reference upper bound value; both are reported"
-            ),
-        }
+        out["upper_bound_discrepancy"] = _upper_bound_discrepancy(sigma.total_mass)
     return out
+
+
+def _upper_bound_discrepancy(mass: float) -> dict:
+    """The exact empty-event witness ratio against the reference upper bound."""
+    witness = 2.0 * mass / (-math.expm1(-mass))
+    _, upper = conc.isoperimetric_bounds(mass)
+    return {
+        "flagged": True,
+        "witness_ratio_empty_event": witness,
+        "reference_upper_bound": upper,
+        "factor": witness / upper,
+        "note": (
+            "the exact witness ratio for the empty-configuration event is twice "
+            "the reference upper bound value; both are reported"
+        ),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -559,15 +556,8 @@ def _scenario_poisson_tightness(spec: ExperimentSpec) -> dict:
     coupling = simulate.SuperpositionCoupling(sigma, pfn, p_sup=pfn.sup_on(sigma.window))
     mean_cost = coupling.estimate_mean_cost(n, spec.seed)
 
-    tau = IntensityMeasure(
-        density=lambda x, _p=pfn, _s=sigma: np.asarray(_p(x), float)
-        * np.asarray(_s.density(x), float),
-        window=sigma.window,
-        density_sup=pfn.sup_on(sigma.window) * sigma.density_sup,
-        label=f"({pfn.expr})*({sigma.label})",
-    )
     mu = simulate.poisson_batch_with_rng(sigma, n, spec.seed.rng(11))
-    nu = simulate.poisson_batch_with_rng(tau, n, spec.seed.rng(12))
+    nu = simulate.poisson_batch_with_rng(_tilted(sigma, pfn), n, spec.seed.rng(12))
     dual = transport.dual_lower_bound(lambda w: float(w.n), mu, nu)
 
     sampled = coupling.sample_batch(pairs, SeedSpec(spec.seed.seed, spec.seed.stream_id + 1000))
@@ -692,7 +682,8 @@ def _scenario_isoperimetry(spec: ExperimentSpec) -> dict:
     sigma = IntensityMeasure.uniform(window, mass / window.volume)
     empty_event = conc.CountThresholdEvent(k=0)
     exact_ratio = conc.isoperimetric_ratio(empty_event, sigma, spec.n_samples, spec.seed)
-    witness = 2.0 * mass / (-math.expm1(-mass))
+    discrepancy = _upper_bound_discrepancy(mass)
+    witness = discrepancy["witness_ratio_empty_event"]
     lower, upper = conc.isoperimetric_bounds(mass)
     half = Window(window.lower, [0.5 * (lo + hi) for lo, hi in zip(window.lower, window.upper)])
     suite = [
@@ -720,16 +711,7 @@ def _scenario_isoperimetry(spec: ExperimentSpec) -> dict:
     return {
         "exact_ratio_empty_event": exact_ratio.to_dict(),
         "bounds": {"lower": lower, "upper": upper},
-        "upper_bound_discrepancy": {
-            "flagged": True,
-            "witness_ratio_empty_event": witness,
-            "reference_upper_bound": upper,
-            "factor": witness / upper,
-            "note": (
-                "the exact witness ratio for the empty-configuration event is twice "
-                "the reference upper bound value; both are reported"
-            ),
-        },
+        "upper_bound_discrepancy": discrepancy,
         "suite_ratios": ratios,
         "assertions": assertions,
     }
@@ -784,7 +766,7 @@ _SCENARIOS = {
 }
 
 
-def _run_verify(spec: ExperimentSpec) -> tuple[dict, list]:
+def _run_verify(spec: ExperimentSpec) -> dict:
     name = spec.parameters.get("scenario")
     if name not in _SCENARIOS:
         raise SpecParseError(
@@ -793,8 +775,7 @@ def _run_verify(spec: ExperimentSpec) -> tuple[dict, list]:
         )
     results = _SCENARIOS[name](spec)
     results["scenario"] = name
-    csv_rows = results.get("grid", [])
-    return results, csv_rows
+    return results
 
 
 # --------------------------------------------------------------------------
@@ -802,30 +783,28 @@ def _run_verify(spec: ExperimentSpec) -> tuple[dict, list]:
 # --------------------------------------------------------------------------
 
 
+# kind -> runner; ExperimentSpec has validated the kind
+_RUNNERS = {
+    "distance": _run_distance,
+    "sample": _run_sample,
+    "bound": _run_bound,
+    "estimate": _run_estimate,
+    "tail": _run_tail,
+    "isoperimetry": _run_isoperimetry,
+    "verify": _run_verify,
+}
+
+
 def run_experiment(spec: ExperimentSpec) -> Report:
     """Dispatch one experiment spec to the library and wrap the report."""
     start = time.perf_counter()
-    csv_rows: list = []
     try:
-        if spec.kind == "distance":
-            results = _run_distance(spec)
-        elif spec.kind == "sample":
-            results = _run_sample(spec)
-        elif spec.kind == "bound":
-            results = _run_bound(spec)
-        elif spec.kind == "estimate":
-            results = _run_estimate(spec)
-        elif spec.kind == "tail":
-            results, csv_rows = _run_tail(spec)
-        elif spec.kind == "isoperimetry":
-            results = _run_isoperimetry(spec)
-        elif spec.kind == "verify":
-            results, csv_rows = _run_verify(spec)
-        else:  # unreachable: ExperimentSpec validates kind
-            raise SpecParseError(f"unknown kind {spec.kind!r}", where="kind")
+        results = _RUNNERS[spec.kind](spec)
     except PPTError as exc:
         raise type(exc)(f"{exc} [spec kind={spec.kind}]") from exc
     wall = int(round(1000 * (time.perf_counter() - start)))
+    # grid experiments (tail grids, verify tail-grid) also get a CSV side table
+    csv_rows = results.get("grid", [])
     return Report(spec_echo=spec.to_dict(), results=results, wall_time_ms=wall, csv_rows=csv_rows)
 
 
@@ -838,16 +817,7 @@ def main(argv=None) -> int:
     parser.add_argument("--spec", required=True, help="path to the experiment spec JSON")
     parser.add_argument("--out", default=None, help="report output path (JSON)")
     parser.add_argument("--seed", type=int, default=None, help="override spec seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("PPT_THREADS", "1")),
-        help="worker hint; results are stream-deterministic and thread-independent",
-    )
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import nested_gradient_mc
+from .bounds import _add_one_point_values, nested_gradient_mc
 from .core import (
     Configuration,
     Estimate,
@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import InternalConsistencyError, ValidationError
 from .quadrature import integrate
-from .simulate import poisson_batch_with_rng, rejection_points
+from .simulate import poisson_batch_with_rng
 
 __all__ = [
     "TailQuery",
@@ -269,7 +269,7 @@ def _region_mass(sigma: IntensityMeasure, region: Window | None) -> float:
     if region is None:
         return sigma.total_mass
     lo, hi = region.bounds()
-    return float(integrate(lambda x: sigma.density_at(x), lo, hi, rel_tol=1e-8))
+    return float(integrate(sigma.density_at, lo, hi, rel_tol=1e-8))
 
 
 def surface_measure(
@@ -429,17 +429,11 @@ def coarea_check(
     lhs = estimate_from_values(lhs_vals, seed)
 
     mass = sigma.total_mass
-    configs = poisson_batch_with_rng(sigma, n_samples, seed.rng(6, 0))
+    f0, f1 = _add_one_point_values(
+        F, sigma, n_samples, inner_samples, seed.rng(6, 0), seed.rng(6, 1)
+    )
     if mass <= 0:
-        zero = estimate_from_values(np.zeros(n_samples), seed)
-        return lhs, zero
-    xs = rejection_points(sigma, n_samples * inner_samples, seed.rng(6, 1))
-    xs = xs.reshape(n_samples, inner_samples, -1)
-    f0 = np.array([float(F(w)) for w in configs])
-    f1 = np.empty((n_samples, inner_samples))
-    for i, w in enumerate(configs):
-        for j in range(inner_samples):
-            f1[i, j] = float(F(w.add(xs[i, j])))
+        return lhs, estimate_from_values(np.zeros(n_samples), seed)
     observed = np.concatenate([f0, f1.ravel()])
     if np.any(np.abs(observed - np.round(observed)) > 1e-9):
         raise ValidationError("co-area check requires an integer-valued functional")

@@ -62,8 +62,10 @@ def rho2(omega: Configuration, eta: Configuration) -> float:
         return 0.0
     gaps = omega.atoms[:, None, :] - eta.atoms[None, :, :]
     sq = np.einsum("ijk,ijk->ij", gaps, gaps)
-    _, value = assignment_solve(sq)
-    return math.sqrt(max(value, 0.0))
+    perm, _ = assignment_solve(sq)
+    # fsum of the matched gaps is exactly rounded, hence independent of the
+    # order of the atoms: rho2(omega, eta) == rho2(eta, omega) bit for bit
+    return math.sqrt(math.fsum(sq[np.arange(omega.n), perm]))
 
 
 def rho1_normalized(omega: Configuration, eta: Configuration) -> float:

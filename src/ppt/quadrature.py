@@ -6,18 +6,21 @@ converge: the offending panel keeps shrinking while smooth panels are settled
 at spectral accuracy.  d=2 and d=3 use tensor-product Gauss-Legendre grids
 with node-doubling refinement and a Richardson extrapolation step once the
 empirical convergence order stabilises.  Dimensions above 3 are unsupported.
+Integrands follow the point-function convention of :mod:`ppt.core`, which
+:func:`eval_points` enforces: an ``(n, d)`` batch of nodes in, ``n`` values out.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, UnsupportedDimensionError
+from .errors import QuadratureError, UnsupportedDimensionError, ValidationError
 
-__all__ = ["integrate", "integrate_1d", "integrate_nd"]
+__all__ = ["integrate", "integrate_1d", "integrate_nd", "eval_points", "pointwise"]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -28,40 +31,34 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def _eval_batch(f: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f on an (n, d) batch of points.
+def eval_points(f: Callable, pts) -> np.ndarray:
+    """Evaluate the point function ``f`` on an ``(..., d)`` array of points.
 
-    Vectorised functions (last-axis convention) are used directly after a
-    first-row consistency probe; scalar-point functions fall back to a row
-    loop.  The probe guards against scalar functions that happen to return
-    broadcastable garbage on batch input.
+    ``f`` must follow the package convention: vectorised over the last axis,
+    returning values of shape ``pts.shape[:-1]``.  Any other shape raises
+    :class:`ValidationError`; a callable written for one point at a time is
+    adapted explicitly with :func:`pointwise`.
     """
-    n = pts.shape[0]
-    if n == 0:
-        return np.empty(0)
-    try:
-        probe = np.asarray(f(pts[0]), dtype=float)
-        if probe.size != 1:
-            raise ValueError("non-scalar value on a single point")
-        s0 = probe.item()
-    except Exception:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape != (n,):
-            raise ValueError(
-                f"batch-only integrand returned shape {vals.shape}, expected ({n},)"
-            )
-        return vals
-    if n == 1:
-        return np.array([s0])
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape == (n,) and float(vals[0]) == s0:
-            return vals
-        if vals.ndim == 0 and float(vals) == s0 and float(f(pts[1])) == float(vals):
-            return np.full(n, float(vals))
-    except Exception:
-        pass
-    return np.array([float(f(p)) for p in pts], dtype=float)
+    pts = np.asarray(pts, float)
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != pts.shape[:-1]:
+        raise ValidationError(
+            f"point function returned shape {vals.shape} on points of shape {pts.shape}, "
+            f"expected {pts.shape[:-1]}; wrap a function of one point with ppt.pointwise"
+        )
+    return vals
+
+
+def pointwise(f: Callable) -> Callable:
+    """Adapt ``f(point) -> float`` to the last-axis convention (a row loop)."""
+
+    @functools.wraps(f)
+    def vectorised(x):
+        x = np.asarray(x, float)
+        rows = x.reshape(-1, x.shape[-1])
+        return np.array([float(f(row)) for row in rows]).reshape(x.shape[:-1])
+
+    return vectorised
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float]:
@@ -69,8 +66,8 @@ def _panel(f, a: float, b: float) -> tuple[float, float]:
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x15, w15 = _gl_nodes(15)
     x31, w31 = _gl_nodes(31)
-    v15 = _eval_batch(f, (mid + half * x15)[:, None])
-    v31 = _eval_batch(f, (mid + half * x31)[:, None])
+    v15 = eval_points(f, (mid + half * x15)[:, None])
+    v31 = eval_points(f, (mid + half * x31)[:, None])
     i15 = half * float(w15 @ v15)
     i31 = half * float(w31 @ v31)
     return i31, abs(i31 - i15)
@@ -120,7 +117,7 @@ def _tensor_value(f, lower: np.ndarray, upper: np.ndarray, n: int) -> float:
         axes_w.append(half * w)
     grids = np.meshgrid(*axes_pts, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = _eval_batch(f, pts).reshape([n] * d)
+    vals = eval_points(f, pts).reshape([n] * d)
     for k in range(d - 1, -1, -1):
         vals = np.tensordot(vals, axes_w[k], axes=([k], [0]))
     return float(vals)

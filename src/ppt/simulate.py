@@ -24,8 +24,8 @@ from .core import (
     Window,
     estimate_from_values,
 )
-from .errors import SamplerHardnessError, ValidationError
-from .quadrature import integrate
+from .errors import InternalConsistencyError, SamplerHardnessError, ValidationError
+from .quadrature import eval_points, integrate
 
 __all__ = [
     "CoupledPair",
@@ -229,12 +229,14 @@ def interaction_energy(
     if n == 0:
         return 0.0
     total = 0.0
-    atoms = config.atoms
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += 2.0 * float(phi(atoms[i] - atoms[j]))
+    if n >= 2:
+        i, j = np.triu_indices(n, 1)  # pairs i < j in row-major order
+        pair_terms = 2.0 * eval_points(phi, config.atoms[i] - config.atoms[j])
+        # cumsum adds left to right, so the energy is bit-identical to a
+        # running sum over the pairs in this order
+        total = float(np.cumsum(pair_terms)[-1])
     if include_diagonal:
-        total += n * float(phi(np.zeros(config.dim)))
+        total += n * float(eval_points(phi, np.zeros(config.dim)))
     return total
 
 
@@ -341,13 +343,7 @@ def _probe_sup(fn: Callable[[np.ndarray], float], window: Window, n_grid: int = 
     axes = [np.linspace(lo[k], hi[k], per_axis) for k in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    try:
-        vals = np.asarray(fn(pts), float)
-        if vals.shape != (pts.shape[0],):
-            raise ValueError
-    except Exception:
-        vals = np.array([float(fn(p)) for p in pts])
-    return float(vals.max()) * 1.05 + 1e-12
+    return float(eval_points(fn, pts).max()) * 1.05 + 1e-12
 
 
 class SuperpositionCoupling:
@@ -372,21 +368,17 @@ class SuperpositionCoupling:
         window = sigma.window
 
         def d_shared(x, _p=p, _s=sigma):
-            return np.minimum(np.asarray(_p(x), float), 1.0) * np.asarray(_s.density(x), float)
+            return np.minimum(eval_points(_p, x), 1.0) * eval_points(_s.density, x)
 
         def d_left(x, _p=p, _s=sigma):
-            return np.maximum(1.0 - np.asarray(_p(x), float), 0.0) * np.asarray(
-                _s.density(x), float
-            )
+            return np.maximum(1.0 - eval_points(_p, x), 0.0) * eval_points(_s.density, x)
 
         def d_right(x, _p=p, _s=sigma):
-            return np.maximum(np.asarray(_p(x), float) - 1.0, 0.0) * np.asarray(
-                _s.density(x), float
-            )
+            return np.maximum(eval_points(_p, x) - 1.0, 0.0) * eval_points(_s.density, x)
 
         lo, hi = window.bounds()
-        mass_shared = float(integrate(lambda x: _batched(d_shared, x), lo, hi))
-        mass_right = float(integrate(lambda x: _batched(d_right, x), lo, hi))
+        mass_shared = float(integrate(d_shared, lo, hi))
+        mass_right = float(integrate(d_right, lo, hi))
         mass_left = sigma.total_mass - mass_shared
         self.shared = IntensityMeasure(
             d_shared, window, sigma.density_sup, label="shared", total_mass_hint=mass_shared
@@ -422,7 +414,7 @@ class SuperpositionCoupling:
         cost = float(extra_l.shape[0] + extra_r.shape[0])
         realised = metrics.rho1(left, right)
         if realised != cost:  # shared atoms cancel exactly; extras never collide a.s.
-            raise ValidationError(
+            raise InternalConsistencyError(
                 f"superposition cost hint {cost} disagrees with rho1 {realised}"
             )
         return CoupledPair(left=left, right=right, cost_hint=cost)
@@ -439,12 +431,6 @@ class SuperpositionCoupling:
             self.right_extra.total_mass, size=n_samples
         )
         return estimate_from_values(costs.astype(float), seed)
-
-
-def _batched(fn, pts):
-    from .quadrature import _eval_batch
-
-    return _eval_batch(fn, np.atleast_2d(pts))
 
 
 def sample_coupled_superposition(
@@ -547,7 +533,7 @@ class TimeChangeCoupling:
         cost = float(np.sqrt(np.sum((t - r) ** 2)))
         w2 = metrics.rho2(left, right)
         if not cost >= w2 - 1e-9:
-            raise ValidationError("time-change cost hint fell below the realised distance")
+            raise InternalConsistencyError("time-change cost hint fell below the realised distance")
         return CoupledPair(left=left, right=right, cost_hint=cost)
 
     def estimate_mean_cost(

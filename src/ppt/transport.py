@@ -410,25 +410,37 @@ def _feasible_on_finite(a: np.ndarray, b: np.ndarray, finite: np.ndarray) -> boo
 
 
 def _perfect_matching_exists(finite: np.ndarray) -> bool:
+    """Kuhn's algorithm with breadth-first augmenting paths: no recursion, so
+    paths as long as the matrix are fine."""
     n, m = finite.shape
     if n > m:
         return False
-    match_col = np.full(m, -1, dtype=int)
-
-    def try_row(i: int, seen: np.ndarray) -> bool:
-        for j in np.nonzero(finite[i])[0]:
-            j = int(j)
-            if seen[j]:
-                continue
-            seen[j] = True
-            if match_col[j] == -1 or try_row(int(match_col[j]), seen):
-                match_col[j] = i
-                return True
-        return False
-
-    for i in range(n):
-        if not try_row(i, np.zeros(m, dtype=bool)):
+    adj = [np.flatnonzero(row).tolist() for row in finite]
+    row_of = [-1] * m  # column -> matched row
+    col_of = [-1] * n  # row -> matched column
+    for root in range(n):
+        reached_from = {}  # column -> the row whose search reached it
+        frontier, free = [root], -1
+        while frontier and free < 0:
+            next_rows = []
+            for i in frontier:
+                for j in adj[i]:
+                    if j not in reached_from:
+                        reached_from[j] = i
+                        if row_of[j] < 0:
+                            free = j
+                            break
+                        next_rows.append(row_of[j])
+                if free >= 0:
+                    break
+            frontier = next_rows
+        if free < 0:
             return False
+        while free >= 0:  # flip the path: each row on it takes the column it reached
+            i = reached_from[free]
+            previous = col_of[i]
+            row_of[free], col_of[i] = i, free
+            free = previous
     return True
 
 

@@ -183,6 +183,23 @@ class TestGeneralBound:
         b = bound_tv_general(L, lebesgue, 200, SeedSpec(26), inner_samples=8)
         assert a.value == b.value and a.std_error == b.std_error
 
+    def test_nested_gradient_equals_running_sum_loop(self, lebesgue):
+        # oracle: the per-configuration running sum over the same two streams
+        from ppt.bounds import nested_gradient_mc
+        from ppt.simulate import poisson_batch_with_rng, rejection_points
+
+        L = poisson_density(parse_density_expr("step:0.5,0.5,2"), lebesgue)
+        seed = SeedSpec(27)
+        got, f0 = nested_gradient_mc(L, lebesgue, 20, 7, seed, base_path=3)
+        configs = poisson_batch_with_rng(lebesgue, 20, seed.rng(3, 0))
+        xs = rejection_points(lebesgue, 20 * 7, seed.rng(3, 1)).reshape(20, 7, 1)
+        for i, w in enumerate(configs):
+            acc = 0.0
+            for x in xs[i]:
+                acc += abs(L(w.add(x)) - L(w))
+            assert got[i] == lebesgue.total_mass * acc / 7
+            assert f0[i] == L(w)
+
 
 class TestTimechangeBound:
     def test_zero_change(self):

@@ -76,6 +76,17 @@ class TestConfiguration:
         half = Window([0.0], [0.5])
         assert cfg.restrict(half).n == 1
 
+    def test_add_validates_only_the_new_point(self, unit_window):
+        cfg = config([0.25], unit_window)
+        for bad in ([1.5], [math.nan], [0.5, 0.5]):
+            with pytest.raises(ValidationError):
+                cfg.add(bad)
+        grown = cfg.add([0.75])
+        assert grown.window is cfg.window
+        assert grown.atoms.tolist() == [[0.25], [0.75]] and cfg.n == 1
+        with pytest.raises(ValueError):
+            grown.atoms[0, 0] = 0.7
+
     def test_count_in(self, unit_window):
         cfg = config([[0.1], [0.2], [0.8]], unit_window)
         assert cfg.count_in(Window([0.0], [0.5])) == 2
@@ -132,7 +143,7 @@ class TestTotalMass:
             _ = sigma.total_mass
 
     def test_envelope_violation_detected(self, unit_window):
-        sigma = IntensityMeasure(lambda x: 1.0, unit_window, density_sup=0.5)
+        sigma = IntensityMeasure(ppt.pointwise(lambda x: 1.0), unit_window, density_sup=0.5)
         with pytest.raises(EnvelopeViolationError):
             sigma.density_at(np.array([[0.3]]))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ppt.errors import QuadratureError, UnsupportedDimensionError
-from ppt.quadrature import integrate, integrate_1d
+from ppt.quadrature import integrate, integrate_1d, pointwise
 
 
 def test_polynomial_exact():
@@ -29,14 +29,14 @@ def test_step_function():
 
 
 def test_scalar_only_integrand_falls_back():
-    f = lambda x: x[0] ** 2
+    f = pointwise(lambda x: x[0] ** 2)
     assert integrate(f, [0.0], [1.0]) == pytest.approx(1.0 / 3.0, rel=1e-10)
 
 
 def test_scalar_two_coordinate_integrand_not_misread():
-    # product of coordinates written pointwise: batch eval would collide on
-    # shape when n == d, the first-row probe must force the row loop
-    f = lambda x: x[0] * x[1]
+    # product of coordinates written for one point: evaluated on a batch it
+    # would multiply two rows instead, so it goes through the row adapter
+    f = pointwise(lambda x: x[0] * x[1])
     assert integrate(f, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(0.25, rel=1e-9)
 
 

@@ -17,7 +17,7 @@ from ppt import (
 )
 from ppt.bounds import gibbs_normalization_series
 from ppt.cli import parse_density_expr
-from ppt.errors import SamplerHardnessError, ValidationError
+from ppt.errors import InternalConsistencyError, SamplerHardnessError, ValidationError
 
 
 def count_stats(configs):
@@ -143,6 +143,19 @@ class TestSampleGibbs:
         assert ppt.interaction_energy(phi, cfg) == pytest.approx(0.4)  # c n^2
         assert ppt.interaction_energy(phi, cfg, include_diagonal=False) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 37])
+    def test_interaction_energy_equals_pair_loop(self, n):
+        # oracle: the running sum over ordered pairs, one phi call per pair
+        w = Window([0.0, 0.0], [1.0, 1.0])
+        phi = parse_density_expr("poly:1e-3,0.3,-0.2")
+        cfg = ppt.Configuration(np.random.default_rng(n).uniform(size=(n, 2)), w)
+        want = 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                want += 2.0 * float(phi(cfg.atoms[i] - cfg.atoms[j]))
+        assert ppt.interaction_energy(phi, cfg, include_diagonal=False) == want
+        assert ppt.interaction_energy(phi, cfg) == want + n * float(phi(np.zeros(2)))
+
     def test_coupled_lists_share_configurations(self, lebesgue):
         phi = parse_density_expr("const:0.05")
         props, accepted, acc = ppt.sample_gibbs_coupled(phi, lebesgue, 100, SeedSpec(8))
@@ -180,6 +193,12 @@ class TestSuperposition:
         for i in range(50):
             pair = sc.sample(SeedSpec(11, i))
             assert pair.cost_hint == ppt.rho1(pair.left, pair.right)
+
+    def test_cost_hint_mismatch_is_internal_error(self, lebesgue, monkeypatch):
+        sc = SuperpositionCoupling(lebesgue, parse_density_expr("const:2"), p_sup=2.0)
+        monkeypatch.setattr(ppt.simulate.metrics, "rho1", lambda a, b: -1)
+        with pytest.raises(InternalConsistencyError):
+            sc.sample(SeedSpec(11))
 
     def test_chi_square_goodness_of_fit_on_boxes(self, lebesgue):
         # atoms of the left margin across 4 disjoint boxes are uniform
@@ -252,6 +271,12 @@ class TestTimeChange:
         for i in range(10):
             pair = coupling.sample(SeedSpec(15, i))
             assert pair.cost_hint >= ppt.rho2(pair.left, pair.right) - 1e-9
+
+    def test_cost_hint_below_distance_is_internal_error(self, monkeypatch):
+        coupling = TimeChangeCoupling(rational_timechange())
+        monkeypatch.setattr(ppt.simulate.metrics, "rho2", lambda a, b: math.inf)
+        with pytest.raises(InternalConsistencyError):
+            coupling.sample(SeedSpec(15))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValidationError):  # U' hits -1

@@ -125,6 +125,41 @@ class TestEmd:
         plan = emd([0.5, 0.5], [0.5, 0.5], C)
         assert plan.cost == math.inf
 
+    def test_feasibility_prescreen_on_long_augmenting_paths(self):
+        # 1500 x 1500 bidiagonal finite masks: a recursive augmenting-path
+        # search exceeded Python's recursion limit on these.  The full emd
+        # call runs the network simplex for minutes, so the check stops at
+        # the pre-screen that emd runs first.
+        from ppt.transport import _feasible_on_finite, _perfect_matching_exists
+
+        n = 1500
+        band = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
+        w = np.full(n, 1.0 / n)
+        assert _feasible_on_finite(w, w, band.T)
+        assert _feasible_on_finite(w, w, band)
+        # the last row moved to the first column: its augmenting path runs
+        # through every other row, and fails at the end once the last column
+        # is cut off
+        shifted = band.copy()
+        shifted[n - 1, n - 1] = False
+        shifted[n - 1, 0] = True
+        assert _perfect_matching_exists(shifted)
+        shifted[n - 2, n - 1] = False
+        assert not _perfect_matching_exists(shifted)
+
+    def test_perfect_matching_agrees_with_scipy(self, seed):
+        from ppt.transport import _perfect_matching_exists
+
+        rng = seed.rng(8)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            finite = rng.uniform(size=(n, m)) < rng.uniform(0.1, 0.7)
+            want = False
+            if n <= m:
+                rows, cols = scipy.optimize.linear_sum_assignment(np.where(finite, 0.0, 1.0))
+                want = bool(finite[rows, cols].all())
+            assert _perfect_matching_exists(finite) == want
+
     def test_mixed_infinite_entries_match_restricted_lp(self, seed):
         rng = seed.rng(5)
         for _ in range(10):
