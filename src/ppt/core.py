@@ -78,6 +78,12 @@ class Window:
             )
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValidationError("window requires lower[i] < upper[i] for all i")
+        # read-only array copies of the bounds, built once: membership tests
+        # run for every atom added to a configuration
+        for name, values in (("_lo", self.lower), ("_hi", self.upper)):
+            arr = np.array(values, float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -88,13 +94,13 @@ class Window:
         return float(np.prod(np.asarray(self.upper) - np.asarray(self.lower)))
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.lower, float), np.asarray(self.upper, float)
+        """Read-only ``(lower, upper)`` arrays."""
+        return self._lo, self._hi
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised membership test for an (n, d) array of points."""
-        pts = np.atleast_2d(np.asarray(points, float))
-        lo, hi = self.bounds()
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+        """Membership test over the last axis of an (..., d) array of points."""
+        pts = np.asarray(points, float)
+        return ((pts >= self._lo) & (pts <= self._hi)).all(axis=-1)
 
 
 def _freeze_atoms(atoms, dim_hint: int | None = None) -> np.ndarray:
@@ -110,6 +116,21 @@ def _freeze_atoms(atoms, dim_hint: int | None = None) -> np.ndarray:
     return arr
 
 
+def _checked_atoms(atoms, window: Window) -> np.ndarray:
+    """Frozen (n, d) atom array, checked against ``window``: dimension,
+    finiteness and membership of every atom."""
+    arr = _freeze_atoms(atoms, window.dim)
+    if arr.shape[1] != window.dim:
+        raise ValidationError(
+            f"atom dimension {arr.shape[1]} does not match window dimension {window.dim}"
+        )
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValidationError("atom coordinates must be finite")
+    if arr.size and not np.all(window.contains(arr)):
+        raise ValidationError("every atom must lie inside the window")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """Finite multiset of points inside a governing window.
@@ -122,17 +143,17 @@ class Configuration:
     window: Window
 
     def __init__(self, atoms, window: Window):
-        arr = _freeze_atoms(atoms, window.dim)
-        if arr.shape[1] != window.dim:
-            raise ValidationError(
-                f"atom dimension {arr.shape[1]} does not match window dimension {window.dim}"
-            )
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValidationError("atom coordinates must be finite")
-        if arr.size and not np.all(window.contains(arr)):
-            raise ValidationError("every atom must lie inside the window")
-        object.__setattr__(self, "atoms", arr)
+        object.__setattr__(self, "atoms", _checked_atoms(atoms, window))
         object.__setattr__(self, "window", window)
+
+    @classmethod
+    def _trusted(cls, atoms, window: Window) -> "Configuration":
+        """Build from atoms already checked against ``window`` (as ``__init__``
+        checks them), without checking them again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "atoms", _freeze_atoms(atoms, window.dim))
+        object.__setattr__(out, "window", window)
+        return out
 
     @property
     def n(self) -> int:
@@ -160,10 +181,7 @@ class Configuration:
             raise ValidationError("atom coordinates must be finite")
         if not self.window.contains(pt)[0]:
             raise ValidationError("every atom must lie inside the window")
-        added = object.__new__(Configuration)
-        object.__setattr__(added, "atoms", _freeze_atoms(np.vstack([self.atoms, pt])))
-        object.__setattr__(added, "window", self.window)
-        return added
+        return Configuration._trusted(np.vstack([self.atoms, pt]), self.window)
 
     def restrict(self, window: Window) -> "Configuration":
         """Restriction: keep only the atoms lying inside ``window``."""

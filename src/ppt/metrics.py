@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import Configuration, multiset_equal, sym_diff_count
+from .core import Configuration, _require_shared_window, multiset_equal
 from .errors import ValidationError
 
 __all__ = [
@@ -29,21 +29,18 @@ __all__ = [
 ]
 
 
-def _shared_window(omega: Configuration, eta: Configuration) -> None:
-    if omega.window != eta.window:
-        raise ValidationError("configurations must share one window")
-
-
 def rho0(omega: Configuration, eta: Configuration) -> int:
     """Trivial distance: 0 iff the two multisets of atoms coincide, else 1."""
-    _shared_window(omega, eta)
+    _require_shared_window(omega, eta)
     return 0 if multiset_equal(omega, eta) else 1
 
 
 def rho1(omega: Configuration, eta: Configuration) -> int:
     """Total-variation distance: number of unmatched atoms, both directions."""
-    _shared_window(omega, eta)
-    return sym_diff_count(omega, eta) + sym_diff_count(eta, omega)
+    _require_shared_window(omega, eta)
+    diff = omega.multiset()
+    diff.subtract(eta.multiset())
+    return sum(abs(c) for c in diff.values())
 
 
 def rho2(omega: Configuration, eta: Configuration) -> float:
@@ -55,13 +52,15 @@ def rho2(omega: Configuration, eta: Configuration) -> float:
     """
     from .transport import assignment_solve
 
-    _shared_window(omega, eta)
+    _require_shared_window(omega, eta)
     if omega.n != eta.n:
         return math.inf
     if omega.n == 0:
         return 0.0
     gaps = omega.atoms[:, None, :] - eta.atoms[None, :, :]
     sq = np.einsum("ijk,ijk->ij", gaps, gaps)
+    if omega.n == 1:
+        return math.sqrt(sq[0, 0])  # the fsum of one matched gap is that gap
     perm, _ = assignment_solve(sq)
     # fsum of the matched gaps is exactly rounded, hence independent of the
     # order of the atoms: rho2(omega, eta) == rho2(eta, omega) bit for bit
@@ -76,7 +75,7 @@ def rho1_normalized(omega: Configuration, eta: Configuration) -> float:
     convergence, hence unusable for duality arguments; provided for
     comparisons with the customary normalised notion.
     """
-    _shared_window(omega, eta)
+    _require_shared_window(omega, eta)
     if omega.n == 0 or eta.n == 0:
         raise ValidationError("normalised total variation needs nonempty configurations")
     cw, ce = omega.multiset(), eta.multiset()
@@ -93,7 +92,7 @@ def rho2_normalized(omega: Configuration, eta: Configuration) -> float:
     rho2 / omega(L) when the counts are equal and nonzero, otherwise the
     count gap |omega(L) - eta(L)| (dimensionless branch).
     """
-    _shared_window(omega, eta)
+    _require_shared_window(omega, eta)
     if omega.n == eta.n and omega.n != 0:
         return rho2(omega, eta) / omega.n
     return float(abs(omega.n - eta.n))

@@ -22,6 +22,7 @@ from .core import (
     IntensityMeasure,
     SeedSpec,
     Window,
+    _checked_atoms,
     estimate_from_values,
 )
 from .errors import InternalConsistencyError, SamplerHardnessError, ValidationError
@@ -127,17 +128,21 @@ def sample_poisson(sigma: IntensityMeasure, seed: SeedSpec) -> Configuration:
 def poisson_batch_with_rng(
     sigma: IntensityMeasure, n: int, rng: np.random.Generator
 ) -> list[Configuration]:
-    """``n`` independent Poisson draws from an explicit generator (vectorised)."""
+    """``n`` independent Poisson draws from an explicit generator (vectorised).
+
+    The batch's atoms are checked against the window once, as one array;
+    each configuration is a row slice of it.
+    """
     if n < 1:
         raise ValidationError("batch size must be positive")
     mass = sigma.total_mass
+    window = sigma.window
     counts = rng.poisson(mass, size=n) if mass > 0 else np.zeros(n, dtype=int)
     total = int(counts.sum())
-    pts = rejection_points(sigma, total, rng) if total else np.empty((0, sigma.window.dim))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return [
-        Configuration(pts[offsets[i] : offsets[i + 1]], sigma.window) for i in range(n)
-    ]
+    pts = rejection_points(sigma, total, rng) if total else np.empty((0, window.dim))
+    atoms = _checked_atoms(pts, window)
+    offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    return [Configuration._trusted(atoms[lo:hi], window) for lo, hi in zip(offsets, offsets[1:])]
 
 
 def sample_poisson_batch(sigma: IntensityMeasure, n: int, seed: SeedSpec) -> list[Configuration]:

@@ -6,8 +6,16 @@
   precision.  Pricing is most-negative-reduced-cost, switching to Bland's
   rule after a run of degenerate pivots so the method cannot cycle;
   optimality is certified by a complementary-slackness residual check.
+  The spanning tree is oriented from the root once, for the initial basis;
+  each pivot then re-orients only the subtree that the leaving arc cuts off
+  (re-rooted at the entering arc's endpoint, after Bonneel et al. 2011), so
+  parents, depths and potentials are those a full rebuild would give.
 * ``estimate_rubinstein_empirical`` / ``dual_lower_bound``: primal and dual
   empirical estimates of the transport distance between point-process laws.
+  Cost matrices for the named metrics are built without a metric call per
+  pair: rho0/rho1 from interned atoms (shared-atom counts in integer
+  arithmetic), rho2 only on pairs of equal atom count (+inf elsewhere).
+  User-supplied metrics are called once per pair.
 * ``exact_oracle_discrete``: independent small-instance oracle for the
   transport distance between product-Poisson count laws under L1 cost.
 
@@ -154,7 +162,10 @@ class _TreeBasis:
     """Spanning-tree basis over nodes 0..n-1 (rows), n..n+m-1 (cols), root n+m.
 
     Arcs are (from_node, to_node, cost); potentials satisfy
-    pot[from] - pot[to] = cost on every basic arc, pot[root] = 0.
+    pot[from] - pot[to] = cost on every basic arc, pot[root] = 0.  A node's
+    parent, depth and potential depend only on its path from the root: the
+    potential is accumulated along that path, one arc at a time, so the same
+    tree gives the same bits however it was reached.
     """
 
     def __init__(self, n: int, m: int, arcs: list, flows: list):
@@ -165,54 +176,94 @@ class _TreeBasis:
         self.rebuild()
 
     def rebuild(self) -> None:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.nodes)]
+        """Orient the whole tree from the root (the initial basis only)."""
+        self.incident: list[set[int]] = [set() for _ in range(self.nodes)]
         for idx, (f, t, _) in enumerate(self.arcs):
-            adj[f].append((t, idx))
-            adj[t].append((f, idx))
+            self.incident[f].add(idx)
+            self.incident[t].add(idx)
         root = self.nodes - 1
-        parent = np.full(self.nodes, -1, dtype=int)
-        parent_arc = np.full(self.nodes, -1, dtype=int)
-        depth = np.zeros(self.nodes, dtype=int)
-        pot = np.zeros(self.nodes)
-        seen = np.zeros(self.nodes, dtype=bool)
-        stack = [root]
-        seen[root] = True
+        # lists: the pivot loop reads these one node at a time
+        self.parent = [-1] * self.nodes
+        self.parent_arc = [-1] * self.nodes
+        self.depth = [0] * self.nodes
+        self.pot = np.zeros(self.nodes)
+        if self._orient_below(root, root) != self.nodes:
+            raise InternalConsistencyError("transport basis is not a spanning tree")
+
+    def replace_arc(self, leave: int, arc: tuple[int, int, float], inner: int) -> None:
+        """Swap basic arc ``leave`` for ``arc`` and re-orient only the subtree
+        that removing ``leave`` cuts off from the root.
+
+        ``inner`` is the endpoint of ``arc`` inside that subtree; the subtree
+        is re-rooted there and hung from the other endpoint.  Every other
+        node keeps its root path, hence its parent, depth and potential.
+        """
+        lf, lt, _ = self.arcs[leave]
+        self.incident[lf].discard(leave)
+        self.incident[lt].discard(leave)
+        f, t, c = arc
+        self.arcs[leave] = arc
+        self.incident[f].add(leave)
+        self.incident[t].add(leave)
+        outer = t if inner == f else f
+        self._hang(inner, outer, leave)
+        self._orient_below(inner, outer)
+
+    def _hang(self, node: int, parent: int, arc_idx: int) -> None:
+        f, _t, c = self.arcs[arc_idx]
+        self.parent[node] = parent
+        self.parent_arc[node] = arc_idx
+        self.depth[node] = self.depth[parent] + 1
+        self.pot[node] = self.pot[parent] - c if f == parent else self.pot[parent] + c
+
+    def _orient_below(self, top: int, outside: int) -> int:
+        """Set parent, depth and potential of every node below ``top``.
+
+        Returns the number of nodes reached, ``top`` included.  Reaching the
+        root or ``outside`` again means the arcs below ``top`` do not form a
+        subtree hanging from it.
+        """
+        root = self.nodes - 1
+        stack = [top]
+        reached = 0
         while stack:
             node = stack.pop()
-            for nxt, idx in adj[node]:
-                if seen[nxt]:
+            reached += 1
+            if reached > self.nodes:
+                raise InternalConsistencyError("transport basis is not a spanning tree")
+            up = self.parent_arc[node]
+            for idx in self.incident[node]:
+                if idx == up:
                     continue
-                seen[nxt] = True
-                parent[nxt] = node
-                parent_arc[nxt] = idx
-                depth[nxt] = depth[node] + 1
-                f, _t, c = self.arcs[idx]
-                pot[nxt] = pot[node] - c if f == node else pot[node] + c
+                f, t, _c = self.arcs[idx]
+                nxt = t if f == node else f
+                if nxt == root or nxt == outside:
+                    raise InternalConsistencyError("transport basis is not a spanning tree")
+                self._hang(nxt, node, idx)
                 stack.append(nxt)
-        if not seen.all():
-            raise InternalConsistencyError("transport basis is not a spanning tree")
-        self.parent, self.parent_arc, self.depth, self.pot = parent, parent_arc, depth, pot
+        return reached
 
     def path_to_lca(self, fi: int, ti: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Arcs climbing from fi and from ti to their common ancestor.
 
         Each entry is (arc_index, node) where node is the lower endpoint.
         """
+        parent, parent_arc = self.parent, self.parent_arc
         left, right = [], []
         a, b = fi, ti
-        da, db = int(self.depth[a]), int(self.depth[b])
+        da, db = self.depth[a], self.depth[b]
         while da > db:
-            left.append((int(self.parent_arc[a]), a))
-            a = int(self.parent[a])
+            left.append((parent_arc[a], a))
+            a = parent[a]
             da -= 1
         while db > da:
-            right.append((int(self.parent_arc[b]), b))
-            b = int(self.parent[b])
+            right.append((parent_arc[b], b))
+            b = parent[b]
             db -= 1
         while a != b:
-            left.append((int(self.parent_arc[a]), a))
-            right.append((int(self.parent_arc[b]), b))
-            a, b = int(self.parent[a]), int(self.parent[b])
+            left.append((parent_arc[a], a))
+            right.append((parent_arc[b], b))
+            a, b = parent[a], parent[b]
         return left, right
 
 
@@ -268,6 +319,8 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
     basis = _initial_basis(a, b, Cw, all_finite, big_m)
     basic = {(f, t) for f, t, _ in basis.arcs}
 
+    rc = np.empty((n, m))  # reduced costs, rewritten in place at every pivot
+    flat = rc.ravel()
     degenerate_run = 0
     bland = False
     max_iters = 200 * (n + m) * max(n, m) + 10_000
@@ -276,17 +329,12 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
         iters += 1
         if iters > max_iters:
             raise InternalConsistencyError("network simplex exceeded its iteration budget")
-        rc = Cw - basis.pot[:n, None] + basis.pot[None, n : n + m]
-        flat = rc.ravel()
-        if bland:
-            cand = np.nonzero(flat < -opt_eps)[0]
-            if cand.size == 0:
-                break
-            k = int(cand[0])
-        else:
-            k = int(np.argmin(flat))
-            if flat[k] >= -opt_eps:
-                break
+        np.subtract(Cw, basis.pot[:n, None], out=rc)
+        rc += basis.pot[None, n : n + m]
+        # Bland: the first arc with a negative reduced cost; otherwise the most negative
+        k = int(np.argmax(flat < -opt_eps)) if bland else int(np.argmin(flat))
+        if flat[k] >= -opt_eps:
+            break
         ei, ej = divmod(k, m)
         fi, ti = ei, n + ej
         if (fi, ti) in basic:
@@ -297,23 +345,24 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
         # arcs pointing up on the ti side gain (bipartite orientation row->col)
         theta = math.inf
         leave = -1
+        inner = -1  # the entering arc's endpoint on the leaving arc's side
 
-        def consider_leaving(arc_idx: int) -> None:
-            nonlocal theta, leave
+        def consider_leaving(arc_idx: int, side: int) -> None:
+            nonlocal theta, leave, inner
             fl = basis.flows[arc_idx]
             if fl < theta - 1e-18:
-                theta, leave = fl, arc_idx
+                theta, leave, inner = fl, arc_idx, side
             elif fl <= theta + 1e-18 and 0 <= leave and arc_idx < leave:
-                leave = arc_idx  # smallest-index tie-break, pairs with Bland entering
+                leave, inner = arc_idx, side  # smallest-index tie-break, pairs with Bland entering
 
         for arc_idx, node in left:
             _f, t, _c = basis.arcs[arc_idx]
             if t == basis.parent[node]:  # arc points upward: loses flow
-                consider_leaving(arc_idx)
+                consider_leaving(arc_idx, fi)
         for arc_idx, node in right:
             _f, t, _c = basis.arcs[arc_idx]
             if t != basis.parent[node]:  # arc points downward: loses flow
-                consider_leaving(arc_idx)
+                consider_leaving(arc_idx, ti)
         if leave < 0:
             raise InternalConsistencyError("no leaving arc on the pivot cycle")
         theta = max(0.0, float(theta))
@@ -333,10 +382,9 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
 
         lf, lt, _ = basis.arcs[leave]
         basic.discard((lf, lt))
-        basis.arcs[leave] = (fi, ti, float(Cw[ei, ej]))
+        basis.replace_arc(leave, (fi, ti, float(Cw[ei, ej])), inner)
         basis.flows[leave] = theta
         basic.add((fi, ti))
-        basis.rebuild()
 
         if theta <= flow_eps:
             degenerate_run += 1
@@ -528,31 +576,85 @@ def emd(a, b, cost: np.ndarray) -> TransportPlan:
 # --------------------------------------------------------------------------
 
 
-def _metric_fn(metric) -> Callable[[Configuration, Configuration], float]:
+def _cost_matrix(samples_mu, samples_nu, metric) -> np.ndarray:
+    """Matrix of ``metric`` between every configuration of ``samples_mu``
+    (rows) and of ``samples_nu`` (columns).
+
+    A callable is called once per pair.  For the named metrics the windows
+    are compared once for all configurations; rho0 and rho1 then come from
+    counts of shared atoms (:func:`_shared_atom_counts`) in integer
+    arithmetic, and rho2 is called only on pairs of equal atom count, every
+    other entry being +inf.  Each entry equals the per-pair ``metrics`` value
+    bit for bit.
+    """
     if callable(metric):
-        return metric
+        return np.array([[metric(x, y) for y in samples_nu] for x in samples_mu], dtype=float)
+    if metric not in ("rho0", "rho1", "rho2"):
+        raise ValidationError(f"unknown metric {metric!r}; expected rho0, rho1 or rho2")
     from . import metrics  # deferred: metrics.rho2 delegates back to assignment_solve
 
-    table = {
-        "rho0": lambda x, y: float(metrics.rho0(x, y)),
-        "rho1": lambda x, y: float(metrics.rho1(x, y)),
-        "rho2": metrics.rho2,
-    }
-    try:
-        return table[str(metric)]
-    except KeyError:
-        raise ValidationError(f"unknown metric {metric!r}; expected rho0, rho1 or rho2")
+    windows = {c.window for c in samples_mu} | {c.window for c in samples_nu}
+    if len(windows) > 1:
+        raise ValidationError("configurations must share one window")
+    count_mu = np.array([c.n for c in samples_mu], dtype=np.int64)
+    count_nu = np.array([c.n for c in samples_nu], dtype=np.int64)
+    if metric == "rho2":
+        C = np.full((count_mu.size, count_nu.size), math.inf)
+        for i, j in zip(*np.nonzero(count_mu[:, None] == count_nu[None, :])):
+            C[i, j] = metrics.rho2(samples_mu[i], samples_nu[j])
+        return C
+    rho1 = count_mu[:, None] + count_nu[None, :] - 2 * _shared_atom_counts(samples_mu, samples_nu)
+    return (rho1 > 0).astype(float) if metric == "rho0" else rho1.astype(float)
 
 
-def _cost_matrix(samples_mu, samples_nu, fn) -> np.ndarray:
-    return np.array([[fn(x, y) for y in samples_nu] for x in samples_mu], dtype=float)
+def _shared_atom_counts(samples_mu, samples_nu) -> np.ndarray:
+    """Atoms that each row configuration shares with each column
+    configuration, with multiplicity: an (n, m) integer array.
+
+    Atoms are interned.  Equal coordinate tuples (compared by value, so -0.0
+    is 0.0, as in ``Configuration.multiset``) get one value key, and the k-th
+    copy of a value within a configuration gets the key (value, k).  A
+    configuration then holds each key at most once, and two configurations
+    share min(k, l) copies of a value held k and l times.  Only the key
+    matches are enumerated, never an n x (all atoms) incidence matrix.
+    """
+    n, m = len(samples_mu), len(samples_nu)
+    configs = [*samples_mu, *samples_nu]
+    sizes = [c.n for c in configs]
+    if sum(sizes) == 0:
+        return np.zeros((n, m), dtype=np.int64)
+    atoms = np.concatenate([c.atoms for c in configs])
+    owner = np.repeat(np.arange(n + m), sizes)
+    # value key: index among the distinct coordinate tuples; adding 0.0 turns
+    # -0.0 into 0.0, so tuples equal by value are equal element for element
+    _, value = np.unique(atoms + 0.0, axis=0, return_inverse=True)
+
+    # copy index within each (configuration, value) run
+    order = np.lexsort((value.reshape(-1), owner))
+    owner, value = owner[order], value.reshape(-1)[order]
+    first = np.ones(owner.size, dtype=bool)
+    first[1:] = (owner[1:] != owner[:-1]) | (value[1:] != value[:-1])
+    position = np.arange(owner.size)
+    copy = position - np.maximum.accumulate(np.where(first, position, 0))
+    key = value * (int(copy.max()) + 1) + copy
+
+    # for each row atom, the column configurations holding its key
+    is_row = owner < n
+    col_order = np.argsort(key[~is_row], kind="stable")
+    col_key, col_owner = key[~is_row][col_order], owner[~is_row][col_order] - n
+    row_key, row_owner = key[is_row], owner[is_row]
+    lo = np.searchsorted(col_key, row_key, side="left")
+    hits = np.searchsorted(col_key, row_key, side="right") - lo
+    offset = np.repeat(lo - (np.cumsum(hits) - hits), hits)
+    cols = col_owner[offset + np.arange(offset.size)]
+    pairs = np.repeat(row_owner, hits) * m + cols
+    return np.bincount(pairs, minlength=n * m).reshape(n, m)
 
 
-def _emd_cost(samples_mu, samples_nu, fn):
-    C = _cost_matrix(samples_mu, samples_nu, fn)
+def _emd_uniform(C: np.ndarray) -> tuple[float, np.ndarray]:
     n, m = C.shape
     plan = emd(np.full(n, 1.0 / n), np.full(m, 1.0 / m), C)
-    return plan.cost, plan.weights, C
+    return plan.cost, plan.weights
 
 
 def estimate_rubinstein_empirical(
@@ -574,8 +676,8 @@ def estimate_rubinstein_empirical(
     """
     if not samples_mu or not samples_nu:
         raise ValidationError("sample lists must be nonempty")
-    fn = _metric_fn(metric)
-    value, weights, C = _emd_cost(samples_mu, samples_nu, fn)
+    C = _cost_matrix(samples_mu, samples_nu, metric)
+    value, weights = _emd_uniform(C)
     n, m = C.shape
     if math.isinf(value):
         return Estimate(mean=float("inf"), std_error=float("inf"), n_samples=n + m, seed=None)
@@ -592,13 +694,17 @@ def doubling_diagnostic(
     samples_nu: Sequence[Configuration],
     metric="rho1",
 ) -> dict:
-    """Convergence diagnostic: estimate on half the samples versus all of them."""
-    fn = _metric_fn(metric)
+    """Convergence diagnostic: estimate on half the samples versus all of them.
+
+    The half lists are the prefixes of the full ones, so their cost matrix is
+    the leading block of the full matrix, which is built once.
+    """
     n, m = len(samples_mu), len(samples_nu)
     if n < 2 or m < 2:
         raise ValidationError("need at least two samples per side")
-    half_cost, _, _ = _emd_cost(samples_mu[: n // 2], samples_nu[: m // 2], fn)
-    full_cost, _, _ = _emd_cost(samples_mu, samples_nu, fn)
+    C = _cost_matrix(samples_mu, samples_nu, metric)
+    half_cost, _ = _emd_uniform(C[: n // 2, : m // 2])
+    full_cost, _ = _emd_uniform(C)
     gap = (
         abs(full_cost - half_cost)
         if math.isfinite(full_cost) and math.isfinite(half_cost)

@@ -46,6 +46,21 @@ class TestWindow:
         inside = w.contains(np.array([[0.5], [1.0], [1.5]]))
         assert list(inside) == [True, True, False]
 
+    def test_contains_on_rows_and_stacks(self):
+        w = Window([0.0, -1.0], [1.0, 1.0])
+        assert w.contains(np.array([[0.5, -0.0]])).tolist() == [True]
+        assert w.contains(np.empty((0, 2))).shape == (0,)
+        stack = np.array([[[0.5, 0.5], [1.5, 0.5]], [[0.0, -1.0], [0.5, 1.01]]])
+        assert w.contains(stack).tolist() == [[True, False], [True, False]]
+
+    def test_bounds_are_read_only_and_equal_to_the_tuples(self):
+        w = Window([0.0, -1.0], [1.0, 1.0])
+        lo, hi = w.bounds()
+        assert lo.tolist() == list(w.lower) and hi.tolist() == list(w.upper)
+        with pytest.raises(ValueError):
+            lo[0] = -5.0
+        assert w == Window([0.0, -1.0], [1.0, 1.0]) and hash(w) == hash(Window([0.0, -1.0], [1.0, 1.0]))
+
 
 class TestConfiguration:
     def test_empty_is_valid(self, unit_window):

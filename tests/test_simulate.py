@@ -15,6 +15,7 @@ from ppt import (
     TwoPointMixer,
     Window,
 )
+from ppt import simulate
 from ppt.bounds import gibbs_normalization_series
 from ppt.cli import parse_density_expr
 from ppt.errors import InternalConsistencyError, SamplerHardnessError, ValidationError
@@ -79,6 +80,42 @@ class TestSamplePoisson:
         b = ppt.sample_poisson_batch(lebesgue, 20, SeedSpec(103))
         assert all(np.array_equal(x.atoms, y.atoms) for x, y in zip(a, b))
 
+
+    def test_batch_slices_equal_validated_configurations(self, seed):
+        w = Window([0.0, 0.0], [1.0, 2.0])
+        sigma = IntensityMeasure.uniform(w, 1.5)
+        batch = simulate.poisson_batch_with_rng(sigma, 200, seed.rng())
+        rng = seed.rng()
+        counts = rng.poisson(sigma.total_mass, size=200)
+        pts = simulate.rejection_points(sigma, int(counts.sum()), rng)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        for k, cfg in enumerate(batch):
+            want = ppt.Configuration(pts[offsets[k] : offsets[k + 1]], w)
+            assert cfg.window is w and cfg.atoms.shape == want.atoms.shape
+            assert cfg.atoms.tobytes() == want.atoms.tobytes()
+            assert not cfg.atoms.flags.writeable
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.5], [math.nan, 0.5], [0.5, math.inf]])
+    def test_batch_validates_every_atom(self, seed, monkeypatch, bad):
+        w = Window([0.0, 0.0], [1.0, 1.0])
+        sigma = IntensityMeasure.uniform(w, 5.0)
+
+        def one_bad_point(sigma, count, rng):
+            pts = rng.uniform(0.0, 1.0, size=(count, 2))
+            pts[count - 1] = bad
+            return pts
+
+        monkeypatch.setattr(simulate, "rejection_points", one_bad_point)
+        with pytest.raises(ValidationError):
+            simulate.poisson_batch_with_rng(sigma, 40, seed.rng())
+
+    def test_batch_rejects_points_of_the_wrong_dimension(self, seed, monkeypatch):
+        sigma = IntensityMeasure.uniform(Window([0.0, 0.0], [1.0, 1.0]), 5.0)
+        monkeypatch.setattr(
+            simulate, "rejection_points", lambda s, count, rng: np.full((count, 3), 0.5)
+        )
+        with pytest.raises(ValidationError):
+            simulate.poisson_batch_with_rng(sigma, 40, seed.rng())
 
 class TestSampleCox:
     def test_degenerate_mixer_is_poisson(self, unit_window):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from ppt import (
     estimate_rubinstein_empirical,
     exact_oracle_discrete,
 )
-from ppt.errors import TruncationError, ValidationError
+from ppt import transport
+from ppt.errors import InternalConsistencyError, TruncationError, ValidationError
 
 from conftest import brute_force_assignment, config
 
@@ -184,6 +187,111 @@ class TestEmd:
         triplets = plan.to_json_triplets()
         assert triplets["shape"] == [2, 1]
         assert len(triplets["triplets"]) == 2
+
+
+def _seeded_emd_instances():
+    """300 seeded instances: integer, real and partly infinite costs, on
+    uniform square and on general marginals (some with zero entries)."""
+    rng = ppt.SeedSpec(20_250_808).rng(9)
+    for k in range(300):
+        if k >= 298:
+            # 80 x 80, 0/1 costs, half the arcs infinite: long degenerate
+            # runs that switch the pricing to Bland's rule
+            n = 80
+            C = rng.integers(0, 2, size=(n, n)).astype(float)
+            C[rng.uniform(size=(n, n)) < 0.5] = math.inf
+            np.fill_diagonal(C, 1.0)
+            yield np.full(n, 1.0 / n), np.full(n, 1.0 / n), C
+            continue
+        kind = k % 6
+        big = k % 25 == 0
+        if kind < 3:
+            n = m = int(rng.integers(30, 41)) if big else int(rng.integers(1, 13))
+            a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        else:
+            n, m = (int(v) for v in rng.integers(1, 11, size=2))
+            a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            if n > 2 and kind == 5:
+                a[: n // 3] = 0.0
+                a /= a.sum()
+        if kind % 3 == 0:
+            C = rng.integers(0, 5, size=(n, m)).astype(float)
+        else:
+            C = rng.uniform(0, 3, size=(n, m))
+        if kind % 3 == 2:
+            C[rng.uniform(size=(n, m)) < 0.35] = math.inf
+        yield a, b, C
+
+
+class TestNetworkSimplexTree:
+    def test_plans_and_costs_match_the_pinned_hash(self):
+        # SHA-256 of every plan's bytes and cost, computed with the solver
+        # that rebuilt its spanning tree from scratch after each pivot
+        h = hashlib.sha256()
+        for a, b, C in _seeded_emd_instances():
+            plan = emd(a, b, C)
+            h.update(plan.weights.tobytes())
+            h.update(struct.pack("<d", plan.cost))
+        assert h.hexdigest() == "ad7a9608cc411a2ee1b7b8e7aeb208d1a8ad9aa8086ad062d75b492234300c72"
+
+    def test_incremental_tree_equals_a_rebuilt_tree_after_every_pivot(self, monkeypatch):
+        replace_arc = transport._TreeBasis.replace_arc
+        pivots = []
+
+        def checked(basis, leave, arc, inner):
+            replace_arc(basis, leave, arc, inner)
+            fresh = transport._TreeBasis(basis.n, basis.m, list(basis.arcs), list(basis.flows))
+            for name in ("parent", "parent_arc", "depth", "pot"):
+                got, want = np.asarray(getattr(basis, name)), np.asarray(getattr(fresh, name))
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            pivots.append(leave)
+
+        monkeypatch.setattr(transport._TreeBasis, "replace_arc", checked)
+        for k, (a, b, C) in enumerate(_seeded_emd_instances()):
+            if k % 5 == 0 or k >= 298:
+                emd(a, b, C)
+        assert len(pivots) > 1000
+
+    def test_memory_layout_does_not_change_the_plan(self):
+        # a column-major cost matrix (for instance a transposed mask) must
+        # give the bytes of its row-major copy
+        for k, (a, b, C) in enumerate(_seeded_emd_instances()):
+            if k % 9 == 0 or k == 298:
+                want = emd(a, b, C)
+                for layout in (np.asfortranarray(C), np.ascontiguousarray(C.T).T):
+                    got = emd(a, b, layout)
+                    assert got.weights.tobytes() == want.weights.tobytes()
+                    assert struct.pack("<d", got.cost) == struct.pack("<d", want.cost)
+        n = 60
+        band = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
+        plan = emd(np.full(n, 1.0 / n), np.full(n, 1.0 / n), np.where(band.T, 1.0, math.inf))
+        assert plan.cost == pytest.approx(1.0, abs=1e-12)
+
+    def test_rebuild_runs_once_per_solve(self, monkeypatch):
+        rebuild = transport._TreeBasis.rebuild
+        calls = []
+
+        def counted(basis):
+            calls.append(basis)
+            rebuild(basis)
+
+        monkeypatch.setattr(transport._TreeBasis, "rebuild", counted)
+        solves = 0
+        for k, (a, b, C) in enumerate(_seeded_emd_instances()):
+            if k % 7 == 0 or k == 299:
+                calls.clear()
+                plan = emd(a, b, C)
+                if np.isfinite(plan.cost) or np.isfinite(C).all():
+                    assert len(calls) == 1
+                    solves += 1
+        assert solves > 30
+
+    def test_entering_arc_inside_the_cut_subtree_is_rejected(self):
+        # tree: root 2 - row 0 - col 1; replacing arc (0, root) by (0, 1)
+        # would leave the subtree {0, 1} cut off from the root
+        basis = transport._TreeBasis(1, 1, [(0, 1, 1.0), (0, 2, 0.0)], [1.0, 0.0])
+        with pytest.raises(InternalConsistencyError):
+            basis.replace_arc(1, (0, 1, 2.0), 0)
 
 
 class TestEmpiricalEstimates:
