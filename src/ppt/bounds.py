@@ -16,7 +16,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Configuration, Estimate, IntensityMeasure, SeedSpec, estimate_from_values
+from .core import (
+    Configuration,
+    Estimate,
+    IntensityMeasure,
+    SeedSpec,
+    _checked_atoms,
+    estimate_from_values,
+)
 from .errors import InternalConsistencyError, ValidationError
 from .quadrature import eval_points, integrate
 from .simulate import TimeChangeSpec, interaction_energy, poisson_batch_with_rng, rejection_points
@@ -279,20 +286,35 @@ def nested_gradient_mc(
 
 
 def _add_one_point_values(F, sigma, n_outer, inner_samples, config_rng, point_rng):
-    """The add-one-point loop shared by every gradient estimate.
+    """The add-one-point kernel shared by every gradient estimate.
 
     Draws ``n_outer`` Poisson(sigma) configurations w_i from ``config_rng``
     and, when sigma has mass, ``inner_samples`` points x_ij ~ sigma / sigma(L)
     per configuration from ``point_rng``.  Returns the vector F(w_i) and the
     matrix F(w_i + x_ij) (no columns when sigma has no mass).
+
+    All inner points are checked against the window once, as one array
+    (dimension, finiteness, membership: what ``Configuration.add`` checks per
+    point).  Each w_i then gets one read-only ``(inner_samples, n_i + 1, d)``
+    slab: its atoms repeated over the first axis, with x_ij appended as the
+    last atom.  F receives the slab's rows as configurations, after all the
+    F(w_i) and in row order, so each value equals F(w_i.add(x_ij)) bit for bit.
     """
     configs = poisson_batch_with_rng(sigma, n_outer, config_rng)
     f0 = np.array([float(F(w)) for w in configs])
     if sigma.total_mass <= 0:
         return f0, np.empty((n_outer, 0))
-    xs = rejection_points(sigma, n_outer * inner_samples, point_rng)
-    xs = xs.reshape(n_outer, inner_samples, -1)
-    f1 = np.array([[float(F(w.add(x))) for x in row] for w, row in zip(configs, xs)])
+    window = sigma.window
+    xs = _checked_atoms(rejection_points(sigma, n_outer * inner_samples, point_rng), window)
+    xs = xs.reshape(n_outer, inner_samples, window.dim)
+    f1 = np.empty((n_outer, inner_samples))
+    for i, w in enumerate(configs):
+        slab = np.empty((inner_samples, w.n + 1, window.dim))
+        slab[:, :-1] = w.atoms
+        slab[:, -1] = xs[i]
+        slab.setflags(write=False)
+        for j in range(inner_samples):
+            f1[i, j] = float(F(Configuration._trusted(slab[j], window)))
     return f0, f1
 
 

@@ -103,23 +103,18 @@ class Window:
         return ((pts >= self._lo) & (pts <= self._hi)).all(axis=-1)
 
 
-def _freeze_atoms(atoms, dim_hint: int | None = None) -> np.ndarray:
+def _checked_atoms(atoms, window: Window) -> np.ndarray:
+    """Frozen (n, d) atom array, checked against ``window``: dimension,
+    finiteness and membership of every atom."""
     arr = np.asarray(atoms, dtype=float)
     if arr.size == 0:
-        arr = arr.reshape(0, dim_hint if dim_hint else 1)
+        arr = arr.reshape(0, window.dim)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValidationError(f"atoms must be an (n, d) array, got shape {arr.shape}")
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
-    return arr
-
-
-def _checked_atoms(atoms, window: Window) -> np.ndarray:
-    """Frozen (n, d) atom array, checked against ``window``: dimension,
-    finiteness and membership of every atom."""
-    arr = _freeze_atoms(atoms, window.dim)
     if arr.shape[1] != window.dim:
         raise ValidationError(
             f"atom dimension {arr.shape[1]} does not match window dimension {window.dim}"
@@ -147,11 +142,16 @@ class Configuration:
         object.__setattr__(self, "window", window)
 
     @classmethod
-    def _trusted(cls, atoms, window: Window) -> "Configuration":
+    def _trusted(cls, atoms: np.ndarray, window: Window) -> "Configuration":
         """Build from atoms already checked against ``window`` (as ``__init__``
-        checks them), without checking them again."""
+        checks them), without checking or copying them again.
+
+        ``atoms`` must be a read-only, C-contiguous ``float64`` array of shape
+        ``(n, window.dim)``, such as ``_checked_atoms`` returns or a row slice
+        of one; it is stored as given.
+        """
         out = object.__new__(cls)
-        object.__setattr__(out, "atoms", _freeze_atoms(atoms, window.dim))
+        object.__setattr__(out, "atoms", atoms)
         object.__setattr__(out, "window", window)
         return out
 
@@ -181,7 +181,9 @@ class Configuration:
             raise ValidationError("atom coordinates must be finite")
         if not self.window.contains(pt)[0]:
             raise ValidationError("every atom must lie inside the window")
-        return Configuration._trusted(np.vstack([self.atoms, pt]), self.window)
+        atoms = np.vstack([self.atoms, pt])
+        atoms.setflags(write=False)
+        return Configuration._trusted(atoms, self.window)
 
     def restrict(self, window: Window) -> "Configuration":
         """Restriction: keep only the atoms lying inside ``window``."""

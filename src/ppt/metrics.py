@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import Configuration, _require_shared_window, multiset_equal
 from .errors import ValidationError
+from .transport import assignment_solve
 
 __all__ = [
     "rho0",
@@ -50,8 +51,6 @@ def rho2(omega: Configuration, eta: Configuration) -> float:
     otherwise the square root of the minimal sum of squared Euclidean gaps
     over bijections of atoms, solved exactly as an assignment problem.
     """
-    from .transport import assignment_solve
-
     _require_shared_window(omega, eta)
     if omega.n != eta.n:
         return math.inf

@@ -183,22 +183,100 @@ class TestGeneralBound:
         b = bound_tv_general(L, lebesgue, 200, SeedSpec(26), inner_samples=8)
         assert a.value == b.value and a.std_error == b.std_error
 
-    def test_nested_gradient_equals_running_sum_loop(self, lebesgue):
-        # oracle: the per-configuration running sum over the same two streams
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_nested_gradient_equals_running_sum_loop(self, dim, monkeypatch):
+        # oracle: the per-point loop over F(w.add(x)) on the same two streams,
+        # for every caller of the shared add-one-point kernel
+        import ppt.bounds
+        import ppt.concentration
         from ppt.bounds import nested_gradient_mc
         from ppt.simulate import poisson_batch_with_rng, rejection_points
 
-        L = poisson_density(parse_density_expr("step:0.5,0.5,2"), lebesgue)
+        window = Window([0.0] * dim, [1.0, 2.0, 0.5][:dim])
+        sigma = IntensityMeasure.uniform(window, 0.7 / window.volume)  # mass 0.7
+
+        def F(config):
+            # the added (last) atom weighs differently from the others, so a
+            # kernel that misplaced it would change the value
+            a = config.atoms
+            if a.shape[0] == 0:
+                return 0.0
+            return float(a[:-1].sum() + 3.7 * (a[-1] @ np.arange(1.0, dim + 1)))
+
+        def level(config):
+            return math.floor(F(config))  # integer-valued, for the co-area check
+
+        def reference(G, n, inner, config_rng, point_rng):
+            configs = poisson_batch_with_rng(sigma, n, config_rng)
+            xs = rejection_points(sigma, n * inner, point_rng).reshape(n, inner, dim)
+            f0 = np.array([float(G(w)) for w in configs])
+            f1 = np.array([[float(G(w.add(x))) for x in row] for w, row in zip(configs, xs)])
+            return configs, f0, f1
+
+        calls = []
+        kernel = ppt.bounds._add_one_point_values
+
+        def spy(G, *args):
+            f0, f1 = kernel(G, *args)
+            calls.append((f0, f1))
+            return f0, f1
+
+        monkeypatch.setattr(ppt.bounds, "_add_one_point_values", spy)
+        monkeypatch.setattr(ppt.concentration, "_add_one_point_values", spy)
         seed = SeedSpec(27)
-        got, f0 = nested_gradient_mc(L, lebesgue, 20, 7, seed, base_path=3)
-        configs = poisson_batch_with_rng(lebesgue, 20, seed.rng(3, 0))
-        xs = rejection_points(lebesgue, 20 * 7, seed.rng(3, 1)).reshape(20, 7, 1)
-        for i, w in enumerate(configs):
+        got, f0 = nested_gradient_mc(F, sigma, 20, 7, seed, base_path=3)
+        worst = ppt.rademacher_check(F, sigma, 20, seed)
+        ppt.coarea_check(level, sigma, 20, seed, inner_samples=5)
+        expected = [
+            reference(F, 20, 7, seed.rng(3, 0), seed.rng(3, 1)),
+            reference(F, 20, 1, seed.rng(), seed.rng(1)),
+            reference(level, 20, 5, seed.rng(5, 0), seed.rng(5, 1)),  # co-area lhs
+            reference(level, 20, 5, seed.rng(6, 0), seed.rng(6, 1)),  # co-area rhs
+        ]
+        assert len(calls) == len(expected)
+        for (f0_got, f1_got), (_, f0_ref, f1_ref) in zip(calls, expected):
+            assert f0_got.tobytes() == f0_ref.tobytes()
+            assert f1_got.tobytes() == f1_ref.tobytes()
+
+        configs, f0_ref, f1_ref = expected[0]
+        assert any(w.n == 0 for w in configs)
+        assert f0.tobytes() == f0_ref.tobytes()
+        for i in range(20):
             acc = 0.0
-            for x in xs[i]:
-                acc += abs(L(w.add(x)) - L(w))
-            assert got[i] == lebesgue.total_mass * acc / 7
-            assert f0[i] == L(w)
+            for value in f1_ref[i]:
+                acc += abs(value - f0_ref[i])
+            assert got[i] == sigma.total_mass * acc / 7
+        _, f0_ref, f1_ref = expected[1]
+        assert worst == max(abs(f1_ref[:, 0] - f0_ref))
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5])
+    def test_nested_gradient_rejects_bad_inner_point(self, lebesgue, monkeypatch, bad):
+        import ppt.bounds
+        from ppt.bounds import nested_gradient_mc
+
+        def rejection_points(sigma, count, rng):
+            pts = np.full((count, 1), 0.5)
+            pts[-1, 0] = bad  # NaN, or outside the window [0, 1]
+            return pts
+
+        monkeypatch.setattr(ppt.bounds, "rejection_points", rejection_points)
+        with pytest.raises(ValidationError):
+            nested_gradient_mc(lambda w: float(w.n), lebesgue, 4, 3, SeedSpec(28))
+
+    def test_nested_gradient_configurations_are_read_only(self, lebesgue):
+        from ppt.bounds import nested_gradient_mc
+
+        seen = []
+
+        def F(config):
+            seen.append(config)
+            if len(seen) > 4:  # past the four F(w), into the F(w + x)
+                config.atoms[-1] = 0.0
+            return 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            nested_gradient_mc(F, lebesgue, 4, 3, SeedSpec(28))
+        assert len(seen) == 5
 
 
 class TestTimechangeBound:
