@@ -10,12 +10,20 @@
   each pivot then re-orients only the subtree that the leaving arc cuts off
   (re-rooted at the entering arc's endpoint, after Bonneel et al. 2011), so
   parents, depths and potentials are those a full rebuild would give.
+  Pricing is incremental in the same way: the reduced costs are computed in
+  full once, and after a pivot only the rows and columns of the re-oriented
+  subtree are recomputed, with the same expression, so every reduced cost
+  has the bits of a full pass; a subtree of more than a quarter of the
+  nodes is repriced with the full pass instead.
 * ``estimate_rubinstein_empirical`` / ``dual_lower_bound``: primal and dual
   empirical estimates of the transport distance between point-process laws.
   Cost matrices for the named metrics are built without a metric call per
   pair: rho0/rho1 from interned atoms (shared-atom counts in integer
   arithmetic), rho2 only on pairs of equal atom count (+inf elsewhere).
-  User-supplied metrics are called once per pair.
+  Before any rho2 value is computed, a count screen decides from the atom
+  counts alone whether uniform marginals admit a finite plan; if not, the
+  estimate is +inf and no matrix is built.  User-supplied metrics are called
+  once per pair.
 * ``exact_oracle_discrete``: independent small-instance oracle for the
   transport distance between product-Poisson count laws under L1 cost.
 
@@ -165,7 +173,9 @@ class _TreeBasis:
     pot[from] - pot[to] = cost on every basic arc, pot[root] = 0.  A node's
     parent, depth and potential depend only on its path from the root: the
     potential is accumulated along that path, one arc at a time, so the same
-    tree gives the same bits however it was reached.
+    tree gives the same bits however it was reached.  ``moved`` lists the
+    nodes that the last ``rebuild`` or ``replace_arc`` oriented; no other
+    node's potential changed.
     """
 
     def __init__(self, n: int, m: int, arcs: list, flows: list):
@@ -187,7 +197,8 @@ class _TreeBasis:
         self.parent_arc = [-1] * self.nodes
         self.depth = [0] * self.nodes
         self.pot = np.zeros(self.nodes)
-        if self._orient_below(root, root) != self.nodes:
+        self.moved = self._orient_below(root, root)
+        if len(self.moved) != self.nodes:
             raise InternalConsistencyError("transport basis is not a spanning tree")
 
     def replace_arc(self, leave: int, arc: tuple[int, int, float], inner: int) -> None:
@@ -206,40 +217,42 @@ class _TreeBasis:
         self.incident[f].add(leave)
         self.incident[t].add(leave)
         outer = t if inner == f else f
-        self._hang(inner, outer, leave)
-        self._orient_below(inner, outer)
+        self.parent[inner] = outer
+        self.parent_arc[inner] = leave
+        self.depth[inner] = self.depth[outer] + 1
+        self.pot[inner] = self.pot[outer] - c if f == outer else self.pot[outer] + c
+        self.moved = self._orient_below(inner, outer)
 
-    def _hang(self, node: int, parent: int, arc_idx: int) -> None:
-        f, _t, c = self.arcs[arc_idx]
-        self.parent[node] = parent
-        self.parent_arc[node] = arc_idx
-        self.depth[node] = self.depth[parent] + 1
-        self.pot[node] = self.pot[parent] - c if f == parent else self.pot[parent] + c
-
-    def _orient_below(self, top: int, outside: int) -> int:
+    def _orient_below(self, top: int, outside: int) -> list[int]:
         """Set parent, depth and potential of every node below ``top``.
 
-        Returns the number of nodes reached, ``top`` included.  Reaching the
-        root or ``outside`` again means the arcs below ``top`` do not form a
-        subtree hanging from it.
+        Returns the nodes reached, ``top`` first.  Reaching the root or
+        ``outside`` again means the arcs below ``top`` do not form a subtree
+        hanging from it.
         """
-        root = self.nodes - 1
+        arcs, incident = self.arcs, self.incident
+        parent, parent_arc, depth, pot = self.parent, self.parent_arc, self.depth, self.pot
+        root, limit = self.nodes - 1, self.nodes
         stack = [top]
-        reached = 0
+        reached = []
         while stack:
             node = stack.pop()
-            reached += 1
-            if reached > self.nodes:
+            reached.append(node)
+            if len(reached) > limit:
                 raise InternalConsistencyError("transport basis is not a spanning tree")
-            up = self.parent_arc[node]
-            for idx in self.incident[node]:
+            up = parent_arc[node]
+            below = depth[node] + 1
+            for idx in incident[node]:
                 if idx == up:
                     continue
-                f, t, _c = self.arcs[idx]
+                f, t, c = arcs[idx]
                 nxt = t if f == node else f
                 if nxt == root or nxt == outside:
                     raise InternalConsistencyError("transport basis is not a spanning tree")
-                self._hang(nxt, node, idx)
+                parent[nxt] = node
+                parent_arc[nxt] = idx
+                depth[nxt] = below
+                pot[nxt] = pot[node] - c if f == node else pot[node] + c
                 stack.append(nxt)
         return reached
 
@@ -319,8 +332,9 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
     basis = _initial_basis(a, b, Cw, all_finite, big_m)
     basic = {(f, t) for f, t, _ in basis.arcs}
 
-    rc = np.empty((n, m))  # reduced costs, rewritten in place at every pivot
+    rc = np.empty((n, m))  # reduced costs, kept up to date in place
     flat = rc.ravel()
+    _reprice(rc, Cw, basis.pot, basis.moved)
     degenerate_run = 0
     bland = False
     max_iters = 200 * (n + m) * max(n, m) + 10_000
@@ -329,8 +343,6 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
         iters += 1
         if iters > max_iters:
             raise InternalConsistencyError("network simplex exceeded its iteration budget")
-        np.subtract(Cw, basis.pot[:n, None], out=rc)
-        rc += basis.pot[None, n : n + m]
         # Bland: the first arc with a negative reduced cost; otherwise the most negative
         k = int(np.argmax(flat < -opt_eps)) if bland else int(np.argmin(flat))
         if flat[k] >= -opt_eps:
@@ -385,6 +397,7 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
         basis.replace_arc(leave, (fi, ti, float(Cw[ei, ej])), inner)
         basis.flows[leave] = theta
         basic.add((fi, ti))
+        _reprice(rc, Cw, basis.pot, basis.moved)
 
         if theta <= flow_eps:
             degenerate_run += 1
@@ -414,6 +427,29 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
         )
     cost = float(np.sum(plan * np.where(finite, C, 0.0)))
     return plan, cost
+
+
+def _reprice(rc: np.ndarray, Cw: np.ndarray, pot: np.ndarray, moved: list[int]) -> None:
+    """Bring the reduced costs ``rc = (Cw - pot[rows]) + pot[cols]`` up to
+    date after the potentials of the nodes ``moved`` changed.
+
+    Only the rows and columns of those nodes are recomputed, with the
+    expression of the full pass, so every entry has the bits a full pass
+    would give it.  When the nodes are more than a quarter of all rows and
+    columns, gathering theirs costs more than the two full passes, which run
+    instead.
+    """
+    n, m = rc.shape
+    if 4 * len(moved) > n + m:
+        np.subtract(Cw, pot[:n, None], out=rc)
+        rc += pot[None, n : n + m]
+        return
+    nodes = np.array(moved)
+    rows, cols = nodes[nodes < n], nodes[nodes >= n] - n
+    if rows.size:
+        rc[rows] = (Cw[rows] - pot[rows, None]) + pot[None, n : n + m]
+    if cols.size:
+        rc[:, cols] = (Cw[:, cols] - pot[:n, None]) + pot[None, n + cols]
 
 
 def _recompute_tree_flows(basis: _TreeBasis, a: np.ndarray, b: np.ndarray) -> None:
@@ -593,11 +629,7 @@ def _cost_matrix(samples_mu, samples_nu, metric) -> np.ndarray:
         raise ValidationError(f"unknown metric {metric!r}; expected rho0, rho1 or rho2")
     from . import metrics  # deferred: metrics.rho2 delegates back to assignment_solve
 
-    windows = {c.window for c in samples_mu} | {c.window for c in samples_nu}
-    if len(windows) > 1:
-        raise ValidationError("configurations must share one window")
-    count_mu = np.array([c.n for c in samples_mu], dtype=np.int64)
-    count_nu = np.array([c.n for c in samples_nu], dtype=np.int64)
+    count_mu, count_nu = _atom_counts(samples_mu, samples_nu)
     if metric == "rho2":
         C = np.full((count_mu.size, count_nu.size), math.inf)
         for i, j in zip(*np.nonzero(count_mu[:, None] == count_nu[None, :])):
@@ -605,6 +637,35 @@ def _cost_matrix(samples_mu, samples_nu, metric) -> np.ndarray:
         return C
     rho1 = count_mu[:, None] + count_nu[None, :] - 2 * _shared_atom_counts(samples_mu, samples_nu)
     return (rho1 > 0).astype(float) if metric == "rho0" else rho1.astype(float)
+
+
+def _atom_counts(samples_mu, samples_nu) -> tuple[np.ndarray, np.ndarray]:
+    """Atom counts of every configuration, once all are checked to share
+    one window."""
+    windows = {c.window for c in samples_mu} | {c.window for c in samples_nu}
+    if len(windows) > 1:
+        raise ValidationError("configurations must share one window")
+    count_mu = np.array([c.n for c in samples_mu], dtype=np.int64)
+    count_nu = np.array([c.n for c in samples_nu], dtype=np.int64)
+    return count_mu, count_nu
+
+
+def _rho2_infeasible(samples_mu, samples_nu, metric) -> bool:
+    """Whether ``metric`` is rho2 and no plan between the uniform marginals
+    on the two lists has finite cost.
+
+    Finite rho2 entries join configurations of equal atom count, so they form
+    one complete bipartite block per count k, and a finite plan exists iff
+    every block balances its mass: #mu_k / n == #nu_k / m.  This is decided
+    from the counts alone, before any rho2 value is computed.
+    """
+    if metric != "rho2":
+        return False
+    count_mu, count_nu = _atom_counts(samples_mu, samples_nu)
+    classes = int(max(count_mu.max(), count_nu.max())) + 1
+    per_count_mu = np.bincount(count_mu, minlength=classes) * count_nu.size
+    per_count_nu = np.bincount(count_nu, minlength=classes) * count_mu.size
+    return not np.array_equal(per_count_mu, per_count_nu)
 
 
 def _shared_atom_counts(samples_mu, samples_nu) -> np.ndarray:
@@ -676,11 +737,14 @@ def estimate_rubinstein_empirical(
     """
     if not samples_mu or not samples_nu:
         raise ValidationError("sample lists must be nonempty")
+    n, m = len(samples_mu), len(samples_nu)
+    infinite = Estimate(mean=float("inf"), std_error=float("inf"), n_samples=n + m, seed=None)
+    if _rho2_infeasible(samples_mu, samples_nu, metric):
+        return infinite
     C = _cost_matrix(samples_mu, samples_nu, metric)
     value, weights = _emd_uniform(C)
-    n, m = C.shape
     if math.isinf(value):
-        return Estimate(mean=float("inf"), std_error=float("inf"), n_samples=n + m, seed=None)
+        return infinite
     mass = weights.sum()
     if mass <= 0:
         return Estimate(mean=value, std_error=0.0, n_samples=n + m, seed=None)
@@ -697,14 +761,21 @@ def doubling_diagnostic(
     """Convergence diagnostic: estimate on half the samples versus all of them.
 
     The half lists are the prefixes of the full ones, so their cost matrix is
-    the leading block of the full matrix, which is built once.
+    the leading block of the full matrix, which is built once.  Under rho2 a
+    list pair without a finite plan gets +inf without its matrix being built;
+    the half block is then built on its own if it has one.
     """
     n, m = len(samples_mu), len(samples_nu)
     if n < 2 or m < 2:
         raise ValidationError("need at least two samples per side")
-    C = _cost_matrix(samples_mu, samples_nu, metric)
-    half_cost, _ = _emd_uniform(C[: n // 2, : m // 2])
-    full_cost, _ = _emd_uniform(C)
+    half_mu, half_nu = samples_mu[: n // 2], samples_nu[: m // 2]
+    half_cost = full_cost = float("inf")
+    if not _rho2_infeasible(samples_mu, samples_nu, metric):
+        C = _cost_matrix(samples_mu, samples_nu, metric)
+        half_cost, _ = _emd_uniform(C[: n // 2, : m // 2])
+        full_cost, _ = _emd_uniform(C)
+    elif not _rho2_infeasible(half_mu, half_nu, metric):
+        half_cost, _ = _emd_uniform(_cost_matrix(half_mu, half_nu, metric))
     gap = (
         abs(full_cost - half_cost)
         if math.isfinite(full_cost) and math.isfinite(half_cost)

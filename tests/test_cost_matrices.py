@@ -2,21 +2,23 @@
 
 ``transport._cost_matrix`` builds the rho0/rho1 matrices from interned atoms
 and screens rho2 entries by atom count; every entry must equal what the
-per-pair ``metrics`` call gives, bit for bit.
+per-pair ``metrics`` call gives, bit for bit.  The rho2 estimates skip the
+matrix when the count classes admit no finite plan, with the results of
+building it.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppt
-from ppt import Configuration, SeedSpec, Window, metrics
+from ppt import Configuration, SeedSpec, Window, metrics, transport
 from ppt.cli import parse_density_expr
 from ppt.errors import ValidationError
-from ppt.transport import _cost_matrix, assignment_solve
+from ppt.transport import _cost_matrix, _feasible_on_finite, _rho2_infeasible, assignment_solve
 
 # a small pool makes repeated atoms, shared atoms and -0.0 against 0.0 common
 COORDS = st.one_of(
@@ -146,3 +148,77 @@ def test_doubling_diagnostic_equals_separate_half_and_full_solves():
         half = ppt.estimate_rubinstein_empirical(mu[:6], nu[:5], name).mean
         full = ppt.estimate_rubinstein_empirical(mu, nu, name).mean
         assert (diag["estimate_half"], diag["estimate_full"]) == (half, full)
+
+
+def with_counts(counts, window):
+    """One configuration of ``k`` atoms per entry of ``counts``."""
+    return [Configuration(np.linspace(0.1, 0.9, k).reshape(k, 1), window) for k in counts]
+
+
+COUNTS = st.lists(st.integers(0, 3), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COUNTS, COUNTS, st.booleans())
+@example([0, 0], [0], False)  # empty configurations only
+@example([0, 1], [1, 0], False)  # n = m, balanced with empty ones
+@example([0, 0, 1], [0, 1, 1], False)  # n = m, unbalanced
+@example([1, 1, 2], [1, 1, 1, 1, 2, 2], False)  # n != m, balanced
+def test_count_screen_agrees_with_the_feasibility_prescreen(count_mu, count_nu, square):
+    if square:
+        count_nu = (count_nu * len(count_mu))[: len(count_mu)]
+    w = Window([0.0], [1.0])
+    mu, nu = with_counts(count_mu, w), with_counts(count_nu, w)
+    n, m = len(mu), len(nu)
+    finite = np.isfinite(per_pair(mu, nu, metrics.rho2))
+    assert finite.tolist() == (np.array(count_mu)[:, None] == np.array(count_nu)[None, :]).tolist()
+    feasible = _feasible_on_finite(np.full(n, 1.0 / n), np.full(m, 1.0 / m), finite)
+    assert _rho2_infeasible(mu, nu, "rho2") == (not feasible)
+    assert not _rho2_infeasible(mu, nu, "rho1")
+
+
+def _screen_off(monkeypatch):
+    monkeypatch.setattr(transport, "_rho2_infeasible", lambda samples_mu, samples_nu, metric: False)
+
+
+def _counted_rho2(monkeypatch):
+    calls = []
+    rho2 = metrics.rho2
+
+    def counted(omega, eta):
+        calls.append(None)
+        return rho2(omega, eta)
+
+    monkeypatch.setattr(metrics, "rho2", counted)
+    return calls
+
+
+def test_infeasible_coupled_rho2_makes_no_rho2_call(monkeypatch):
+    # superposition pairs: the right side holds extra atoms, so the two
+    # lists' count classes do not balance and no finite plan exists
+    sigma = ppt.IntensityMeasure.uniform(Window([0.0], [1.0]), 1.0)
+    coupling = ppt.SuperpositionCoupling(sigma, parse_density_expr("const:2"), p_sup=2.0)
+    pairs = coupling.sample_batch(40, SeedSpec(2025))
+    mu, nu = [p.left for p in pairs], [p.right for p in pairs]
+    calls = _counted_rho2(monkeypatch)
+    est = ppt.estimate_rubinstein_empirical(mu, nu, "rho2")
+    diag = ppt.doubling_diagnostic(mu, nu, "rho2")
+    assert calls == []
+    assert est.mean == math.inf and diag["estimate_full"] == diag["estimate_half"] == math.inf
+
+    _screen_off(monkeypatch)
+    assert ppt.estimate_rubinstein_empirical(mu, nu, "rho2") == est
+    assert ppt.doubling_diagnostic(mu, nu, "rho2") == diag
+    assert len(calls) > 0  # without the screen, the rho2 values are computed
+
+
+def test_half_block_with_a_finite_plan_is_built_on_its_own(monkeypatch):
+    w = Window([0.0], [1.0])
+    mu, nu = with_counts([1, 2, 1, 1], w), with_counts([2, 1, 2, 2], w)
+    calls = _counted_rho2(monkeypatch)
+    diag = ppt.doubling_diagnostic(mu, nu, "rho2")
+    # the half lists [1, 2] and [2, 1] balance, the full ones do not
+    assert len(calls) == 2
+    assert math.isfinite(diag["estimate_half"]) and diag["estimate_full"] == math.inf
+    _screen_off(monkeypatch)
+    assert ppt.doubling_diagnostic(mu, nu, "rho2") == diag

@@ -252,6 +252,27 @@ class TestNetworkSimplexTree:
                 emd(a, b, C)
         assert len(pivots) > 1000
 
+    def test_maintained_reduced_costs_equal_a_full_pass_after_every_pivot(self, monkeypatch):
+        reprice = transport._reprice
+        branches = {"rows and columns": 0, "full pass": 0}
+
+        def checked(rc, Cw, pot, moved):
+            reprice(rc, Cw, pot, moved)
+            n, m = rc.shape
+            want = (Cw - pot[:n, None]) + pot[None, n : n + m]
+            assert rc.tobytes() == want.tobytes()
+            if len(moved) <= n + m:  # a pivot's subtree never holds the root
+                branches["full pass" if 4 * len(moved) > n + m else "rows and columns"] += 1
+
+        monkeypatch.setattr(transport, "_reprice", checked)
+        for k, (a, b, C) in enumerate(_seeded_emd_instances()):
+            if k % 10 == 0 or k >= 298:
+                emd(a, b, C)
+        n = 60
+        band = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
+        emd(np.full(n, 1.0 / n), np.full(n, 1.0 / n), np.where(band.T, 1.0, math.inf))
+        assert min(branches.values()) > 50, branches
+
     def test_memory_layout_does_not_change_the_plan(self):
         # a column-major cost matrix (for instance a transposed mask) must
         # give the bytes of its row-major copy
