@@ -26,7 +26,13 @@ from .core import (
 )
 from .errors import InternalConsistencyError, ValidationError
 from .quadrature import eval_points, integrate
-from .simulate import TimeChangeSpec, interaction_energy, poisson_batch_with_rng, rejection_points
+from .simulate import (
+    TimeChangeSpec,
+    _stacked_energy,
+    interaction_energy,
+    poisson_batch_with_rng,
+    rejection_points,
+)
 
 __all__ = [
     "BoundResult",
@@ -297,8 +303,10 @@ def _add_one_point_values(F, sigma, n_outer, inner_samples, config_rng, point_rn
     (dimension, finiteness, membership: what ``Configuration.add`` checks per
     point).  Each w_i then gets one read-only ``(inner_samples, n_i + 1, d)``
     slab: its atoms repeated over the first axis, with x_ij appended as the
-    last atom.  F receives the slab's rows as configurations, after all the
-    F(w_i) and in row order, so each value equals F(w_i.add(x_ij)) bit for bit.
+    last atom.  A functional with a ``stack(atoms, window)`` method gets the
+    whole slab in one call; any other F receives the slab's rows as
+    configurations.  Either way this happens after all the F(w_i) and in row
+    order, so each value equals F(w_i.add(x_ij)) bit for bit.
     """
     configs = poisson_batch_with_rng(sigma, n_outer, config_rng)
     f0 = np.array([float(F(w)) for w in configs])
@@ -307,14 +315,24 @@ def _add_one_point_values(F, sigma, n_outer, inner_samples, config_rng, point_rn
     window = sigma.window
     xs = _checked_atoms(rejection_points(sigma, n_outer * inner_samples, point_rng), window)
     xs = xs.reshape(n_outer, inner_samples, window.dim)
+    stack = getattr(F, "stack", None)
     f1 = np.empty((n_outer, inner_samples))
     for i, w in enumerate(configs):
         slab = np.empty((inner_samples, w.n + 1, window.dim))
         slab[:, :-1] = w.atoms
         slab[:, -1] = xs[i]
         slab.setflags(write=False)
-        for j in range(inner_samples):
-            f1[i, j] = float(F(Configuration._trusted(slab[j], window)))
+        if stack is not None:
+            vals = np.asarray(stack(slab, window), dtype=float)
+            if vals.shape != (inner_samples,):
+                raise ValidationError(
+                    f"stack returned shape {vals.shape} on atoms of shape {slab.shape}, "
+                    f"expected ({inner_samples},)"
+                )
+            f1[i] = vals
+        else:
+            for j in range(inner_samples):
+                f1[i, j] = float(F(Configuration._trusted(slab[j], window)))
     return f0, f1
 
 
@@ -381,7 +399,16 @@ def poisson_density(p: Callable, sigma: IntensityMeasure) -> Callable[[Configura
             raise ValidationError("poisson density requires p > 0 at configuration atoms")
         return math.exp(float(np.sum(np.log(vals))) + const)
 
+    def stack(atoms: np.ndarray, window) -> np.ndarray:
+        k, n, d = atoms.shape
+        vals = eval_points(p, atoms.reshape(-1, d)).reshape(k, n)
+        if np.any(vals <= 0):
+            raise ValidationError("poisson density requires p > 0 at configuration atoms")
+        # math.exp, as L uses: np.exp can differ from it in the last bit
+        return np.array([math.exp(v) for v in (np.sum(np.log(vals), axis=-1) + const).tolist()])
+
     L.expr = f"poisson_density({_fn_label(p)})"
+    L.stack = stack
     return L
 
 
@@ -433,5 +460,10 @@ def gibbs_density(
     def L(config: Configuration) -> float:
         return math.exp(-interaction_energy(phi, config, include_diagonal)) / normalization
 
+    def stack(atoms: np.ndarray, window) -> np.ndarray:
+        energies = _stacked_energy(phi, atoms, include_diagonal).tolist()
+        return np.array([math.exp(-v) / normalization for v in energies])
+
+    L.stack = stack
     L.expr = f"gibbs_density({_fn_label(phi)},z={normalization!r},diag={include_diagonal})"
     return L

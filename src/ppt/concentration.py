@@ -248,6 +248,9 @@ class CountThresholdEvent:
         count = config.n if self.region is None else config.count_in(self.region)
         return 1.0 if count <= self.k else 0.0
 
+    def stack(self, atoms: np.ndarray, window: Window) -> np.ndarray:
+        return (_stacked_counts(atoms, self.region) <= self.k).astype(float)
+
 
 @dataclass(frozen=True)
 class CountAtLeastEvent:
@@ -263,6 +266,16 @@ class CountAtLeastEvent:
     def __call__(self, config: Configuration) -> float:
         count = config.n if self.region is None else config.count_in(self.region)
         return 1.0 if count >= self.m else 0.0
+
+    def stack(self, atoms: np.ndarray, window: Window) -> np.ndarray:
+        return (_stacked_counts(atoms, self.region) >= self.m).astype(float)
+
+
+def _stacked_counts(atoms: np.ndarray, region: Window | None) -> np.ndarray:
+    """Atom count of each row of a ``(k, n, d)`` stack, in ``region`` if given."""
+    if region is None:
+        return np.full(atoms.shape[0], atoms.shape[1])
+    return np.count_nonzero(region.contains(atoms), axis=-1)
 
 
 def _region_mass(sigma: IntensityMeasure, region: Window | None) -> float:

@@ -12,6 +12,14 @@ Conventions used throughout the package:
   (:func:`ppt.quadrature.eval_points`) and any other output shape raises
   :class:`~ppt.errors.ValidationError`; a function of one point at a time is
   adapted explicitly with :func:`ppt.pointwise`;
+* a configuration functional ``F`` maps a :class:`Configuration` to a float.
+  It may also carry ``stack(atoms, window)``, vectorised over configurations
+  as point functions are over points: it takes a read-only ``(k, n, d)``
+  array (k configurations of n atoms each in ``window``) and returns their k
+  values as a ``float64`` array, each equal bit for bit to ``F`` on that row.
+  The add-one-point gradients then make one ``stack`` call per outer draw
+  (see ``ppt.bounds._add_one_point_values``); without it F is called one
+  configuration at a time;
 * every random operation is driven by a :class:`SeedSpec`, so repeated calls
   with the same spec are bit-identical.
 """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -230,18 +231,27 @@ def interaction_energy(
     phi against the full product measure of the configuration with itself;
     many spatial-statistics conventions drop it, hence the flag.
     """
-    n = config.n
-    if n == 0:
-        return 0.0
-    total = 0.0
+    return float(_stacked_energy(phi, config.atoms[None], include_diagonal)[0])
+
+
+def _stacked_energy(phi, atoms: np.ndarray, include_diagonal: bool) -> np.ndarray:
+    """:func:`interaction_energy` of each row of a ``(k, n, d)`` atom stack.
+
+    One ``phi`` call, on an ``(m, d)`` array as for a single configuration,
+    covers the pairs of every row.  Each row's energy is bit-identical to a
+    running sum over its pairs (i < j in row-major order), plus ``n * phi(0)``
+    when the diagonal is included.  Rows with no atoms have energy 0.0.
+    """
+    k, n, dim = atoms.shape
+    total = np.zeros(k)
     if n >= 2:
         i, j = np.triu_indices(n, 1)  # pairs i < j in row-major order
-        pair_terms = 2.0 * eval_points(phi, config.atoms[i] - config.atoms[j])
-        # cumsum adds left to right, so the energy is bit-identical to a
-        # running sum over the pairs in this order
-        total = float(np.cumsum(pair_terms)[-1])
-    if include_diagonal:
-        total += n * float(eval_points(phi, np.zeros(config.dim)))
+        diffs = (atoms[:, i] - atoms[:, j]).reshape(-1, dim)
+        pair_terms = 2.0 * eval_points(phi, diffs).reshape(k, i.size)
+        # cumsum adds left to right along the pair axis
+        total = np.cumsum(pair_terms, axis=1)[:, -1]
+    if include_diagonal and n:
+        total = total + n * float(eval_points(phi, np.zeros(dim)))
     return total
 
 
@@ -341,16 +351,6 @@ def sample_gibbs_coupled(
 # --------------------------------------------------------------------------
 
 
-def _probe_sup(fn: Callable[[np.ndarray], float], window: Window, n_grid: int = 4096) -> float:
-    lo, hi = window.bounds()
-    d = window.dim
-    per_axis = max(2, int(round(n_grid ** (1.0 / d))))
-    axes = [np.linspace(lo[k], hi[k], per_axis) for k in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return float(eval_points(fn, pts).max()) * 1.05 + 1e-12
-
-
 class SuperpositionCoupling:
     """Common-part-plus-extras coupling of Poisson(sigma) and Poisson(p*sigma).
 
@@ -360,13 +360,21 @@ class SuperpositionCoupling:
     intensity sigma; right = shared + right extras has intensity p*sigma.
     The realised cost is the number of extra atoms, an unbiased estimate of
     the integral of |p - 1| against sigma.
+
+    ``p_sup`` bounds p on the window (it sets the right extras' rejection
+    envelope).  It defaults to ``p.sup_on(window)``, which parsed density
+    expressions carry; a p without that method needs an explicit ``p_sup``.
     """
 
     def __init__(self, sigma: IntensityMeasure, p: Callable[[np.ndarray], float], p_sup: float | None = None):
         self.sigma = sigma
         self.p = p
         if p_sup is None:
-            p_sup = _probe_sup(p, sigma.window)
+            if not hasattr(p, "sup_on"):
+                raise ValidationError(
+                    "SuperpositionCoupling needs p_sup, or a p with a sup_on(window) method"
+                )
+            p_sup = p.sup_on(sigma.window)
         if p_sup < 0:
             raise ValidationError("p_sup must be nonnegative")
         self.p_sup = float(p_sup)
@@ -452,6 +460,9 @@ def sample_coupled_superposition(
 # time-change coupling for the Wasserstein distance on the half-line
 # --------------------------------------------------------------------------
 
+_TABLE_LEVELS = 16  # bisection levels of v_inverse answered by its table
+_BLOCK = 8192  # points of r per v_inverse block
+
 
 @dataclass(frozen=True, eq=False)
 class TimeChangeSpec:
@@ -489,28 +500,73 @@ class TimeChangeSpec:
     def v_end(self) -> float:
         return float(self.v(np.array([self.horizon]))[0])
 
+    @cached_property
+    def _bisection_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The first ``_TABLE_LEVELS`` levels of :meth:`v_inverse`'s bisection.
+
+        Returns ``(ends, vt)``: ``ends`` holds 0, the 2^K - 1 midpoints of
+        those levels in increasing order and the horizon, each built by the
+        bisection's own ``0.5 * (lo + hi)`` from its bracket, so they are the
+        floats bisection visits; ``vt`` is v at the midpoints.  None when
+        ``vt`` is not nondecreasing, because a bracket search on it would not
+        repeat bisection's decisions.
+        """
+        ends = np.array([0.0, self.horizon])
+        for _ in range(_TABLE_LEVELS):
+            mids = 0.5 * (ends[:-1] + ends[1:])
+            out = np.empty(2 * ends.size - 1)
+            out[0::2] = ends
+            out[1::2] = mids
+            ends = out
+        vt = self.v(ends[1:-1])
+        if not np.all(vt[1:] >= vt[:-1]):
+            return None
+        return ends, vt
+
     def v_inverse(self, r, tol: float = 1e-12):
         """Invert v to absolute tolerance ``tol`` (vectorised).
 
         Bisection brackets the root, then two Newton steps polish it to the
         bracket width squared (v' = 1 + U' > 0 keeps Newton safe), so the
         identity time change inverts exactly.
+
+        The first 16 bisection levels are looked up instead of run: the spec
+        tabulates v once at those levels' midpoints, and because the table is
+        nondecreasing, ``searchsorted`` on it gives the bracket that the 16
+        decisions ``v(mid) < r`` reach; the remaining levels and the Newton
+        steps run as before, so the result is bit-identical to plain
+        bisection.  Plain bisection runs instead when v is not nondecreasing
+        on the table, when ``tol`` asks for fewer than 16 levels, and for a
+        block of ``r`` holding NaN (NaN sorts last, but bisection sends it
+        left).  ``r`` is processed in fixed blocks so that the temporaries
+        stay small; every operation is elementwise, so blocks do not change
+        any value.
         """
         r = np.asarray(r, float)
-        lo = np.zeros_like(r)
-        hi = np.full_like(r, self.horizon)
+        flat = r.reshape(-1)
+        out = np.empty(flat.shape)
         bracket = max(math.sqrt(tol), 1e-8)
         iters = int(math.ceil(math.log2(max(self.horizon / bracket, 2.0)))) + 1
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            below = self.v(mid) < r
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        t = 0.5 * (lo + hi)
-        for _ in range(2):
-            slope = 1.0 + np.asarray(self.U_prime(t), float)
-            t = np.clip(t - (self.v(t) - r) / slope, 0.0, self.horizon)
-        return t
+        table = self._bisection_table if iters >= _TABLE_LEVELS else None
+        for start in range(0, flat.size, _BLOCK):
+            rb = flat[start : start + _BLOCK]
+            if table is not None and not np.isnan(rb).any():
+                ends, vt = table
+                s = np.searchsorted(vt, rb, side="left")
+                lo, hi, levels = ends[s], ends[s + 1], iters - _TABLE_LEVELS
+            else:
+                lo, hi, levels = np.zeros_like(rb), np.full_like(rb, self.horizon), iters
+            for _ in range(levels):
+                mid = 0.5 * (lo + hi)
+                below = self.v(mid) < rb
+                lo = np.where(below, mid, lo)
+                hi = np.where(below, hi, mid)
+            t = 0.5 * (lo + hi)
+            for _ in range(2):
+                slope = 1.0 + np.asarray(self.U_prime(t), float)
+                t = np.clip(t - (self.v(t) - rb) / slope, 0.0, self.horizon)
+            out[start : start + rb.size] = t
+        return out.reshape(r.shape)[()]  # a numpy scalar for scalar r, as before
 
 
 class TimeChangeCoupling:

@@ -206,6 +206,30 @@ class TestGeneralBound:
         def level(config):
             return math.floor(F(config))  # integer-valued, for the co-area check
 
+        # the same kind of functional with a stack; both sum with cumsum, which
+        # adds in a fixed order, so the stack gives the bits of the call
+        weights = np.arange(1.0, dim + 1)
+        stack_calls = []
+
+        def F_stacked(config):
+            a = config.atoms
+            if a.shape[0] == 0:
+                return 0.0
+            rest = np.cumsum(a[:-1].ravel())[-1] if a.shape[0] > 1 else 0.0
+            return float(rest + 3.7 * np.cumsum(a[-1] * weights)[-1])
+
+        def stack(atoms, window):
+            stack_calls.append(atoms.shape)
+            k, n = atoms.shape[:2]
+            rest = np.cumsum(atoms[:, :-1].reshape(k, -1), axis=1)[:, -1] if n > 1 else np.zeros(k)
+            return rest + 3.7 * np.cumsum(atoms[:, -1] * weights, axis=1)[:, -1]
+
+        def level_stacked(config):
+            return math.floor(F_stacked(config))
+
+        F_stacked.stack = stack
+        level_stacked.stack = lambda atoms, window: np.floor(stack(atoms, window))
+
         def reference(G, n, inner, config_rng, point_rng):
             configs = poisson_batch_with_rng(sigma, n, config_rng)
             xs = rejection_points(sigma, n * inner, point_rng).reshape(n, inner, dim)
@@ -224,30 +248,110 @@ class TestGeneralBound:
         monkeypatch.setattr(ppt.bounds, "_add_one_point_values", spy)
         monkeypatch.setattr(ppt.concentration, "_add_one_point_values", spy)
         seed = SeedSpec(27)
-        got, f0 = nested_gradient_mc(F, sigma, 20, 7, seed, base_path=3)
-        worst = ppt.rademacher_check(F, sigma, 20, seed)
-        ppt.coarea_check(level, sigma, 20, seed, inner_samples=5)
-        expected = [
-            reference(F, 20, 7, seed.rng(3, 0), seed.rng(3, 1)),
-            reference(F, 20, 1, seed.rng(), seed.rng(1)),
-            reference(level, 20, 5, seed.rng(5, 0), seed.rng(5, 1)),  # co-area lhs
-            reference(level, 20, 5, seed.rng(6, 0), seed.rng(6, 1)),  # co-area rhs
-        ]
-        assert len(calls) == len(expected)
-        for (f0_got, f1_got), (_, f0_ref, f1_ref) in zip(calls, expected):
-            assert f0_got.tobytes() == f0_ref.tobytes()
-            assert f1_got.tobytes() == f1_ref.tobytes()
+        # the plain callables go through the per-configuration path, the
+        # stacked ones through one stack call per outer draw
+        for G, lvl in ((F, level), (F_stacked, level_stacked)):
+            calls.clear()
+            got, f0 = nested_gradient_mc(G, sigma, 20, 7, seed, base_path=3)
+            worst = ppt.rademacher_check(G, sigma, 20, seed)
+            ppt.coarea_check(lvl, sigma, 20, seed, inner_samples=5)
+            expected = [
+                reference(G, 20, 7, seed.rng(3, 0), seed.rng(3, 1)),
+                reference(G, 20, 1, seed.rng(), seed.rng(1)),
+                reference(lvl, 20, 5, seed.rng(5, 0), seed.rng(5, 1)),  # co-area lhs
+                reference(lvl, 20, 5, seed.rng(6, 0), seed.rng(6, 1)),  # co-area rhs
+            ]
+            assert len(calls) == len(expected)
+            for (f0_got, f1_got), (_, f0_ref, f1_ref) in zip(calls, expected):
+                assert f0_got.tobytes() == f0_ref.tobytes()
+                assert f1_got.tobytes() == f1_ref.tobytes()
 
-        configs, f0_ref, f1_ref = expected[0]
-        assert any(w.n == 0 for w in configs)
-        assert f0.tobytes() == f0_ref.tobytes()
-        for i in range(20):
-            acc = 0.0
-            for value in f1_ref[i]:
-                acc += abs(value - f0_ref[i])
-            assert got[i] == sigma.total_mass * acc / 7
-        _, f0_ref, f1_ref = expected[1]
-        assert worst == max(abs(f1_ref[:, 0] - f0_ref))
+            configs, f0_ref, f1_ref = expected[0]
+            assert any(w.n == 0 for w in configs)
+            assert f0.tobytes() == f0_ref.tobytes()
+            for i in range(20):
+                acc = 0.0
+                for value in f1_ref[i]:
+                    acc += abs(value - f0_ref[i])
+                assert got[i] == sigma.total_mass * acc / 7
+            _, f0_ref, f1_ref = expected[1]
+            assert worst == max(abs(f1_ref[:, 0] - f0_ref))
+        # one stack call per outer draw of each of the four kernel calls
+        assert len(stack_calls) == 4 * 20
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("mass", [0.7, 12.0])
+    def test_stacks_equal_the_add_loop(self, dim, mass):
+        # every library stack against F(w.add(x)) on the kernel's own streams;
+        # mass 0.7 gives empty outer draws, mass 12 rows of over 8 atoms
+        from ppt.bounds import _add_one_point_values
+        from ppt.concentration import CountAtLeastEvent, CountThresholdEvent
+        from ppt.simulate import poisson_batch_with_rng, rejection_points
+
+        window = Window([0.0] * dim, [1.0, 2.0, 0.5][:dim])
+        region = Window([0.0] * dim, [0.5, 1.0, 0.25][:dim])
+        sigma = IntensityMeasure.uniform(window, mass / window.volume)
+
+        def p(x):
+            return np.exp(np.sin(3.0 * x).sum(axis=-1))
+
+        def phi(z):
+            return 0.3 * np.exp(-np.sum(z * z, axis=-1))
+
+        functionals = {
+            "poisson": poisson_density(p, sigma),
+            "gibbs-diag": gibbs_density(phi, sigma, 0.8),
+            "gibbs-off": gibbs_density(phi, sigma, 0.8, include_diagonal=False),
+            "leq": CountThresholdEvent(k=int(mass)),
+            "leq-region": CountThresholdEvent(k=int(mass) // 2, region=region),
+            "geq": CountAtLeastEvent(m=int(mass) + 1),
+            "geq-region": CountAtLeastEvent(m=1, region=region),
+        }
+        seed = SeedSpec(31)
+        n_outer, inner = 12, 5
+        configs = poisson_batch_with_rng(sigma, n_outer, seed.rng(0))
+        xs = rejection_points(sigma, n_outer * inner, seed.rng(1)).reshape(n_outer, inner, dim)
+        if mass < 1:
+            assert any(w.n == 0 for w in configs)
+        else:
+            assert max(w.n for w in configs) > 8
+        for name, F in functionals.items():
+            f0, f1 = _add_one_point_values(F, sigma, n_outer, inner, seed.rng(0), seed.rng(1))
+            want0 = np.array([float(F(w)) for w in configs])
+            want1 = np.array([[float(F(w.add(x))) for x in row] for w, row in zip(configs, xs)])
+            assert f0.tobytes() == want0.tobytes(), name
+            assert f1.tobytes() == want1.tobytes(), name
+            # and a stack of one configuration is that configuration's value
+            for w in configs:
+                assert F.stack(w.atoms[None], window).tobytes() == np.array([float(F(w))]).tobytes(), name
+
+    def test_stack_rejects_nonpositive_p_like_the_loop(self, lebesgue, monkeypatch):
+        import ppt.bounds
+        from ppt.bounds import nested_gradient_mc
+
+        def p(x):  # p vanishes only at 0.25, where every inner point is put
+            return np.where(x[..., 0] == 0.25, 0.0, 2.0)
+
+        L = poisson_density(p, lebesgue)
+        w = ppt.sample_poisson(lebesgue, SeedSpec(29))
+        with pytest.raises(ValidationError) as loop_error:
+            L(w.add([0.25]))
+        monkeypatch.setattr(
+            ppt.bounds, "rejection_points", lambda sigma, count, rng: np.full((count, 1), 0.25)
+        )
+        with pytest.raises(ValidationError) as stack_error:
+            nested_gradient_mc(L, lebesgue, 4, 3, SeedSpec(29))
+        assert str(stack_error.value) == str(loop_error.value)
+
+    def test_stack_of_the_wrong_shape_is_rejected(self, lebesgue):
+        from ppt.bounds import nested_gradient_mc
+
+        def F(config):
+            return float(config.n)
+
+        F.stack = lambda atoms, window: np.float64(atoms.shape[1])  # one value, not one per row
+        with pytest.raises(ValidationError, match="stack returned shape"):
+            nested_gradient_mc(F, lebesgue, 4, 3, SeedSpec(28))
 
     @pytest.mark.parametrize("bad", [math.nan, 1.5])
     def test_nested_gradient_rejects_bad_inner_point(self, lebesgue, monkeypatch, bad):

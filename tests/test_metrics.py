@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppt import Window, rho0, rho1, rho1_normalized, rho2, rho2_marked, rho2_normalized
+from ppt import Configuration, Window, multiset_equal, rho0, rho1, rho1_normalized, rho2, rho2_marked, rho2_normalized
 from ppt.errors import ValidationError
 
 from conftest import config
@@ -214,3 +216,49 @@ def test_total_variation_lower_semicontinuity_witness():
         b = config([[1.0], [n]], big).restrict(restriction)
         sequence_values.append(rho1(a, b))
     assert min(sequence_values) >= limit_value
+
+
+# a small pool makes shared atoms, repeated atoms and -0.0 against 0.0 common
+ATOM_COORDS = st.one_of(
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]),
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+)
+
+
+@st.composite
+def config_triples(draw):
+    d = draw(st.integers(1, 2))
+    window = Window([-1.0] * d, [1.0] * d)
+    rows = st.lists(st.tuples(*[ATOM_COORDS] * d), max_size=4)
+    a_rows = draw(rows)
+    # b is often a reordering of a, so multiset-equal pairs are common
+    b_rows = draw(st.one_of(rows, st.permutations(a_rows)))
+    c_rows = draw(rows)
+    return [Configuration(np.array(r, float).reshape(-1, d), window) for r in (a_rows, b_rows, c_rows)]
+
+
+class TestMetricProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(config_triples())
+    def test_symmetric_bit_for_bit(self, triple):
+        a, b, _ = triple
+        for metric in (rho0, rho1, rho2):
+            assert np.float64(metric(a, b)).tobytes() == np.float64(metric(b, a)).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(config_triples())
+    def test_rho1_triangle_and_rho0_below_rho1(self, triple):
+        a, b, c = triple
+        assert rho1(a, c) <= rho1(a, b) + rho1(b, c)
+        for x, y in itertools.combinations(triple, 2):
+            assert rho0(x, y) <= rho1(x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(config_triples())
+    def test_zero_exactly_on_multiset_equal_pairs(self, triple):
+        for x, y in itertools.combinations(triple, 2):
+            if multiset_equal(x, y):
+                for metric in (rho0, rho1, rho2):
+                    assert np.float64(metric(x, y)).tobytes() == np.float64(0.0).tobytes()
+            else:  # the integer metrics separate every other pair
+                assert rho0(x, y) == 1 and rho1(x, y) >= 1

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppt
 from ppt import (
@@ -211,6 +213,24 @@ class TestSuperposition:
         assert pair.cost_hint == 0.0
         assert ppt.multiset_equal(pair.left, pair.right)
 
+    def test_default_p_sup_covers_a_spike_between_grid_points(self, lebesgue):
+        # a spike of height 5 and half-width 1e-5 at 0.5, midway between two
+        # points of a 4096-point grid on [0, 1]: a grid maximum reads 1 there
+        def p(x):
+            return 1.0 + 4.0 * np.maximum(0.0, 1.0 - np.abs(x[..., 0] - 0.5) * 1e5)
+
+        p.sup_on = lambda window: 5.0
+        assert float(p(np.linspace(0.0, 1.0, 4096)[:, None]).max()) == 1.0
+        sc = SuperpositionCoupling(lebesgue, p)
+        assert sc.p_sup >= float(p(np.array([[0.5]]))[0]) == 5.0
+        assert sc.right_extra.density_sup >= 4.0
+
+    def test_p_sup_required_without_sup_on(self, lebesgue):
+        with pytest.raises(ValidationError, match="p_sup"):
+            SuperpositionCoupling(lebesgue, lambda x: np.full(x.shape[:-1], 2.0))
+        sc = SuperpositionCoupling(lebesgue, lambda x: np.full(x.shape[:-1], 2.0), p_sup=2.0)
+        assert sc.p_sup == 2.0
+
     def test_marginal_means(self, lebesgue):
         sc = SuperpositionCoupling(lebesgue, parse_density_expr("const:2"), p_sup=2.0)
         pairs = sc.sample_batch(20_000, SeedSpec(9))
@@ -335,3 +355,96 @@ class TestTimeChange:
         a = coupling.estimate_mean_cost(500, SeedSpec(16))
         b = coupling.estimate_mean_cost(500, SeedSpec(16))
         assert a.mean == b.mean and a.std_error == b.std_error
+
+
+def bisection_v_inverse(tc, r, tol=1e-12):
+    """Reference: plain bisection over the whole bracket, then two Newton steps."""
+    r = np.asarray(r, float)
+    lo = np.zeros_like(r)
+    hi = np.full_like(r, tc.horizon)
+    bracket = max(math.sqrt(tol), 1e-8)
+    iters = int(math.ceil(math.log2(max(tc.horizon / bracket, 2.0)))) + 1
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = tc.v(mid) < r
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t = 0.5 * (lo + hi)
+    for _ in range(2):
+        slope = 1.0 + np.asarray(tc.U_prime(t), float)
+        t = np.clip(t - (tc.v(t) - r) / slope, 0.0, tc.horizon)
+    return t
+
+
+class TestVInverseTable:
+    """``v_inverse`` looks up its first bisection levels in a table; every
+    result must keep the bytes of plain bisection."""
+
+    TC = rational_timechange(horizon=100.0)  # 28 bisection levels at tol 1e-12
+
+    def edge_inputs(self, tc):
+        _, vt = tc._bisection_table
+        special = [0.0, -0.0, tc.v_end, -1.0, -1e-300, tc.v_end * (1 + 1e-15), 2.0 * tc.v_end,
+                   math.inf, -math.inf, math.nan, 5e-324]
+        return np.concatenate([special, vt, np.nextafter(vt, -np.inf), np.nextafter(vt, np.inf)])
+
+    def test_equals_plain_bisection(self):
+        tc = self.TC
+        r = np.random.default_rng(41).uniform(0.0, tc.v_end, 100_000)
+        assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
+        edges = self.edge_inputs(tc)
+        assert tc.v_inverse(edges).tobytes() == bisection_v_inverse(tc, edges).tobytes()
+        for value in edges[:11]:  # one edge value alone, and as a scalar
+            assert tc.v_inverse(np.array([value])).tobytes() == bisection_v_inverse(tc, np.array([value])).tobytes()
+            assert np.asarray(tc.v_inverse(value)).tobytes() == bisection_v_inverse(tc, value).tobytes()
+
+    def test_table_holds_the_bisection_midpoints(self):
+        tc = self.TC
+        ends, vt = tc._bisection_table
+        assert ends.size == 2**16 + 1 and vt.size == 2**16 - 1
+        assert ends[0] == 0.0 and ends[-1] == tc.horizon and ends[2**15] == 0.5 * (0.0 + tc.horizon)
+        assert np.all(np.diff(ends) > 0) and np.all(np.diff(vt) >= 0)
+
+    def test_coarse_tolerance_runs_plain_bisection(self):
+        tc = self.TC
+        r = np.concatenate([np.random.default_rng(42).uniform(0.0, tc.v_end, 5000), self.edge_inputs(tc)])
+        for tol in (1e-4, 1e-2):  # 15 and 11 levels, fewer than the table's 16
+            assert tc.v_inverse(r, tol=tol).tobytes() == bisection_v_inverse(tc, r, tol=tol).tobytes()
+        assert tc.v_inverse(r, tol=1e-5).tobytes() == bisection_v_inverse(tc, r, tol=1e-5).tobytes()
+
+    def test_non_monotone_table_falls_back(self):
+        # v is t on the 4097-point validation grid (spacing 1/4096) and dips
+        # by 0.01 between its points, so it is not monotone on the finer table
+        h = 1.0
+        f = math.pi * 4096 / h
+
+        def U(t):
+            t = np.asarray(t, float)
+            return -0.01 * np.sin(f * t) ** 2
+
+        def U_prime(t):
+            t = np.asarray(t, float)
+            return -0.01 * f * np.sin(2.0 * f * t)
+
+        tc = TimeChangeSpec(U=U, U_prime=U_prime, horizon=h)
+        assert tc._bisection_table is None
+        r = np.random.default_rng(43).uniform(0.0, tc.v_end, 20_000)
+        assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 20_000),
+        cut=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        nan_at=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_blocks_do_not_change_bytes(self, n, cut, seed, nan_at):
+        tc = self.TC
+        r = np.random.default_rng(seed).uniform(-1.0, tc.v_end + 1.0, n)
+        if nan_at is not None:
+            r[int(nan_at * (n - 1))] = math.nan
+        k = int(cut * n)
+        whole = tc.v_inverse(r)
+        parts = np.concatenate([tc.v_inverse(r[:k]), tc.v_inverse(r[k:])])
+        assert whole.tobytes() == parts.tobytes()
+        assert whole.tobytes() == bisection_v_inverse(tc, r).tobytes()
