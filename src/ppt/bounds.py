@@ -331,8 +331,7 @@ def _add_one_point_values(F, sigma, n_outer, inner_samples, config_rng, point_rn
                 )
             f1[i] = vals
         else:
-            for j in range(inner_samples):
-                f1[i, j] = float(F(Configuration._trusted(slab[j], window)))
+            f1[i] = [float(F(Configuration._trusted(row, window))) for row in slab]
     return f0, f1
 
 

@@ -272,9 +272,16 @@ class CountAtLeastEvent:
 
 
 def _stacked_counts(atoms: np.ndarray, region: Window | None) -> np.ndarray:
-    """Atom count of each row of a ``(k, n, d)`` stack, in ``region`` if given."""
+    """Atom count of each row of a ``(k, n, d)`` stack, in ``region`` if given.
+
+    ``region`` must have the atoms' dimension, as in ``Configuration.count_in``.
+    """
     if region is None:
         return np.full(atoms.shape[0], atoms.shape[1])
+    if region.dim != atoms.shape[-1]:
+        raise ValidationError(
+            f"count window dimension {region.dim} does not match configuration dimension {atoms.shape[-1]}"
+        )
     return np.count_nonzero(region.contains(atoms), axis=-1)
 
 

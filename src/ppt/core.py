@@ -57,6 +57,9 @@ __all__ = [
 
 MAX_WINDOW_DIM = 4  # marked configurations use time as an extra coordinate
 MAX_QUADRATURE_DIM = 3
+# atoms up to which Configuration.count_in compares in a Python loop: below
+# about 24-32 atoms (d = 1-3) the loop costs less than numpy's fixed per-call cost
+_SMALL_COUNT = 16
 
 
 def _as_tuple(values, name: str) -> tuple[float, ...]:
@@ -203,10 +206,31 @@ class Configuration:
         return Configuration(self.atoms[keep], window)
 
     def count_in(self, window: Window) -> int:
-        """Number of atoms inside a sub-box."""
-        if self.n == 0:
-            return 0
-        return int(np.count_nonzero(window.contains(self.atoms)))
+        """Number of atoms inside the box ``window`` (faces included).
+
+        ``window`` must have the configuration's dimension, else
+        :class:`~ppt.errors.ValidationError`.  Up to ``_SMALL_COUNT`` atoms
+        are compared in plain Python, which skips numpy's fixed per-call
+        cost; larger configurations use ``window.contains``.  Both paths
+        compare the same doubles with ``lower <= x <= upper``, so they count
+        exactly the same atoms.
+        """
+        if window.dim != self.dim:
+            raise ValidationError(
+                f"count window dimension {window.dim} does not match configuration dimension {self.dim}"
+            )
+        if self.n > _SMALL_COUNT:
+            return int(np.count_nonzero(window.contains(self.atoms)))
+        lower, upper = window.lower, window.upper
+        dims = range(len(lower))
+        count = 0
+        for row in self.atoms.tolist():
+            for k in dims:
+                if not lower[k] <= row[k] <= upper[k]:
+                    break
+            else:
+                count += 1
+        return count
 
 
 def empty_configuration(window: Window) -> Configuration:

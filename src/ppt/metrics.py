@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+_TINY = 2.0**-1022  # the smallest normal double
+_CLIP = 2.0**256
+
+
 def rho0(omega: Configuration, eta: Configuration) -> int:
     """Trivial distance: 0 iff the two multisets of atoms coincide, else 1."""
     _require_shared_window(omega, eta)
@@ -50,6 +54,11 @@ def rho2(omega: Configuration, eta: Configuration) -> float:
     +inf when the atom counts differ (no coupling configuration exists);
     otherwise the square root of the minimal sum of squared Euclidean gaps
     over bijections of atoms, solved exactly as an assignment problem.
+
+    When the squared gap of a matched pair of distinct atoms is subnormal
+    or zero, the assignment is solved again on the gaps scaled by a power of
+    two, so rho2 is 0.0 only on multiset-equal pairs.  Wherever no matched
+    square is subnormal, the value is the unscaled one, bit for bit.
     """
     _require_shared_window(omega, eta)
     if omega.n != eta.n:
@@ -58,12 +67,23 @@ def rho2(omega: Configuration, eta: Configuration) -> float:
         return 0.0
     gaps = omega.atoms[:, None, :] - eta.atoms[None, :, :]
     sq = np.einsum("ijk,ijk->ij", gaps, gaps)
-    if omega.n == 1:
-        return math.sqrt(sq[0, 0])  # the fsum of one matched gap is that gap
-    perm, _ = assignment_solve(sq)
+    rows = np.arange(omega.n)
+    perm = rows if omega.n == 1 else assignment_solve(sq)[0]
+    matched = sq[rows, perm]
+    if matched.min() < _TINY and gaps[rows, perm][matched < _TINY].any():
+        # A matched square of nonzero gaps is subnormal or zero, so both the
+        # sum and the matching may be wrong: solve again on the gaps scaled
+        # by the power of two that puts the largest matched gap in [0.5, 1).
+        # The matching above then costs under n*d, so a gap clipped at 2^256
+        # is never matched, and no scaled square overflows.
+        exp = math.frexp(float(np.max(np.abs(gaps[rows, perm]))))[1]
+        gaps = np.clip(np.ldexp(gaps, -exp), -_CLIP, _CLIP)
+        sq = np.einsum("ijk,ijk->ij", gaps, gaps)
+        perm = rows if omega.n == 1 else assignment_solve(sq)[0]
+        return math.ldexp(math.sqrt(math.fsum(sq[rows, perm])), exp)
     # fsum of the matched gaps is exactly rounded, hence independent of the
     # order of the atoms: rho2(omega, eta) == rho2(eta, omega) bit for bit
-    return math.sqrt(math.fsum(sq[np.arange(omega.n), perm]))
+    return math.sqrt(math.fsum(matched))
 
 
 def rho1_normalized(omega: Configuration, eta: Configuration) -> float:

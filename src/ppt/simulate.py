@@ -535,12 +535,16 @@ class TimeChangeSpec:
         nondecreasing, ``searchsorted`` on it gives the bracket that the 16
         decisions ``v(mid) < r`` reach; the remaining levels and the Newton
         steps run as before, so the result is bit-identical to plain
-        bisection.  Plain bisection runs instead when v is not nondecreasing
-        on the table, when ``tol`` asks for fewer than 16 levels, and for a
-        block of ``r`` holding NaN (NaN sorts last, but bisection sends it
-        left).  ``r`` is processed in fixed blocks so that the temporaries
-        stay small; every operation is elementwise, so blocks do not change
-        any value.
+        bisection.  Within a block the keys are sorted first (``argsort``),
+        looked up, bisected and polished in that order, and each result is
+        written back to its key's position: consecutive lookups then touch
+        neighbouring table entries instead of missing the cache.  Plain
+        bisection runs instead, in the given order, when v is not
+        nondecreasing on the table, when ``tol`` asks for fewer than 16
+        levels, and for a block of ``r`` holding NaN (NaN sorts last, but
+        bisection sends it left).  ``r`` is processed in fixed blocks so
+        that the temporaries stay small; every operation is elementwise, so
+        neither the blocks nor the sorting change any value.
         """
         r = np.asarray(r, float)
         flat = r.reshape(-1)
@@ -550,8 +554,11 @@ class TimeChangeSpec:
         table = self._bisection_table if iters >= _TABLE_LEVELS else None
         for start in range(0, flat.size, _BLOCK):
             rb = flat[start : start + _BLOCK]
+            idx = slice(start, start + rb.size)
             if table is not None and not np.isnan(rb).any():
                 ends, vt = table
+                idx = start + np.argsort(rb)
+                rb = flat[idx]  # sorted keys: the table lookups walk it in order
                 s = np.searchsorted(vt, rb, side="left")
                 lo, hi, levels = ends[s], ends[s + 1], iters - _TABLE_LEVELS
             else:
@@ -565,7 +572,7 @@ class TimeChangeSpec:
             for _ in range(2):
                 slope = 1.0 + np.asarray(self.U_prime(t), float)
                 t = np.clip(t - (self.v(t) - rb) / slope, 0.0, self.horizon)
-            out[start : start + rb.size] = t
+            out[idx] = t
         return out.reshape(r.shape)[()]  # a numpy scalar for scalar r, as before
 
 

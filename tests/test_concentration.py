@@ -196,6 +196,20 @@ class TestSurfaceMeasure:
         est = surface_measure(event, lebesgue, 3000, SeedSpec(33), inner_samples=32)
         assert abs(est.mean - 0.5 * math.exp(-0.5)) <= 3.0 * est.std_error
 
+    def test_region_of_another_dimension_is_rejected(self):
+        unit, square = Window([0.0], [1.0]), Window([0.0, 0.0], [1.0, 1.0])
+        cases = [  # (k, n, d) stack as the add-one-point kernel passes it, its window, region
+            (np.full((4, 3, 2), 0.25), square, Window([0.0], [0.5])),
+            (np.full((4, 3, 1), 0.25), unit, Window([0.0, 0.0], [0.5, 0.5])),
+            (np.full((4, 3, 2), 0.25), square, Window([0.0] * 3, [0.5] * 3)),
+        ]
+        for atoms, window, region in cases:
+            for event in (CountThresholdEvent(k=1, region=region), CountAtLeastEvent(m=1, region=region)):
+                with pytest.raises(ValidationError, match="dimension"):
+                    event.stack(atoms, window)
+                with pytest.raises(ValidationError, match="dimension"):
+                    event(ppt.Configuration(atoms[0], window))
+
     def test_probability_exact(self, lebesgue):
         assert event_probability_exact(CountThresholdEvent(k=0), lebesgue) == pytest.approx(
             math.exp(-1.0), rel=1e-12

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppt
 from ppt import (
@@ -105,6 +107,51 @@ class TestConfiguration:
     def test_count_in(self, unit_window):
         cfg = config([[0.1], [0.2], [0.8]], unit_window)
         assert cfg.count_in(Window([0.0], [0.5])) == 2
+
+    def test_count_in_rejects_a_window_of_another_dimension(self, unit_window):
+        square = Window([0.0, 0.0], [1.0, 1.0])
+        cube = Window([0.0] * 3, [1.0] * 3)
+        cases = [
+            (config([[0.2, 0.9], [0.3, 0.1]], square), Window([0.0], [0.5])),  # broadcast to 1
+            (config([[0.2], [0.3]], unit_window), square),  # broadcast over both axes
+            (config([[0.2, 0.9], [0.3, 0.1]], square), cube),  # raw numpy ValueError
+            (config(np.empty((0, 2)), square), cube),  # no atoms to compare
+            (Configuration(np.full((20, 2), 0.5), square), Window([0.0], [1.0])),  # numpy path
+        ]
+        for cfg, region in cases:
+            with pytest.raises(ValidationError, match="dimension"):
+                cfg.count_in(region)
+
+
+# coordinates on the faces of the regions below, signed zeros, and points
+# outside them, so both comparisons of each coordinate are exercised
+COUNT_COORDS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, math.nextafter(0.5, 1.0)]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+COUNT_REGION_BOUNDS = st.sampled_from(
+    [(0.0, 1.0), (-0.0, 0.5), (0.25, 0.75), (0.5, 0.5 + 2**-40), (-2.0, -1.0), (1.5, 2.0), (-1.0, 2.0)]
+)
+
+
+@st.composite
+def count_cases(draw):
+    d = draw(st.integers(1, 3))
+    window = Window([0.0] * d, [1.0] * d)
+    n = draw(st.integers(0, 40))  # both sides of the small-configuration threshold
+    atoms = np.array(draw(st.lists(st.tuples(*[COUNT_COORDS] * d), min_size=n, max_size=n)), float)
+    bounds = [draw(COUNT_REGION_BOUNDS) for _ in range(d)]
+    region = Window([lo for lo, _ in bounds], [hi for _, hi in bounds])
+    return Configuration(atoms.reshape(n, d), window), region
+
+
+@settings(max_examples=400, deadline=None)
+@given(count_cases())
+def test_count_in_equals_the_numpy_membership_count(case):
+    cfg, region = case
+    got = cfg.count_in(region)
+    assert type(got) is int
+    assert got == int(np.count_nonzero(region.contains(cfg.atoms)))
 
 
 class TestSymDiffCount:

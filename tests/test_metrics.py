@@ -80,6 +80,21 @@ class TestRho2:
         assert rho2(a, b) == pytest.approx(math.sqrt(0.05), abs=1e-12)
         assert rho2(a, b) == pytest.approx(brute_force_rho2(a, b), abs=1e-15)
 
+    def test_gaps_whose_squares_underflow(self):
+        # regression: 4.76e-215 squared underflows to 0.0, and rho2 was 0.0
+        w = Window([-1.0], [1.0])
+        a, b = config([[0.0]], w), config([[4.76078817e-215]], w)
+        assert rho2(a, b) == 4.76078817e-215 and rho2(b, a) == 4.76078817e-215
+        w = Window([-1.0] * 2, [1.0] * 2)
+        a = config([[0.0, 0.0], [0.5, -0.5]], w)
+        b = config([[3e-200, -4e-200], [0.5, -0.5]], w)
+        assert rho2(a, b) == pytest.approx(5e-200, rel=1e-15)
+        # every square below squares to 0.0, so the unscaled assignment may
+        # match -0.0 with 1e-243, and a multiset-equal pair got a positive rho2
+        w = Window([-1.0], [1.0])
+        a, b = config([[-1.0], [-0.0], [1e-243]], w), config([[1e-243], [-0.0], [-1.0]], w)
+        assert rho2(a, b) == 0.0 and rho2(b, a) == 0.0
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_brute_force(self, dim, seed):
         w = Window([0.0] * dim, [1.0] * dim)
@@ -260,5 +275,5 @@ class TestMetricProperties:
             if multiset_equal(x, y):
                 for metric in (rho0, rho1, rho2):
                     assert np.float64(metric(x, y)).tobytes() == np.float64(0.0).tobytes()
-            else:  # the integer metrics separate every other pair
-                assert rho0(x, y) == 1 and rho1(x, y) >= 1
+            else:  # and every metric separates every other pair
+                assert rho0(x, y) == 1 and rho1(x, y) >= 1 and rho2(x, y) > 0.0

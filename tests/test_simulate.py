@@ -398,6 +398,21 @@ class TestVInverseTable:
             assert tc.v_inverse(np.array([value])).tobytes() == bisection_v_inverse(tc, np.array([value])).tobytes()
             assert np.asarray(tc.v_inverse(value)).tobytes() == bisection_v_inverse(tc, value).tobytes()
 
+    def test_repeated_and_descending_keys(self):
+        # each block is looked up in sorted order and scattered back
+        tc = self.TC
+        rng = np.random.default_rng(44)
+        keys = rng.uniform(0.0, tc.v_end, 50)
+        edges = self.edge_inputs(tc)[:11]
+        cases = [
+            np.repeat(keys, 400),  # runs of equal keys, across block boundaries
+            rng.choice(np.concatenate([keys, [0.0, -0.0, tc.v_end]]), 20_000),  # scattered repeats
+            np.sort(rng.uniform(-1.0, tc.v_end + 1.0, 20_000))[::-1],  # descending
+            np.concatenate([np.sort(edges[np.isfinite(edges)])[::-1], np.sort(keys)[::-1]]),
+        ]
+        for r in cases:
+            assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
+
     def test_table_holds_the_bisection_midpoints(self):
         tc = self.TC
         ends, vt = tc._bisection_table

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ppt
 from ppt import (
@@ -187,6 +189,64 @@ class TestEmd:
         triplets = plan.to_json_triplets()
         assert triplets["shape"] == [2, 1]
         assert len(triplets["triplets"]) == 2
+
+
+@st.composite
+def cost_matrices(draw, square=True):
+    """Cost matrix of 1-6 rows and columns (square if asked) with integer or
+    real entries, some of them +inf."""
+    n = draw(st.integers(1, 6))
+    m = n if square else draw(st.integers(1, 6))
+    entry = st.integers(0, 20).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    C = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m)), float).reshape(n, m)
+    inf_share = draw(st.sampled_from([0.0, 0.0, 0.3, 0.7]))
+    if inf_share:
+        u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * m, max_size=n * m))).reshape(n, m)
+        C[u < inf_share] = math.inf
+    return C
+
+
+def assert_plan_has_its_marginals(plan):
+    if math.isfinite(plan.cost):
+        assert np.max(np.abs(plan.weights.sum(axis=1) - plan.row_marginals)) <= 1e-12
+        assert np.max(np.abs(plan.weights.sum(axis=0) - plan.col_marginals)) <= 1e-12
+    else:
+        assert not plan.weights.any()
+
+
+class TestEmdProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices())
+    @example(np.array([[0.0, 0.0], [0.0, 1e-11]]))  # emd returns 5e-12 against the optimum 0
+    def test_uniform_marginals_equal_the_assignment_optimum(self, C):
+        n = C.shape[0]
+        plan = emd(np.full(n, 1.0 / n), np.full(n, 1.0 / n), C)
+        assert_plan_has_its_marginals(plan)
+        # the simplex stops once every reduced cost is above -1e-11 * scale,
+        # which bounds the cost above the optimum by that much for unit mass
+        gap = 1e-11 * max(float(C[np.isfinite(C)].max(initial=0.0)), 1.0)
+        try:
+            rows, cols = scipy.optimize.linear_sum_assignment(C)
+            want = float(C[rows, cols].sum()) / n
+        except ValueError:  # scipy finds no assignment of finite cost
+            want = math.inf
+        if math.isinf(want):
+            assert plan.cost == math.inf
+        else:
+            assert plan.cost == pytest.approx(want, rel=1e-12, abs=gap)
+        if np.all(np.isfinite(C)):
+            _, value = assignment_solve(C)
+            assert plan.cost == pytest.approx(value / n, rel=1e-12, abs=gap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices(square=False), st.data())
+    def test_plans_reproduce_general_marginals(self, C, data):
+        n, m = C.shape
+        a = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), float)
+        b = np.array(data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)), float)
+        a[0] += 1.0  # some mass on each side; other entries may be 0
+        b[-1] += 1.0
+        assert_plan_has_its_marginals(emd(a / a.sum(), b / b.sum(), C))
 
 
 def _seeded_emd_instances():
