@@ -278,10 +278,7 @@ def _stacked_counts(atoms: np.ndarray, region: Window | None) -> np.ndarray:
     """
     if region is None:
         return np.full(atoms.shape[0], atoms.shape[1])
-    if region.dim != atoms.shape[-1]:
-        raise ValidationError(
-            f"count window dimension {region.dim} does not match configuration dimension {atoms.shape[-1]}"
-        )
+    region._require_dim(atoms.shape[-1], "count")
     return np.count_nonzero(region.contains(atoms), axis=-1)
 
 

@@ -57,9 +57,6 @@ __all__ = [
 
 MAX_WINDOW_DIM = 4  # marked configurations use time as an extra coordinate
 MAX_QUADRATURE_DIM = 3
-# atoms up to which Configuration.count_in compares in a Python loop: below
-# about 24-32 atoms (d = 1-3) the loop costs less than numpy's fixed per-call cost
-_SMALL_COUNT = 16
 
 
 def _as_tuple(values, name: str) -> tuple[float, ...]:
@@ -112,6 +109,14 @@ class Window:
         """Membership test over the last axis of an (..., d) array of points."""
         pts = np.asarray(points, float)
         return ((pts >= self._lo) & (pts <= self._hi)).all(axis=-1)
+
+    def _require_dim(self, dim: int, what: str) -> None:
+        """Raise ``ValidationError`` unless this window, used as a ``what``
+        window on a configuration of dimension ``dim``, has that dimension."""
+        if self.dim != dim:
+            raise ValidationError(
+                f"{what} window dimension {self.dim} does not match configuration dimension {dim}"
+            )
 
 
 def _checked_atoms(atoms, window: Window) -> np.ndarray:
@@ -198,8 +203,7 @@ class Configuration:
 
     def restrict(self, window: Window) -> "Configuration":
         """Restriction: keep only the atoms lying inside ``window``."""
-        if window.dim != self.dim:
-            raise ValidationError("restriction window dimension mismatch")
+        window._require_dim(self.dim, "restriction")
         if self.n == 0:
             return Configuration(self.atoms, window)
         keep = window.contains(self.atoms)
@@ -209,18 +213,13 @@ class Configuration:
         """Number of atoms inside the box ``window`` (faces included).
 
         ``window`` must have the configuration's dimension, else
-        :class:`~ppt.errors.ValidationError`.  Up to ``_SMALL_COUNT`` atoms
-        are compared in plain Python, which skips numpy's fixed per-call
-        cost; larger configurations use ``window.contains``.  Both paths
-        compare the same doubles with ``lower <= x <= upper``, so they count
-        exactly the same atoms.
+        :class:`~ppt.errors.ValidationError`.  The atoms are compared in
+        plain Python, which skips numpy's fixed per-call cost on the small
+        configurations counted per sample; the comparisons are the doubles
+        ``lower <= x <= upper`` of ``window.contains``, so the count is
+        exactly the number of atoms it accepts.
         """
-        if window.dim != self.dim:
-            raise ValidationError(
-                f"count window dimension {window.dim} does not match configuration dimension {self.dim}"
-            )
-        if self.n > _SMALL_COUNT:
-            return int(np.count_nonzero(window.contains(self.atoms)))
+        window._require_dim(self.dim, "count")
         lower, upper = window.lower, window.upper
         dims = range(len(lower))
         count = 0

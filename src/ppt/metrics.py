@@ -67,6 +67,8 @@ def rho2(omega: Configuration, eta: Configuration) -> float:
         return 0.0
     gaps = omega.atoms[:, None, :] - eta.atoms[None, :, :]
     sq = np.einsum("ijk,ijk->ij", gaps, gaps)
+    if omega.n == 1 and (sq[0, 0] >= _TINY or not gaps.any()):
+        return math.sqrt(sq[0, 0])  # the fsum of one matched gap is that gap
     rows = np.arange(omega.n)
     perm = rows if omega.n == 1 else assignment_solve(sq)[0]
     matched = sq[rows, perm]
@@ -77,7 +79,9 @@ def rho2(omega: Configuration, eta: Configuration) -> float:
         # The matching above then costs under n*d, so a gap clipped at 2^256
         # is never matched, and no scaled square overflows.
         exp = math.frexp(float(np.max(np.abs(gaps[rows, perm]))))[1]
-        gaps = np.clip(np.ldexp(gaps, -exp), -_CLIP, _CLIP)
+        # Unmatched gaps may overflow to inf before the clip, harmlessly.
+        with np.errstate(over="ignore"):
+            gaps = np.clip(np.ldexp(gaps, -exp), -_CLIP, _CLIP)
         sq = np.einsum("ijk,ijk->ij", gaps, gaps)
         perm = rows if omega.n == 1 else assignment_solve(sq)[0]
         return math.ldexp(math.sqrt(math.fsum(sq[rows, perm])), exp)

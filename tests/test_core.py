@@ -116,11 +116,13 @@ class TestConfiguration:
             (config([[0.2], [0.3]], unit_window), square),  # broadcast over both axes
             (config([[0.2, 0.9], [0.3, 0.1]], square), cube),  # raw numpy ValueError
             (config(np.empty((0, 2)), square), cube),  # no atoms to compare
-            (Configuration(np.full((20, 2), 0.5), square), Window([0.0], [1.0])),  # numpy path
+            (Configuration(np.full((20, 2), 0.5), square), Window([0.0], [1.0])),  # many atoms
         ]
         for cfg, region in cases:
             with pytest.raises(ValidationError, match="dimension"):
                 cfg.count_in(region)
+            with pytest.raises(ValidationError, match="dimension"):
+                cfg.restrict(region)
 
 
 # coordinates on the faces of the regions below, signed zeros, and points
@@ -138,7 +140,7 @@ COUNT_REGION_BOUNDS = st.sampled_from(
 def count_cases(draw):
     d = draw(st.integers(1, 3))
     window = Window([0.0] * d, [1.0] * d)
-    n = draw(st.integers(0, 40))  # both sides of the small-configuration threshold
+    n = draw(st.integers(0, 40))
     atoms = np.array(draw(st.lists(st.tuples(*[COUNT_COORDS] * d), min_size=n, max_size=n)), float)
     bounds = [draw(COUNT_REGION_BOUNDS) for _ in range(d)]
     region = Window([lo for lo, _ in bounds], [hi for _, hi in bounds])

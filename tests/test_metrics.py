@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ class TestRho2:
         w = Window([-1.0], [1.0])
         a, b = config([[-1.0], [-0.0], [1e-243]], w), config([[1e-243], [-0.0], [-1.0]], w)
         assert rho2(a, b) == 0.0 and rho2(b, a) == 0.0
+
+    def test_scaled_gaps_raise_no_overflow_warning(self):
+        # the matched gap 5e-324 scales the unmatched gaps near 1.0 by 2^1073,
+        # past the largest double, before they are clipped
+        w = Window([-1.0], [1.0])
+        a, b = config([[0.0], [1.0]], w), config([[5e-324], [1.0]], w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rho2(a, b) == 5e-324 and rho2(b, a) == 5e-324
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_brute_force(self, dim, seed):
