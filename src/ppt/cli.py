@@ -95,12 +95,9 @@ def parse_density_expr(expr: str):
                 out = out * t + c
             return out
 
-        def _poly_sup(window, _fn=None):
+        def _poly_sup(window, _fn=fn):
             lo, hi = window.bounds()
-            grid = np.linspace(lo[0], hi[0], 4097)
-            vals = np.zeros_like(grid)
-            for c in reversed(coeffs):
-                vals = vals * grid + c
+            vals = _fn(np.linspace(lo[0], hi[0], 4097)[:, None])
             if np.any(vals < 0):
                 raise ValidationError(f"{expr!r} is negative on the window")
             return float(vals.max()) * 1.000001 + 1e-12
@@ -424,7 +421,7 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
     if estimator == "superposition_cost":
         sigma = _intensity_from_params(p, "parameters")
         pfn = parse_density_expr(_require(p, "p"))
-        coupling = simulate.SuperpositionCoupling(sigma, pfn, p_sup=pfn.sup_on(sigma.window))
+        coupling = simulate.SuperpositionCoupling(sigma, pfn)
         est = coupling.estimate_mean_cost(spec.n_samples, spec.seed)
         return {
             "estimator": estimator,
@@ -449,7 +446,7 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
         metric = p.get("metric", "rho1")
         coupled = bool(p.get("coupled", True))
         if coupled:
-            coupling = simulate.SuperpositionCoupling(sigma, pfn, p_sup=pfn.sup_on(sigma.window))
+            coupling = simulate.SuperpositionCoupling(sigma, pfn)
             sampled = coupling.sample_batch(pairs, spec.seed)
             mu = [c.left for c in sampled]
             nu = [c.right for c in sampled]
@@ -553,7 +550,7 @@ def _scenario_poisson_tightness(spec: ExperimentSpec) -> dict:
     n = spec.n_samples
 
     bound = bounds_mod.bound_tv_poisson(pfn, sigma)
-    coupling = simulate.SuperpositionCoupling(sigma, pfn, p_sup=pfn.sup_on(sigma.window))
+    coupling = simulate.SuperpositionCoupling(sigma, pfn)
     mean_cost = coupling.estimate_mean_cost(n, spec.seed)
 
     mu = simulate.poisson_batch_with_rng(sigma, n, spec.seed.rng(11))

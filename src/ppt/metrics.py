@@ -32,6 +32,9 @@ __all__ = [
 
 _TINY = 2.0**-1022  # the smallest normal double
 _CLIP = 2.0**256
+# above this a square leaves less than 2^256 of headroom below overflow for
+# the sum of squares and the assignment's potentials
+_HUGE = 2.0**768
 
 
 def rho0(omega: Configuration, eta: Configuration) -> int:
@@ -55,39 +58,66 @@ def rho2(omega: Configuration, eta: Configuration) -> float:
     otherwise the square root of the minimal sum of squared Euclidean gaps
     over bijections of atoms, solved exactly as an assignment problem.
 
-    When the squared gap of a matched pair of distinct atoms is subnormal
-    or zero, the assignment is solved again on the gaps scaled by a power of
-    two, so rho2 is 0.0 only on multiset-equal pairs.  Wherever no matched
-    square is subnormal, the value is the unscaled one, bit for bit.
+    The two configurations are taken in an order that depends only on their
+    multisets of atoms, so rho2(omega, eta) and rho2(eta, omega) run the
+    same computation and agree bit for bit.  When a squared gap is above
+    2^768 (or overflows), or the squared gap of a matched pair of distinct
+    atoms is subnormal or zero, the assignment is solved on the gaps scaled
+    by a power of two, so rho2 is 0.0 only on multiset-equal pairs, and
+    +inf on equal counts only past the largest double.  Wherever no square
+    is that large and no matched square is subnormal, the value is the
+    unscaled one, bit for bit.
     """
     _require_shared_window(omega, eta)
     if omega.n != eta.n:
         return math.inf
     if omega.n == 0:
         return 0.0
+    if omega.n > 1 and sorted(eta.atoms.tolist()) < sorted(omega.atoms.tolist()):
+        omega, eta = eta, omega
     gaps = omega.atoms[:, None, :] - eta.atoms[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", gaps, gaps)
-    if omega.n == 1 and (sq[0, 0] >= _TINY or not gaps.any()):
+    sq = np.einsum("ijk,ijk->ij", gaps, gaps)  # +inf, without a warning, on overflow
+    if omega.n == 1 and (_TINY <= sq[0, 0] < math.inf or not gaps.any()):
         return math.sqrt(sq[0, 0])  # the fsum of one matched gap is that gap
     rows = np.arange(omega.n)
+    if sq.max() > _HUGE:
+        # match on the gaps scaled by the power of two that puts the largest
+        # one in [0.5, 1), where no square is large, then solve again scaled
+        # by the matched gaps alone; a gap beyond the largest double is
+        # first kept finite by halving the atoms
+        half = int(np.isinf(gaps).any())
+        gaps = np.ldexp(omega.atoms, -half)[:, None, :] - np.ldexp(eta.atoms, -half)[None, :, :]
+        scaled = np.ldexp(gaps, -math.frexp(float(np.max(np.abs(gaps))))[1])
+        sq = np.einsum("ijk,ijk->ij", scaled, scaled)
+        perm = rows if omega.n == 1 else assignment_solve(sq)[0]
+        return _rho2_rescaled(gaps, perm, half)
     perm = rows if omega.n == 1 else assignment_solve(sq)[0]
     matched = sq[rows, perm]
     if matched.min() < _TINY and gaps[rows, perm][matched < _TINY].any():
-        # A matched square of nonzero gaps is subnormal or zero, so both the
-        # sum and the matching may be wrong: solve again on the gaps scaled
-        # by the power of two that puts the largest matched gap in [0.5, 1).
-        # The matching above then costs under n*d, so a gap clipped at 2^256
-        # is never matched, and no scaled square overflows.
-        exp = math.frexp(float(np.max(np.abs(gaps[rows, perm]))))[1]
-        # Unmatched gaps may overflow to inf before the clip, harmlessly.
-        with np.errstate(over="ignore"):
-            gaps = np.clip(np.ldexp(gaps, -exp), -_CLIP, _CLIP)
-        sq = np.einsum("ijk,ijk->ij", gaps, gaps)
-        perm = rows if omega.n == 1 else assignment_solve(sq)[0]
-        return math.ldexp(math.sqrt(math.fsum(sq[rows, perm])), exp)
+        # a matched square of nonzero gaps is subnormal or zero, so both the
+        # sum and the matching may be wrong
+        return _rho2_rescaled(gaps, perm)
     # fsum of the matched gaps is exactly rounded, hence independent of the
-    # order of the atoms: rho2(omega, eta) == rho2(eta, omega) bit for bit
+    # order of the atoms
     return math.sqrt(math.fsum(matched))
+
+
+def _rho2_rescaled(gaps: np.ndarray, perm: np.ndarray, exp: int = 0) -> float:
+    """2^exp times rho2 solved on ``gaps`` scaled by the power of two that
+    puts the largest gap matched by ``perm`` in [0.5, 1), and scaled back.
+
+    The matching ``perm`` then costs under n*d, so a gap clipped at 2^256
+    is never matched, and no scaled square overflows.
+    """
+    rows = np.arange(perm.size)
+    top = math.frexp(float(np.max(np.abs(gaps[rows, perm]))))[1]
+    # Unmatched gaps may overflow to inf before the clip, harmlessly; a
+    # value past the largest double is +inf.
+    with np.errstate(over="ignore"):
+        gaps = np.clip(np.ldexp(gaps, -top), -_CLIP, _CLIP)
+        sq = np.einsum("ijk,ijk->ij", gaps, gaps)
+        perm = rows if rows.size == 1 else assignment_solve(sq)[0]
+        return float(np.ldexp(math.sqrt(math.fsum(sq[rows, perm])), top + exp))
 
 
 def rho1_normalized(omega: Configuration, eta: Configuration) -> float:

@@ -462,6 +462,8 @@ def sample_coupled_superposition(
 
 _TABLE_LEVELS = 16  # bisection levels of v_inverse answered by its table
 _BLOCK = 8192  # points of r per v_inverse block
+_CHECK_GRID = 4097  # points of the grid that TimeChangeSpec is validated on
+_CHUNK_ATOMS = 1_000_000  # atoms per chunk of TimeChangeCoupling.estimate_mean_cost
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,12 +478,11 @@ class TimeChangeSpec:
     U: Callable[[np.ndarray], np.ndarray]
     U_prime: Callable[[np.ndarray], np.ndarray]
     horizon: float
-    grid_size: int = 4097
 
     def __post_init__(self):
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValidationError("horizon must be a positive finite real")
-        grid = np.linspace(0.0, self.horizon, self.grid_size)
+        grid = np.linspace(0.0, self.horizon, _CHECK_GRID)
         u0 = float(np.asarray(self.U(np.array([0.0])), float).reshape(-1)[0])
         if abs(u0) > 1e-9:
             raise ValidationError(f"U(0) must vanish, got {u0}")
@@ -604,9 +605,7 @@ class TimeChangeCoupling:
             raise InternalConsistencyError("time-change cost hint fell below the realised distance")
         return CoupledPair(left=left, right=right, cost_hint=cost)
 
-    def estimate_mean_cost(
-        self, n_samples: int, seed: SeedSpec, chunk_atoms: int = 1_000_000
-    ) -> Estimate:
+    def estimate_mean_cost(self, n_samples: int, seed: SeedSpec) -> Estimate:
         """Monte Carlo mean of the per-draw coupling cost, vectorised across draws."""
         if n_samples < 2:
             raise ValidationError("need at least two samples")
@@ -617,7 +616,7 @@ class TimeChangeCoupling:
         done = 0
         while done < n_samples:
             take = int(
-                max(1, min(n_samples - done, chunk_atoms // max(int(v_end) + 1, 1)))
+                max(1, min(n_samples - done, _CHUNK_ATOMS // max(int(v_end) + 1, 1)))
             )
             cts = counts[done : done + take]
             total = int(cts.sum())

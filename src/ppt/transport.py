@@ -27,10 +27,11 @@
 * ``exact_oracle_discrete``: independent small-instance oracle for the
   transport distance between product-Poisson count laws under L1 cost.
 
-Infinite costs are allowed in ``emd``: feasibility on the finite-cost arcs is
-pre-screened (perfect bipartite matching for uniform square marginals, the
-configuration-distance case; augmenting-path max-flow otherwise) and an
-infeasible instance yields cost ``+inf`` rather than an error.
+Infinite costs are allowed in ``emd``: one breadth-first max-flow screen over
+the finite-cost arcs decides, for any marginals, whether a finite plan exists,
+and an infeasible instance yields cost ``+inf`` rather than an error.  Only
+the screen answers ``+inf``; mass left on an artificial or infinite-cost arc
+after the simplex raises ``InternalConsistencyError``.
 """
 
 from __future__ import annotations
@@ -256,28 +257,26 @@ class _TreeBasis:
                 stack.append(nxt)
         return reached
 
-    def path_to_lca(self, fi: int, ti: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Arcs climbing from fi and from ti to their common ancestor.
-
-        Each entry is (arc_index, node) where node is the lower endpoint.
+    def cycle(self, fi: int, ti: int) -> list[tuple[int, bool, int]]:
+        """The tree arcs on the cycle that the arc fi -> ti closes, as
+        ``(arc_index, loses_flow, endpoint)``: those climbing from fi to the
+        common ancestor, then those climbing from ti.  Pushing flow along
+        fi -> ti, an arc loses flow when it points up on fi's side or down on
+        ti's side; ``endpoint`` is fi or ti, the side the arc lies on.
         """
-        parent, parent_arc = self.parent, self.parent_arc
+        parent, parent_arc, depth, arcs = self.parent, self.parent_arc, self.depth, self.arcs
         left, right = [], []
         a, b = fi, ti
-        da, db = self.depth[a], self.depth[b]
-        while da > db:
-            left.append((parent_arc[a], a))
-            a = parent[a]
-            da -= 1
-        while db > da:
-            right.append((parent_arc[b], b))
-            b = parent[b]
-            db -= 1
         while a != b:
-            left.append((parent_arc[a], a))
-            right.append((parent_arc[b], b))
-            a, b = parent[a], parent[b]
-        return left, right
+            if depth[a] >= depth[b]:
+                idx = parent_arc[a]
+                a = parent[a]
+                left.append((idx, arcs[idx][1] == a, fi))
+            else:
+                idx = parent_arc[b]
+                b = parent[b]
+                right.append((idx, arcs[idx][1] != b, ti))
+        return left + right
 
 
 def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray, all_finite: bool, big_m: float):
@@ -315,22 +314,24 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray, all_finite: boo
 
 
 def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve the dense transportation problem; +inf cost when infeasible."""
+    """Solve the dense transportation problem; +inf cost when the
+    feasibility screen finds no finite plan."""
     n, m = C.shape
     finite = np.isfinite(C)
     all_finite = bool(finite.all())
     if not all_finite and not _feasible_on_finite(a, b, finite):
         return np.zeros((n, m)), float("inf")
-    scale = max(float(np.max(C[finite])) if finite.any() else 1.0, 1.0)
+    top = float(C[finite].max(initial=0.0))
+    scale = max(top, 1.0)
     big_m = 4.0 * scale * (n + m)
     Cw = np.where(finite, C, big_m)
 
     total = float(a.sum())
     flow_eps = 1e-14 * max(total, 1.0)
-    opt_eps = 1e-11 * scale
+    opt_eps = 1e-11 * top  # scaling C by 2^k scales it and every reduced cost alike
 
     basis = _initial_basis(a, b, Cw, all_finite, big_m)
-    basic = {(f, t) for f, t, _ in basis.arcs}
+    parent, flows = basis.parent, basis.flows
 
     rc = np.empty((n, m))  # reduced costs, kept up to date in place
     flat = rc.ravel()
@@ -349,54 +350,29 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
             break
         ei, ej = divmod(k, m)
         fi, ti = ei, n + ej
-        if (fi, ti) in basic:
+        if parent[fi] == ti or parent[ti] == fi:
             break  # numerically tight basic arc; optimal within tolerance
-        left, right = basis.path_to_lca(fi, ti)
+        cycle = basis.cycle(fi, ti)
 
-        # push theta along fi -> ti; arcs pointing up on the fi side lose flow,
-        # arcs pointing up on the ti side gain (bipartite orientation row->col)
+        # the leaving arc: least flow among those that lose it
         theta = math.inf
         leave = -1
         inner = -1  # the entering arc's endpoint on the leaving arc's side
-
-        def consider_leaving(arc_idx: int, side: int) -> None:
-            nonlocal theta, leave, inner
-            fl = basis.flows[arc_idx]
-            if fl < theta - 1e-18:
-                theta, leave, inner = fl, arc_idx, side
-            elif fl <= theta + 1e-18 and 0 <= leave and arc_idx < leave:
-                leave, inner = arc_idx, side  # smallest-index tie-break, pairs with Bland entering
-
-        for arc_idx, node in left:
-            _f, t, _c = basis.arcs[arc_idx]
-            if t == basis.parent[node]:  # arc points upward: loses flow
-                consider_leaving(arc_idx, fi)
-        for arc_idx, node in right:
-            _f, t, _c = basis.arcs[arc_idx]
-            if t != basis.parent[node]:  # arc points downward: loses flow
-                consider_leaving(arc_idx, ti)
+        for arc_idx, loses, side in cycle:
+            if loses:
+                x = flows[arc_idx]
+                if x < theta - 1e-18:
+                    theta, leave, inner = x, arc_idx, side
+                elif x <= theta + 1e-18 and 0 <= leave and arc_idx < leave:
+                    leave, inner = arc_idx, side  # smallest-index tie-break, pairs with Bland entering
         if leave < 0:
             raise InternalConsistencyError("no leaving arc on the pivot cycle")
         theta = max(0.0, float(theta))
+        for arc_idx, loses, _ in cycle:
+            flows[arc_idx] += -theta if loses else theta
 
-        for arc_idx, node in left:
-            _f, t, _c = basis.arcs[arc_idx]
-            if t == basis.parent[node]:
-                basis.flows[arc_idx] -= theta
-            else:
-                basis.flows[arc_idx] += theta
-        for arc_idx, node in right:
-            _f, t, _c = basis.arcs[arc_idx]
-            if t == basis.parent[node]:
-                basis.flows[arc_idx] += theta
-            else:
-                basis.flows[arc_idx] -= theta
-
-        lf, lt, _ = basis.arcs[leave]
-        basic.discard((lf, lt))
         basis.replace_arc(leave, (fi, ti, float(Cw[ei, ej])), inner)
-        basis.flows[leave] = theta
-        basic.add((fi, ti))
+        flows[leave] = theta
         _reprice(rc, Cw, basis.pot, basis.moved)
 
         if theta <= flow_eps:
@@ -410,14 +386,16 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
     _recompute_tree_flows(basis, a, b)
     plan = np.zeros((n, m))
     root = n + m
-    for (f, t, _), x in zip(basis.arcs, basis.flows):
+    stranded = 0.0  # largest flow left on a root arc
+    for (f, t, _), x in zip(basis.arcs, flows):
         if f == root or t == root:
-            if x > 1e-9 * max(total, 1.0):
-                return np.zeros((n, m)), float("inf")
-            continue
-        plan[f, t - n] = max(0.0, x)
-    if not all_finite and np.any(plan[~finite] > 1e-9 * max(total, 1.0)):
-        return np.zeros((n, m)), float("inf")
+            stranded = max(stranded, x)
+        else:
+            plan[f, t - n] = max(0.0, x)
+    leftover = 1e-9 * max(total, 1.0)
+    if stranded > leftover or (not all_finite and np.any(plan[~finite] > leftover)):
+        # the screen found a finite plan, so the simplex must have reached one
+        raise InternalConsistencyError("simplex left mass on an artificial or infinite-cost arc")
 
     rc = Cw - basis.pot[:n, None] + basis.pot[None, n : n + m]
     residual = max(0.0, -float(rc.min())) if rc.size else 0.0
@@ -477,120 +455,79 @@ def _recompute_tree_flows(basis: _TreeBasis, a: np.ndarray, b: np.ndarray) -> No
 
 
 def _feasible_on_finite(a: np.ndarray, b: np.ndarray, finite: np.ndarray) -> bool:
-    """Can all mass route through finite-cost arcs?"""
-    n, m = finite.shape
-    if np.any((a > _MARGINAL_TOL) & ~finite.any(axis=1)):
-        return False
-    if np.any((b > _MARGINAL_TOL) & ~finite.any(axis=0)):
-        return False
-    uniform = (
-        n == m
-        and np.allclose(a, a[0], rtol=0, atol=_MARGINAL_TOL)
-        and np.allclose(b, b[0], rtol=0, atol=_MARGINAL_TOL)
-    )
-    if uniform:
-        return _perfect_matching_exists(finite)
-    return _max_flow_saturates(a, b, finite)
+    """Can all of ``a``'s mass reach ``b`` through finite-cost arcs?
 
-
-def _perfect_matching_exists(finite: np.ndarray) -> bool:
-    """Kuhn's algorithm with breadth-first augmenting paths: no recursion, so
-    paths as long as the matrix are fine."""
+    Max-flow by breadth-first augmenting paths (Edmonds & Karp), drained one
+    row at a time; with uniform marginals this is Kuhn's matching.  A row
+    that gets stuck stays stuck: the rows its search reaches send flow only
+    to columns it reaches, all full, so no later path can pass through them.
+    The flow is maximal once every row has been tried.  Arcs and nodes
+    holding at most 1e-15 count as empty; up to 1e-12 * max(total, 1) of
+    mass may stay unrouted.
+    """
     n, m = finite.shape
-    if n > m:
-        return False
-    adj = [np.flatnonzero(row).tolist() for row in finite]
-    row_of = [-1] * m  # column -> matched row
-    col_of = [-1] * n  # row -> matched column
+    arcs = np.flatnonzero(finite)  # one scan of the mask, cut into rows
+    starts = np.searchsorted(arcs, np.arange(n + 1) * m).tolist()
+    cols = (arcs % m).tolist()
+    adj = [cols[starts[i] : starts[i + 1]] for i in range(n)]
+    row_rem, col_rem = a.tolist(), b.tolist()
+    into: list[dict[int, float]] = [{} for _ in col_rem]  # column -> {row: flow}
+    total = float(a.sum())
+    slack = 1e-12 * max(total, 1.0)
+    pushed = 0.0
     for root in range(n):
-        reached_from = {}  # column -> the row whose search reached it
-        frontier, free = [root], -1
-        while frontier and free < 0:
-            next_rows = []
-            for i in frontier:
+        while row_rem[root] > 1e-15:
+            reached_from = {}  # column -> the row whose search reached it
+            came_by = {root: -1}  # row -> the column it was reached through
+            queue, free = [root], -1
+            for i in queue:  # grows while it is read: breadth-first
+                for j in adj[i]:
+                    if col_rem[j] > 1e-15:  # every column reached so far is full
+                        reached_from[j] = i
+                        free = j
+                        break
+                if free >= 0:
+                    break
                 for j in adj[i]:
                     if j not in reached_from:
                         reached_from[j] = i
-                        if row_of[j] < 0:
-                            free = j
-                            break
-                        next_rows.append(row_of[j])
-                if free >= 0:
-                    break
-            frontier = next_rows
-        if free < 0:
-            return False
-        while free >= 0:  # flip the path: each row on it takes the column it reached
-            i = reached_from[free]
-            previous = col_of[i]
-            row_of[free], col_of[i] = i, free
-            free = previous
-    return True
-
-
-def _max_flow_saturates(a: np.ndarray, b: np.ndarray, finite: np.ndarray) -> bool:
-    """Augmenting-path max-flow: source->rows (cap a), finite arcs, cols->sink (cap b)."""
-    n, m = finite.shape
-    row_rem = a.astype(float).copy()
-    col_rem = b.astype(float).copy()
-    flow = np.zeros((n, m))
-    total = float(a.sum())
-    pushed = 0.0
-    guard = 8 * (n * m + n + m) + 100
-    for _ in range(guard):
-        if total - pushed <= 1e-12 * max(total, 1.0):
-            return True
-        prev_col_of_row = np.full(n, -2, dtype=int)  # -1 = source
-        prev_row_of_col = np.full(m, -2, dtype=int)
-        queue: list[int] = []
-        for i in np.nonzero(row_rem > 1e-15)[0]:
-            prev_col_of_row[int(i)] = -1
-            queue.append(int(i))
-        target = -1
-        qi = 0
-        while qi < len(queue) and target < 0:
-            i = queue[qi]
-            qi += 1
-            for j in np.nonzero(finite[i] & (prev_row_of_col == -2))[0]:
-                j = int(j)
-                prev_row_of_col[j] = i
-                if col_rem[j] > 1e-15:
-                    target = j
-                    break
-                for i2 in np.nonzero((flow[:, j] > 1e-15) & (prev_col_of_row == -2))[0]:
-                    prev_col_of_row[int(i2)] = j
-                    queue.append(int(i2))
-        if target < 0:
-            return False
-        # trace back and push the bottleneck
-        path: list[tuple[int, int, bool]] = []
-        j = target
-        bottleneck = float(col_rem[j])
-        i = int(prev_row_of_col[j])
-        while True:
-            path.append((i, j, True))
-            if prev_col_of_row[i] == -1:
-                bottleneck = min(bottleneck, float(row_rem[i]))
+                        for i2, x in into[j].items():
+                            if x > 1e-15 and i2 not in came_by:
+                                came_by[i2] = j
+                                queue.append(i2)
+            if free < 0:
+                if row_rem[root] > slack:
+                    return False  # this mass can never be routed
                 break
-            j_back = int(prev_col_of_row[i])
-            bottleneck = min(bottleneck, float(flow[i, j_back]))
-            path.append((i, j_back, False))
-            j = j_back
-            i = int(prev_row_of_col[j])
-        for pi, pj, forward in path:
-            flow[pi, pj] += bottleneck if forward else -bottleneck
-        row_rem[path[-1][0]] -= bottleneck
-        col_rem[target] -= bottleneck
-        pushed += bottleneck
-    return False
+            # the path alternates forward arcs (row, column reached from it)
+            # and backward arcs (row, column it was reached through)
+            push = min(row_rem[root], col_rem[free])
+            i = reached_from[free]
+            while i != root:
+                j = came_by[i]
+                push = min(push, into[j][i])
+                i = reached_from[j]
+            j = free
+            while j >= 0:
+                i = reached_from[j]
+                into[j][i] = into[j].get(i, 0.0) + push
+                j = came_by[i]
+                if j >= 0:
+                    into[j][i] -= push
+            row_rem[root] -= push
+            col_rem[free] -= push
+            pushed += push
+    return total - pushed <= slack
 
 
 def emd(a, b, cost: np.ndarray) -> TransportPlan:
     """Exact optimal transport plan between weighted finite families.
 
-    ``a`` and ``b`` are probability vectors (sums within 1e-12 of 1).  If
-    every feasible plan has infinite cost, the returned plan carries
-    ``cost = +inf`` with zero weights.
+    ``a`` and ``b`` are probability vectors (sums within 1e-12 of 1).  When
+    one feasibility screen finds no plan of finite cost, the plan carries
+    ``cost = +inf`` with zero weights.  The simplex stops once no reduced cost
+    is below -1e-11 times the largest finite cost, so scaling finite costs by
+    a power of two (short of underflow) keeps the plan and scales the cost.
     """
     a = np.asarray(a, float).reshape(-1)
     b = np.asarray(b, float).reshape(-1)
@@ -745,10 +682,7 @@ def estimate_rubinstein_empirical(
     value, weights = _emd_uniform(C)
     if math.isinf(value):
         return infinite
-    mass = weights.sum()
-    if mass <= 0:
-        return Estimate(mean=value, std_error=0.0, n_samples=n + m, seed=None)
-    var = float(np.sum(weights * (C - value) ** 2) / mass)
+    var = float(np.sum(weights * (C - value) ** 2) / weights.sum())
     se = math.sqrt(max(var, 0.0) / min(n, m))
     return Estimate(mean=value, std_error=se, n_samples=n + m, seed=None)
 

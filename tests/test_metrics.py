@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppt import Configuration, Window, multiset_equal, rho0, rho1, rho1_normalized, rho2, rho2_marked, rho2_normalized
@@ -104,6 +104,31 @@ class TestRho2:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert rho2(a, b) == 5e-324 and rho2(b, a) == 5e-324
+
+    def test_gaps_whose_squares_overflow(self):
+        # regression: squares above the largest double were +inf, so one pair
+        # gave inf and larger ones made the assignment reject its matrix
+        w = Window([-1e300], [1e300])
+        a, b = config([[-1e300]], w), config([[1e300]], w)
+        assert rho2(a, b) == 2e300 and rho2(b, a) == 2e300
+        a, b = config([[-1e300], [1e300]], w), config([[1e300], [-1e300]], w)
+        assert rho2(a, b) == 0.0 and rho2(b, a) == 0.0
+        # the matched gaps are 0 and 1e-30, far below the overflowing ones
+        a = config([[0.0], [1e130], [-1e300]], w)
+        b = config([[1e-30], [1e130], [-1e300]], w)
+        assert rho2(a, b) == 1e-30 and rho2(b, a) == 1e-30
+        # no square overflows, but their sum did
+        a, b = config([[0.0], [0.0]], w), config([[1e154], [1e154]], w)
+        assert rho2(a, b) == pytest.approx(math.hypot(1e154, 1e154), rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
+    def test_gaps_beyond_the_largest_double(self):
+        w = Window([-1.7e308], [1.7e308])
+        a, b = config([[-1.7e308], [1.7e308]], w), config([[1.7e308], [-1.6e308]], w)
+        assert rho2(a, b) == 1.7e308 - 1.6e308 and rho2(b, a) == 1.7e308 - 1.6e308
+        # the value itself is past the largest double
+        a, b = config([[-1.7e308]], w), config([[1.7e308]], w)
+        assert rho2(a, b) == math.inf and rho2(b, a) == math.inf
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_brute_force(self, dim, seed):
@@ -262,9 +287,25 @@ def config_triples(draw):
     return [Configuration(np.array(r, float).reshape(-1, d), window) for r in (a_rows, b_rows, c_rows)]
 
 
+# two matchings tie in the assignment's arithmetic but their exact sums are
+# an ulp apart, so solving in argument order gave 2.042145108927428 one way
+# and 2.0421451089274276 the other
+_TIED_PAIR = [
+    Configuration(
+        np.array([[-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, 1.0], [0.7695658814657884, 1.0]]),
+        Window([-1.0] * 2, [1.0] * 2),
+    ),
+    Configuration(
+        np.array([[-0.0, -0.0], [-0.0, 0.5], [-0.0, -1.0], [-0.0, -0.75], [-0.0, -0.875]]),
+        Window([-1.0] * 2, [1.0] * 2),
+    ),
+]
+
+
 class TestMetricProperties:
     @settings(max_examples=300, deadline=None)
     @given(config_triples())
+    @example([*_TIED_PAIR, _TIED_PAIR[0]])
     def test_symmetric_bit_for_bit(self, triple):
         a, b, _ = triple
         for metric in (rho0, rho1, rho2):

@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -135,7 +137,7 @@ class TestEmd:
         # search exceeded Python's recursion limit on these.  The full emd
         # call runs the network simplex for minutes, so the check stops at
         # the pre-screen that emd runs first.
-        from ppt.transport import _feasible_on_finite, _perfect_matching_exists
+        from ppt.transport import _feasible_on_finite
 
         n = 1500
         band = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
@@ -148,12 +150,12 @@ class TestEmd:
         shifted = band.copy()
         shifted[n - 1, n - 1] = False
         shifted[n - 1, 0] = True
-        assert _perfect_matching_exists(shifted)
+        assert _feasible_on_finite(w, w, shifted)
         shifted[n - 2, n - 1] = False
-        assert not _perfect_matching_exists(shifted)
+        assert not _feasible_on_finite(w, w, shifted)
 
     def test_perfect_matching_agrees_with_scipy(self, seed):
-        from ppt.transport import _perfect_matching_exists
+        from ppt.transport import _feasible_on_finite
 
         rng = seed.rng(8)
         for _ in range(300):
@@ -163,7 +165,9 @@ class TestEmd:
             if n <= m:
                 rows, cols = scipy.optimize.linear_sum_assignment(np.where(finite, 0.0, 1.0))
                 want = bool(finite[rows, cols].all())
-            assert _perfect_matching_exists(finite) == want
+            # every row and every column holds 1/n: all rows' mass is routed
+            # exactly when every row can be matched to its own column
+            assert _feasible_on_finite(np.full(n, 1.0 / n), np.full(m, 1.0 / n), finite) == want
 
     def test_mixed_infinite_entries_match_restricted_lp(self, seed):
         rng = seed.rng(5)
@@ -177,6 +181,15 @@ class TestEmd:
             finiteC = np.where(np.isfinite(C), C, 1e9)
             _, cost = assignment_solve(finiteC)
             assert plan.cost == pytest.approx(cost / n, abs=1e-9)
+
+    def test_mass_left_on_an_artificial_arc_raises(self, monkeypatch):
+        # only the feasibility screen may answer +inf: when it lets through
+        # an instance without a finite plan, the simplex ends with mass on
+        # an artificial arc, which is a solver fault, not an infinite cost
+        monkeypatch.setattr(transport, "_feasible_on_finite", lambda a, b, finite: True)
+        C = np.array([[1.0, math.inf], [2.0, math.inf]])
+        with pytest.raises(InternalConsistencyError):
+            emd([0.5, 0.5], [0.5, 0.5], C)
 
     def test_marginal_validation(self):
         with pytest.raises(ValidationError):
@@ -217,14 +230,14 @@ def assert_plan_has_its_marginals(plan):
 class TestEmdProperties:
     @settings(max_examples=300, deadline=None)
     @given(cost_matrices())
-    @example(np.array([[0.0, 0.0], [0.0, 1e-11]]))  # emd returns 5e-12 against the optimum 0
+    @example(np.array([[0.0, 0.0], [0.0, 1e-11]]))  # an absolute tolerance gave 5e-12, not 0
     def test_uniform_marginals_equal_the_assignment_optimum(self, C):
         n = C.shape[0]
         plan = emd(np.full(n, 1.0 / n), np.full(n, 1.0 / n), C)
         assert_plan_has_its_marginals(plan)
-        # the simplex stops once every reduced cost is above -1e-11 * scale,
+        # the simplex stops once every reduced cost is above -1e-11 * max C,
         # which bounds the cost above the optimum by that much for unit mass
-        gap = 1e-11 * max(float(C[np.isfinite(C)].max(initial=0.0)), 1.0)
+        gap = 1e-11 * float(C[np.isfinite(C)].max(initial=0.0))
         try:
             rows, cols = scipy.optimize.linear_sum_assignment(C)
             want = float(C[rows, cols].sum()) / n
@@ -247,6 +260,70 @@ class TestEmdProperties:
         a[0] += 1.0  # some mass on each side; other entries may be 0
         b[-1] += 1.0
         assert_plan_has_its_marginals(emd(a / a.sum(), b / b.sum(), C))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost_matrices(square=False), st.integers(1, 200), st.booleans(), st.data())
+    @example(np.array([[0.0, 0.0], [0.0, 1e-11]]), 1, True, None)
+    def test_power_of_two_scaling_repeats_the_solve(self, C, k, uniform, data):
+        # the optimality tolerance is relative to the costs, so scaling them
+        # by 2^-k scales every reduced cost and the tolerance alike
+        C = np.where(np.isfinite(C) & (C >= 2.0**-100), C, 0.0)
+        n, m = C.shape
+        if uniform:
+            a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        else:
+            a = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), float)
+            b = np.array(data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)), float)
+            a[0] += 1.0
+            b[-1] += 1.0
+            a, b = a / a.sum(), b / b.sum()
+        want = emd(a, b, C)
+        got = emd(a, b, C * 2.0**-k)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.cost == want.cost * 2.0**-k
+
+
+def _max_flow_routes_everything(u, v, finite) -> bool:
+    """scipy's integer max-flow: source -> rows (u), finite arcs (sum u),
+    columns -> sink (v); True when it carries the whole of u."""
+    n, m = finite.shape
+    K = int(sum(u))
+    source, sink = 0, n + m + 1
+    edges = [(source, 1 + i, u[i]) for i in range(n) if u[i]]
+    edges += [(1 + i, 1 + n + j, K) for i, j in zip(*np.nonzero(finite))]
+    edges += [(1 + n + j, sink, v[j]) for j in range(m) if v[j]]
+    tail, head, cap = (np.array(x, dtype=np.int32) for x in zip(*edges))
+    graph = scipy.sparse.csr_matrix((cap, (tail, head)), shape=(sink + 1, sink + 1), dtype=np.int32)
+    return scipy.sparse.csgraph.maximum_flow(graph, source, sink).flow_value == K
+
+
+@st.composite
+def screened_instances(draw):
+    """Integer weights u, v summing to the same K and a finite-arc mask of
+    1-8 rows and 1-8 columns: uniform square (u = v = 1) or general, with
+    zero weights allowed."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        m = n
+        u = v = [1] * n
+    else:
+        u = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        u[0] += 1
+        K = sum(u)
+        cuts = sorted(draw(st.lists(st.integers(0, K), min_size=m - 1, max_size=m - 1)))
+        v = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, K])]
+    share = draw(st.sampled_from([0.2, 0.4, 0.7]))
+    grid = draw(st.lists(st.floats(0.0, 1.0), min_size=n * m, max_size=n * m))
+    return u, v, np.array(grid).reshape(n, m) < share
+
+
+@settings(max_examples=400, deadline=None)
+@given(screened_instances())
+def test_feasibility_screen_agrees_with_scipy_max_flow(instance):
+    u, v, finite = instance
+    K = sum(u)
+    a, b = np.array(u, float) / K, np.array(v, float) / K
+    assert transport._feasible_on_finite(a, b, finite) == _max_flow_routes_everything(u, v, finite)
 
 
 def _seeded_emd_instances():
