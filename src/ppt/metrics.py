@@ -75,7 +75,8 @@ def rho2(omega: Configuration, eta: Configuration) -> float:
         return 0.0
     if omega.n > 1 and sorted(eta.atoms.tolist()) < sorted(omega.atoms.tolist()):
         omega, eta = eta, omega
-    gaps = omega.atoms[:, None, :] - eta.atoms[None, :, :]
+    with np.errstate(over="ignore"):  # a gap past the largest double: see below
+        gaps = omega.atoms[:, None, :] - eta.atoms[None, :, :]
     sq = np.einsum("ijk,ijk->ij", gaps, gaps)  # +inf, without a warning, on overflow
     if omega.n == 1 and (_TINY <= sq[0, 0] < math.inf or not gaps.any()):
         return math.sqrt(sq[0, 0])  # the fsum of one matched gap is that gap

@@ -17,13 +17,19 @@
   nodes is repriced with the full pass instead.
 * ``estimate_rubinstein_empirical`` / ``dual_lower_bound``: primal and dual
   empirical estimates of the transport distance between point-process laws.
-  Cost matrices for the named metrics are built without a metric call per
-  pair: rho0/rho1 from interned atoms (shared-atom counts in integer
-  arithmetic), rho2 only on pairs of equal atom count (+inf elsewhere).
-  Before any rho2 value is computed, a count screen decides from the atom
-  counts alone whether uniform marginals admit a finite plan; if not, the
-  estimate is +inf and no matrix is built.  User-supplied metrics are called
-  once per pair.
+  The primal estimate does not depend on the optimal plan a solver returns:
+  its mean is the exact optimum, rounded once, and its std_error comes from
+  the largest cost dispersion over all optimal plans.  rho0, and rho1 when
+  each configuration shares atoms with at most one of the other list (as
+  coupled samples do), are solved in closed form from interned atoms in
+  integer arithmetic, with no cost matrix and no LP.  Every other case is
+  solved densely, by two ``emd`` solves.  Dense matrices for the named
+  metrics are built without a metric call per pair: rho0/rho1 from the
+  shared-atom pairs, rho2 only on pairs of equal atom count (+inf
+  elsewhere).  Before any rho2 value is computed, a count screen decides
+  from the atom counts alone whether uniform marginals admit a finite plan;
+  if not, the estimate is +inf and no matrix is built.  User-supplied
+  metrics are called once per pair.
 * ``exact_oracle_discrete``: independent small-instance oracle for the
   transport distance between product-Poisson count laws under L1 cost.
 
@@ -57,6 +63,7 @@ __all__ = [
 
 _MARGINAL_TOL = 1e-12
 _CS_RESIDUAL_TOL = 1e-9
+_OPT_REL = 1e-11  # the simplex stops when no reduced cost is below -_OPT_REL * max C
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,14 +320,19 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray, all_finite: boo
     return _TreeBasis(n, m, arcs, flows)
 
 
-def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, float]:
+def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Solve the dense transportation problem; +inf cost when the
-    feasibility screen finds no finite plan."""
+    feasibility screen finds no finite plan.
+
+    Also returns the reduced costs under the final potentials (+inf when
+    there is no finite plan); the plan is optimal among the plans supported
+    on the arcs where they are at most ``opt_eps``.
+    """
     n, m = C.shape
     finite = np.isfinite(C)
     all_finite = bool(finite.all())
     if not all_finite and not _feasible_on_finite(a, b, finite):
-        return np.zeros((n, m)), float("inf")
+        return np.zeros((n, m)), float("inf"), np.full((n, m), math.inf)
     top = float(C[finite].max(initial=0.0))
     scale = max(top, 1.0)
     big_m = 4.0 * scale * (n + m)
@@ -328,7 +340,7 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
 
     total = float(a.sum())
     flow_eps = 1e-14 * max(total, 1.0)
-    opt_eps = 1e-11 * top  # scaling C by 2^k scales it and every reduced cost alike
+    opt_eps = _OPT_REL * top  # scaling C by 2^k scales it and every reduced cost alike
 
     basis = _initial_basis(a, b, Cw, all_finite, big_m)
     parent, flows = basis.parent, basis.flows
@@ -404,7 +416,7 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
             f"complementary slackness residual {residual:.3e} above tolerance"
         )
     cost = float(np.sum(plan * np.where(finite, C, 0.0)))
-    return plan, cost
+    return plan, cost, rc
 
 
 def _reprice(rc: np.ndarray, Cw: np.ndarray, pot: np.ndarray, moved: list[int]) -> None:
@@ -529,6 +541,12 @@ def emd(a, b, cost: np.ndarray) -> TransportPlan:
     is below -1e-11 times the largest finite cost, so scaling finite costs by
     a power of two (short of underflow) keeps the plan and scales the cost.
     """
+    return _emd_with_reduced_costs(a, b, cost)[0]
+
+
+def _emd_with_reduced_costs(a, b, cost) -> tuple[TransportPlan, np.ndarray]:
+    """:func:`emd`, plus the reduced costs under the optimal potentials that
+    the simplex ends with (see :func:`_network_simplex`)."""
     a = np.asarray(a, float).reshape(-1)
     b = np.asarray(b, float).reshape(-1)
     C = np.asarray(cost, float)
@@ -540,8 +558,8 @@ def emd(a, b, cost: np.ndarray) -> TransportPlan:
         raise ValidationError("marginals must sum to 1 within 1e-12")
     if np.any(np.isnan(C)) or np.any(C < 0):
         raise ValidationError("costs must be nonnegative (inf allowed)")
-    plan, value = _network_simplex(a, b, C)
-    return TransportPlan(weights=plan, row_marginals=a, col_marginals=b, cost=value)
+    plan, value, rc = _network_simplex(a, b, C)
+    return TransportPlan(weights=plan, row_marginals=a, col_marginals=b, cost=value), rc
 
 
 # --------------------------------------------------------------------------
@@ -555,7 +573,7 @@ def _cost_matrix(samples_mu, samples_nu, metric) -> np.ndarray:
 
     A callable is called once per pair.  For the named metrics the windows
     are compared once for all configurations; rho0 and rho1 then come from
-    counts of shared atoms (:func:`_shared_atom_counts`) in integer
+    counts of shared atoms (:func:`_shared_atom_pairs`) in integer
     arithmetic, and rho2 is called only on pairs of equal atom count, every
     other entry being +inf.  Each entry equals the per-pair ``metrics`` value
     bit for bit.
@@ -572,7 +590,7 @@ def _cost_matrix(samples_mu, samples_nu, metric) -> np.ndarray:
         for i, j in zip(*np.nonzero(count_mu[:, None] == count_nu[None, :])):
             C[i, j] = metrics.rho2(samples_mu[i], samples_nu[j])
         return C
-    rho1 = count_mu[:, None] + count_nu[None, :] - 2 * _shared_atom_counts(samples_mu, samples_nu)
+    rho1 = _rho1_matrix(count_mu, count_nu, *_shared_atom_pairs(samples_mu, samples_nu))
     return (rho1 > 0).astype(float) if metric == "rho0" else rho1.astype(float)
 
 
@@ -605,31 +623,44 @@ def _rho2_infeasible(samples_mu, samples_nu, metric) -> bool:
     return not np.array_equal(per_count_mu, per_count_nu)
 
 
-def _shared_atom_counts(samples_mu, samples_nu) -> np.ndarray:
-    """Atoms that each row configuration shares with each column
-    configuration, with multiplicity: an (n, m) integer array.
+def _interned_atoms(configs) -> tuple[np.ndarray, np.ndarray]:
+    """Owner index and value key of every atom of ``configs`` (which share
+    one window), sorted by owner, then by value key.
 
-    Atoms are interned.  Equal coordinate tuples (compared by value, so -0.0
-    is 0.0, as in ``Configuration.multiset``) get one value key, and the k-th
-    copy of a value within a configuration gets the key (value, k).  A
-    configuration then holds each key at most once, and two configurations
-    share min(k, l) copies of a value held k and l times.  Only the key
-    matches are enumerated, never an n x (all atoms) incidence matrix.
+    Equal coordinate tuples, compared by value (so -0.0 is 0.0, as in
+    ``Configuration.multiset``), get one value key.
     """
-    n, m = len(samples_mu), len(samples_nu)
-    configs = [*samples_mu, *samples_nu]
     sizes = [c.n for c in configs]
     if sum(sizes) == 0:
-        return np.zeros((n, m), dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     atoms = np.concatenate([c.atoms for c in configs])
-    owner = np.repeat(np.arange(n + m), sizes)
-    # value key: index among the distinct coordinate tuples; adding 0.0 turns
-    # -0.0 into 0.0, so tuples equal by value are equal element for element
+    owner = np.repeat(np.arange(len(configs)), sizes)
+    # adding 0.0 turns -0.0 into 0.0, so tuples equal by value are equal
+    # element for element
     _, value = np.unique(atoms + 0.0, axis=0, return_inverse=True)
+    value = value.reshape(-1)
+    order = np.lexsort((value, owner))
+    return owner[order], value[order]
+
+
+def _shared_atom_pairs(samples_mu, samples_nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of a row and a column configuration that share atoms, and
+    how many they share, with multiplicity: arrays ``rows``, ``cols`` and
+    ``shared > 0``, ordered by pair.
+
+    Atoms are interned (:func:`_interned_atoms`), and the k-th copy of a
+    value within a configuration gets the key (value, k).  A configuration
+    then holds each key at most once, and two configurations share
+    min(k, l) copies of a value held k and l times.  Only the key matches
+    are enumerated, never an n x (all atoms) incidence matrix or an n x m
+    array.
+    """
+    n, m = len(samples_mu), len(samples_nu)
+    owner, value = _interned_atoms([*samples_mu, *samples_nu])
+    if owner.size == 0:
+        return owner, owner, owner
 
     # copy index within each (configuration, value) run
-    order = np.lexsort((value.reshape(-1), owner))
-    owner, value = owner[order], value.reshape(-1)[order]
     first = np.ones(owner.size, dtype=bool)
     first[1:] = (owner[1:] != owner[:-1]) | (value[1:] != value[:-1])
     position = np.arange(owner.size)
@@ -645,14 +676,173 @@ def _shared_atom_counts(samples_mu, samples_nu) -> np.ndarray:
     hits = np.searchsorted(col_key, row_key, side="right") - lo
     offset = np.repeat(lo - (np.cumsum(hits) - hits), hits)
     cols = col_owner[offset + np.arange(offset.size)]
-    pairs = np.repeat(row_owner, hits) * m + cols
-    return np.bincount(pairs, minlength=n * m).reshape(n, m)
+    pairs, shared = np.unique(np.repeat(row_owner, hits) * m + cols, return_counts=True)
+    return pairs // m, pairs % m, shared
 
 
-def _emd_uniform(C: np.ndarray) -> tuple[float, np.ndarray]:
+def _rho1_matrix(count_mu, count_nu, rows, cols, shared) -> np.ndarray:
+    """rho1 = n_i + n_j - 2 * shared_ij as an integer matrix."""
+    S = np.zeros((count_mu.size, count_nu.size), dtype=np.int64)
+    S[rows, cols] = shared
+    return count_mu[:, None] + count_nu[None, :] - 2 * S
+
+
+def _multiset_groups(samples_mu, samples_nu) -> tuple[np.ndarray, np.ndarray]:
+    """A group index for every configuration of the two lists: equal
+    indices exactly for equal multisets of atoms (rho0 = 0)."""
+    configs = [*samples_mu, *samples_nu]
+    _, value = _interned_atoms(configs)
+    values = value.tolist()
+    ends = np.cumsum([c.n for c in configs]).tolist()
+    index: dict[tuple, int] = {}
+    group = [index.setdefault(tuple(values[s:e]), len(index)) for s, e in zip([0, *ends[:-1]], ends)]
+    n = len(samples_mu)
+    return np.array(group[:n], dtype=np.int64), np.array(group[n:], dtype=np.int64)
+
+
+# The moments of an optimal uniform-marginal transport between n rows and m
+# columns: (mean, dispersion), each computed exactly and rounded once.  The
+# mean is the optimal cost; the dispersion is the largest
+# sum(w * (C - mean)^2) over all optimal plans w.  Every vertex of the
+# transport polytope with marginals 1/n and 1/m is integral in units of
+# 1/(nm), so the plans below are counted in those units.
+
+
+def _integer_moments(K: int, K2: int, units: int) -> tuple[float, float]:
+    """Moments of a plan of ``units`` units with sum(k * C) = K and
+    sum(k * C^2) = K2 (int / int rounds correctly)."""
+    return K / units, (K2 * units - K * K) / (units * units)
+
+
+def _rho0_moments(group_mu, group_nu) -> tuple[float, float]:
+    """rho0 transport: 1 - sum over multiset groups g of min(mu(g), nu(g)).
+
+    The costs are 0 and 1, so C^2 = C and every plan has dispersion
+    v * (1 - v).
+    """
+    n, m = group_mu.size, group_nu.size
+    classes = int(max(group_mu.max(), group_nu.max())) + 1
+    kept = np.minimum(np.bincount(group_mu, minlength=classes) * m, np.bincount(group_nu, minlength=classes) * n)
+    K = n * m - int(kept.sum())
+    return _integer_moments(K, K, n * m)
+
+
+def _rho1_matching_moments(count_mu, count_nu, rows, cols, shared) -> tuple[float, float] | None:
+    """rho1 transport when the sharing graph is a partial matching: each
+    configuration shares atoms with at most one of the other list.  None
+    when it is not.
+
+    Any plan costs sum_i a_i n_i + sum_j b_j n_j - 2 * sum w_ij shared_ij,
+    and on a matching every sharing pair can take its full mass
+    min(1/n, 1/m) at once, so the optimal plans are exactly those that do.
+    The rest of the mass lies on pairs that share nothing, where it costs
+    n_i + n_j whatever its arrangement; sum w * (n_i + n_j)^2 is largest
+    when sum w * n_i * n_j is, which the north-west corner rule gives on
+    rows and columns sorted by atom count (a comonotone fill).
+    """
+    n, m = count_mu.size, count_nu.size
+    if rows.size and max(np.bincount(rows).max(), np.bincount(cols).max()) > 1:
+        return None
+    N, M = count_mu.tolist(), count_nu.tolist()
+    row_left, col_left = [m] * n, [n] * m
+    forced = min(n, m)
+    K = K2 = 0
+    for i, j, s in zip(rows.tolist(), cols.tolist(), shared.tolist()):
+        c = N[i] + M[j] - 2 * s
+        K += forced * c
+        K2 += forced * c * c
+        row_left[i] -= forced
+        col_left[j] -= forced
+    rest_rows = iter(sorted((N[i], r) for i, r in enumerate(row_left) if r))
+    rest_cols = iter(sorted((M[j], r) for j, r in enumerate(col_left) if r))
+    (x, r), (y, c) = next(rest_rows, (0, 0)), next(rest_cols, (0, 0))
+    while r:  # rows and columns hold the same total, so they run out together
+        t = min(r, c)
+        K += t * (x + y)
+        K2 += t * (x + y) ** 2
+        r, c = r - t, c - t
+        if not r:
+            x, r = next(rest_rows, (0, 0))
+        if not c:
+            y, c = next(rest_cols, (0, 0))
+    return _integer_moments(K, K2, n * m)
+
+
+def _plan_units(weights: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """A vertex plan with marginals 1/n and 1/m in units of 1/(nm): the
+    nonzero unit counts with their rows and columns."""
+    n, m = weights.shape
+    units = np.rint(weights * (n * m)).astype(np.int64)
+    if np.any(units.sum(axis=1) != m) or np.any(units.sum(axis=0) != n):
+        raise InternalConsistencyError("transport plan is not integral in units of 1/(nm)")
+    rows, cols = np.nonzero(units)
+    return units[rows, cols].tolist(), rows, cols
+
+
+def _dense_moments(C: np.ndarray, dispersion: bool = True) -> tuple[float, float | None] | None:
+    """Moments from two dense solves; None when no finite plan exists.
+
+    The mean is the exact sum over the first plan's arcs.  The optimal plans
+    are the plans supported on the arcs of zero reduced cost under the first
+    solve's potentials (for float costs: at most the simplex's own
+    tolerance); a second solve on those arcs, with cost 1 - (C / max C)^2,
+    finds one whose sum(w * C^2) is largest, and the dispersion is exact
+    over its arcs.  ``dispersion=False`` skips the second solve.
+    """
+    from fractions import Fraction  # deferred: it loads decimal, which only this path needs
+
     n, m = C.shape
-    plan = emd(np.full(n, 1.0 / n), np.full(m, 1.0 / m), C)
-    return plan.cost, plan.weights
+    a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    plan, rc = _emd_with_reduced_costs(a, b, C)
+    if math.isinf(plan.cost):
+        return None
+    units, rows, cols = _plan_units(plan.weights)
+    mean = sum(k * Fraction(x) for k, x in zip(units, C[rows, cols].tolist())) / (n * m)
+    if not dispersion:
+        return float(mean), None
+    finite = np.isfinite(C)
+    face = finite & ((rc <= _OPT_REL * float(C[finite].max(initial=0.0))) | (plan.weights > 0))
+    top = float(C[face].max())
+    scaled = np.where(face, C, 0.0) / top if top > 0 else np.zeros_like(C)
+    widest = emd(a, b, np.where(face, 1.0 - scaled * scaled, math.inf))
+    units, rows, cols = _plan_units(widest.weights)
+    var = sum(k * (Fraction(x) - mean) ** 2 for k, x in zip(units, C[rows, cols].tolist())) / (n * m)
+    return float(mean), float(var)
+
+
+def _prefix_moments(samples_mu, samples_nu, metric, prefixes, dispersion: bool = True) -> list:
+    """Moments of the transport between ``samples_mu[:p]`` and
+    ``samples_nu[:q]`` for each (p, q) of the increasing ``prefixes``; None
+    where no plan has finite cost.
+
+    rho0, and rho1 on a partial-matching sharing graph, have closed forms in
+    integer arithmetic; every other case is solved densely, the prefixes'
+    matrices being leading blocks of one matrix (:func:`_cost_matrix`
+    rejects an unknown metric).
+    """
+    if metric in ("rho0", "rho1"):
+        count_mu, count_nu = _atom_counts(samples_mu, samples_nu)  # checks the windows
+    if metric == "rho0":
+        group_mu, group_nu = _multiset_groups(samples_mu, samples_nu)
+        return [_rho0_moments(group_mu[:p], group_nu[:q]) for p, q in prefixes]
+    if metric == "rho1":
+        rows, cols, shared = _shared_atom_pairs(samples_mu, samples_nu)
+        out = []
+        for p, q in prefixes:
+            keep = (rows < p) & (cols < q)
+            graph = (count_mu[:p], count_nu[:q], rows[keep], cols[keep], shared[keep])
+            moments = _rho1_matching_moments(*graph)
+            if moments is None:
+                moments = _dense_moments(_rho1_matrix(*graph).astype(float), dispersion)
+            out.append(moments)
+        return out
+    feasible = [not _rho2_infeasible(samples_mu[:p], samples_nu[:q], metric) for p, q in prefixes]
+    if not any(feasible):
+        return [None] * len(prefixes)
+    # the widest prefix with a finite plan holds the others' matrices
+    p, q = max(pq for pq, ok in zip(prefixes, feasible) if ok)
+    C = _cost_matrix(samples_mu[:p], samples_nu[:q], metric)
+    return [_dense_moments(C[:p, :q], dispersion) if ok else None for (p, q), ok in zip(prefixes, feasible)]
 
 
 def estimate_rubinstein_empirical(
@@ -662,29 +852,35 @@ def estimate_rubinstein_empirical(
 ) -> Estimate:
     """Plug-in transport cost between the two empirical sample measures.
 
-    The mean is the exact optimal cost on the sample grid.  How close it sits
-    to the population distance depends on the joint law of the samples:
-    coupled lists sharing atoms tighten it dramatically, independent samples
-    of diffuse processes cannot match any atoms and the estimate saturates at
-    the mean total counts.  The reported std_error is the matched-cost
-    dispersion under the optimal plan divided by sqrt(min(n, m));
-    empirical-measure bias is not corrected -- gauge it with
-    :func:`doubling_diagnostic`.  Infinite costs (rho2 with mismatched counts
-    throughout) yield mean = +inf, not an error.
+    The mean is the exact optimal cost on the sample grid, rounded once.
+    How close it sits to the population distance depends on the joint law of
+    the samples: coupled lists sharing atoms tighten it dramatically,
+    independent samples of diffuse processes cannot match any atoms and the
+    estimate saturates at the mean total counts.
+
+    The reported std_error is sqrt(var / min(n, m)), with var the largest
+    matched-cost dispersion sum(w * (C - mean)^2) over all optimal plans w,
+    rounded once.  It does not depend on which optimal plan a solver
+    returns, and it is never narrower than the one some optimal plan gives.
+    Empirical-measure bias is not corrected -- gauge it with
+    :func:`doubling_diagnostic`.
+
+    rho0 always, and rho1 when each configuration shares atoms with at most
+    one of the other list (as the library's coupled samplers produce), are
+    solved in closed form in integer arithmetic, without a cost matrix or an
+    LP.  Every other case (rho1 on other sharing graphs, rho2, callables) is
+    solved by two dense :func:`emd` solves: one for the optimum, one for the
+    dispersion on the optimal plans.  Infinite costs (rho2 with mismatched
+    counts throughout) yield mean = +inf, not an error.
     """
     if not samples_mu or not samples_nu:
         raise ValidationError("sample lists must be nonempty")
     n, m = len(samples_mu), len(samples_nu)
-    infinite = Estimate(mean=float("inf"), std_error=float("inf"), n_samples=n + m, seed=None)
-    if _rho2_infeasible(samples_mu, samples_nu, metric):
-        return infinite
-    C = _cost_matrix(samples_mu, samples_nu, metric)
-    value, weights = _emd_uniform(C)
-    if math.isinf(value):
-        return infinite
-    var = float(np.sum(weights * (C - value) ** 2) / weights.sum())
-    se = math.sqrt(max(var, 0.0) / min(n, m))
-    return Estimate(mean=value, std_error=se, n_samples=n + m, seed=None)
+    [moments] = _prefix_moments(samples_mu, samples_nu, metric, [(n, m)])
+    if moments is None:
+        return Estimate(mean=float("inf"), std_error=float("inf"), n_samples=n + m, seed=None)
+    mean, var = moments
+    return Estimate(mean=mean, std_error=math.sqrt(var / min(n, m)), n_samples=n + m, seed=None)
 
 
 def doubling_diagnostic(
@@ -694,22 +890,17 @@ def doubling_diagnostic(
 ) -> dict:
     """Convergence diagnostic: estimate on half the samples versus all of them.
 
-    The half lists are the prefixes of the full ones, so their cost matrix is
-    the leading block of the full matrix, which is built once.  Under rho2 a
-    list pair without a finite plan gets +inf without its matrix being built;
-    the half block is then built on its own if it has one.
+    The half lists are the prefixes of the full ones, and each estimate is
+    the mean :func:`estimate_rubinstein_empirical` gives on its lists.  The
+    atoms are interned once for both; a rho2 or callable cost matrix is
+    built once, for the widest of the two list pairs with a finite plan.
     """
     n, m = len(samples_mu), len(samples_nu)
     if n < 2 or m < 2:
         raise ValidationError("need at least two samples per side")
-    half_mu, half_nu = samples_mu[: n // 2], samples_nu[: m // 2]
-    half_cost = full_cost = float("inf")
-    if not _rho2_infeasible(samples_mu, samples_nu, metric):
-        C = _cost_matrix(samples_mu, samples_nu, metric)
-        half_cost, _ = _emd_uniform(C[: n // 2, : m // 2])
-        full_cost, _ = _emd_uniform(C)
-    elif not _rho2_infeasible(half_mu, half_nu, metric):
-        half_cost, _ = _emd_uniform(_cost_matrix(half_mu, half_nu, metric))
+    half, full = _prefix_moments(samples_mu, samples_nu, metric, [(n // 2, m // 2), (n, m)], dispersion=False)
+    half_cost = half[0] if half else float("inf")
+    full_cost = full[0] if full else float("inf")
     gap = (
         abs(full_cost - half_cost)
         if math.isfinite(full_cost) and math.isfinite(half_cost)

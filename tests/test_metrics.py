@@ -121,7 +121,6 @@ class TestRho2:
         a, b = config([[0.0], [0.0]], w), config([[1e154], [1e154]], w)
         assert rho2(a, b) == pytest.approx(math.hypot(1e154, 1e154), rel=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
     def test_gaps_beyond_the_largest_double(self):
         w = Window([-1.7e308], [1.7e308])
         a, b = config([[-1.7e308], [1.7e308]], w), config([[1.7e308], [-1.6e308]], w)
@@ -129,6 +128,17 @@ class TestRho2:
         # the value itself is past the largest double
         a, b = config([[-1.7e308]], w), config([[1.7e308]], w)
         assert rho2(a, b) == math.inf and rho2(b, a) == math.inf
+
+    def test_gaps_beyond_the_largest_double_raise_no_warning(self):
+        # regression: the gaps were formed, and overflowed with a numpy
+        # warning, before the overflow branch halves the atoms
+        w = Window([-1.7e308], [1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = config([[-1.7e308], [1.7e308]], w), config([[1.7e308], [-1.6e308]], w)
+            assert rho2(a, b) == 1.7e308 - 1.6e308 and rho2(b, a) == 1.7e308 - 1.6e308
+            a, b = config([[-1.7e308]], w), config([[1.7e308]], w)
+            assert rho2(a, b) == math.inf and rho2(b, a) == math.inf
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_brute_force(self, dim, seed):

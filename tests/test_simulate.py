@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppt
@@ -18,6 +18,7 @@ from ppt import (
     Window,
 )
 from ppt import simulate
+from ppt.simulate import _BLOCK
 from ppt.bounds import gibbs_normalization_series
 from ppt.cli import parse_density_expr
 from ppt.errors import InternalConsistencyError, SamplerHardnessError, ValidationError
@@ -463,3 +464,24 @@ class TestVInverseTable:
         parts = np.concatenate([tc.v_inverse(r[:k]), tc.v_inverse(r[k:])])
         assert whole.tobytes() == parts.tobytes()
         assert whole.tobytes() == bisection_v_inverse(tc, r).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.one_of(st.integers(0, 40), st.integers(_BLOCK - 40, _BLOCK + 40))] * 2),
+        seed=st.integers(0, 2**32 - 1),
+        nan_in=st.sampled_from(["neither", "first", "second", "both"]),
+    )
+    @example(sizes=(_BLOCK - 1, 2), seed=0, nan_in="neither")  # joined, a block boundary falls inside r2
+    @example(sizes=(_BLOCK + 1, _BLOCK - 1), seed=1, nan_in="second")
+    @example(sizes=(3, _BLOCK), seed=2, nan_in="first")
+    def test_split_batch_is_bit_identical(self, sizes, seed, nan_in):
+        # v_inverse(r1 ++ r2) == v_inverse(r1) ++ v_inverse(r2), with the
+        # joined batch's blocks straddling the split and NaN in some blocks
+        tc = self.TC
+        rng = np.random.default_rng(seed)
+        r1, r2 = (rng.uniform(-1.0, tc.v_end + 1.0, k) for k in sizes)
+        for part, which in ((r1, "first"), (r2, "second")):
+            if part.size and nan_in in (which, "both"):
+                part[rng.integers(part.size)] = math.nan
+        whole = tc.v_inverse(np.concatenate([r1, r2]))
+        assert whole.tobytes() == np.concatenate([tc.v_inverse(r1), tc.v_inverse(r2)]).tobytes()
