@@ -86,12 +86,16 @@ class Window:
             )
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValidationError("window requires lower[i] < upper[i] for all i")
-        # read-only array copies of the bounds, built once: membership tests
-        # run for every atom added to a configuration
+        # read-only array copies of the bounds and the volume, built once:
+        # membership tests run for every atom added to a configuration, and
+        # the volume for every rejection sampler call
         for name, values in (("_lo", self.lower), ("_hi", self.upper)):
             arr = np.array(values, float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        with np.errstate(over="ignore"):  # a window wider than the largest double has volume inf
+            volume = float(np.prod(np.asarray(self.upper) - np.asarray(self.lower)))
+        object.__setattr__(self, "_volume", volume)
 
     @property
     def dim(self) -> int:
@@ -99,7 +103,7 @@ class Window:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(np.asarray(self.upper) - np.asarray(self.lower)))
+        return self._volume
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(lower, upper)`` arrays."""

@@ -2,9 +2,11 @@
 couplings (independent-superposition for the total-variation distance and
 the deterministic time change for the Wasserstein distance on the half-line).
 
-All samplers are pure given their :class:`~ppt.core.SeedSpec`; batch variants
-draw from a single derived stream and are bit-reproducible for a fixed batch
-size.
+All samplers are pure given their :class:`~ppt.core.SeedSpec`.  The Poisson
+batch variants draw a whole batch from one derived stream, so they are
+bit-reproducible for a fixed batch size.
+:meth:`SuperpositionCoupling.sample_batch` gives pair i its own stream,
+``stream_id + i``, so each pair is the same whatever the batch size.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -78,36 +81,73 @@ def rejection_points(sigma: IntensityMeasure, count: int, rng: np.random.Generat
 
     Proposals are uniform on the window, accepted with probability
     density/density_sup; an observed density above the envelope raises.
+    This is the one-stream case of :func:`_rejection_rounds`.
     """
-    if count == 0:
-        return np.empty((0, sigma.window.dim))
-    lo, hi = sigma.window.bounds()
+    return _rejection_rounds(sigma, [count], [rng])
+
+
+def _rejection_rounds(
+    sigma: IntensityMeasure, counts: list[int], rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """Stream k draws ``counts[k]`` points from sigma/sigma(L) with ``rngs[k]``.
+
+    Returns every stream's points in stream order, as one ``(sum(counts), d)``
+    array.  Each round, every stream still short of its count draws its
+    proposals, then its thresholds, from its own generator, sized by what it
+    still needs; one ``density_at`` call covers all streams' proposals, and
+    each stream keeps its first accepted points.  A stream's points therefore
+    do not depend on the other streams: the density is evaluated pointwise,
+    so they equal a run of this loop on that stream alone.  A stream that
+    accepts nothing in more than 100 rounds in a row raises
+    :class:`SamplerHardnessError`.
+    """
+    todo = [int(c) for c in counts]
+    if min(todo) < 0:
+        raise ValidationError("point counts must be nonnegative")
+    active = [k for k, c in enumerate(todo) if c > 0]
     d = sigma.window.dim
+    if not active:
+        return np.empty((0, d))
+    lo, hi = sigma.window.bounds()
     mass = sigma.total_mass
     if mass <= 0:
         raise ValidationError("cannot draw points from a measure with zero total mass")
-    accept_rate = mass / (sigma.density_sup * sigma.window.volume)
-    out = np.empty((count, d))
-    have = 0
-    empty_rounds = 0
-    while have < count:
-        todo = count - have
-        batch = int(todo / max(accept_rate, 1e-3) * 1.2) + 16
-        pts = rng.uniform(lo, hi, size=(batch, d))
-        thresholds = rng.uniform(0.0, sigma.density_sup, size=batch)
-        vals = sigma.density_at(pts)
-        accepted = pts[thresholds < vals]
-        take = min(todo, accepted.shape[0])
-        out[have : have + take] = accepted[:take]
-        have += take
-        empty_rounds = empty_rounds + 1 if take == 0 else 0
-        if empty_rounds > 100:
-            raise SamplerHardnessError(
-                "rejection sampler made no progress; the declared total mass is "
-                "inconsistent with the density",
-                diagnostics={"total_mass": mass, "density_sup": sigma.density_sup},
-            )
-    return out
+    sup = sigma.density_sup
+    rate = max(mass / (sup * sigma.window.volume), 1e-3)
+    chunks: list[list[np.ndarray]] = [[] for _ in todo]
+    empty_rounds = [0] * len(todo)
+    while active:
+        sizes = [int(todo[k] / rate * 1.2) + 16 for k in active]
+        # each generator draws its proposals, then its thresholds
+        proposals = _joined([rngs[k].uniform(lo, hi, size=(m, d)) for k, m in zip(active, sizes)])
+        thresholds = _joined([rngs[k].uniform(0.0, sup, size=m) for k, m in zip(active, sizes)])
+        keep = thresholds < sigma.density_at(proposals)
+        accepted = proposals[keep]
+        short, start, first = [], 0, 0
+        for k, m in zip(active, sizes):
+            got = int(np.count_nonzero(keep[start : start + m]))
+            start += m
+            take = min(todo[k], got)
+            chunks[k].append(accepted[first : first + take])
+            first += got
+            todo[k] -= take
+            if todo[k]:
+                short.append(k)
+                empty_rounds[k] = empty_rounds[k] + 1 if take == 0 else 0
+                if empty_rounds[k] > 100:
+                    raise SamplerHardnessError(
+                        "rejection sampler made no progress; the declared total mass is "
+                        "inconsistent with the density",
+                        diagnostics={"total_mass": mass, "density_sup": sup},
+                    )
+        active = short
+    del proposals, thresholds, keep  # free before the copy below, which can then reuse them
+    return np.concatenate([c for stream in chunks for c in stream])
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(parts)``, without a copy for a single part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _poisson_atoms(sigma: IntensityMeasure, rng: np.random.Generator) -> np.ndarray:
@@ -410,30 +450,63 @@ class SuperpositionCoupling:
         return self.left_extra.total_mass + self.right_extra.total_mass
 
     def sample(self, seed: SeedSpec) -> CoupledPair:
-        rng = seed.rng()
-        shared = _poisson_atoms(self.shared, rng)
-        extra_l = (
-            _poisson_atoms(self.left_extra, rng)
-            if self.left_extra.total_mass > 0
-            else np.empty((0, self.sigma.window.dim))
-        )
-        extra_r = (
-            _poisson_atoms(self.right_extra, rng)
-            if self.right_extra.total_mass > 0
-            else np.empty((0, self.sigma.window.dim))
-        )
-        left = Configuration(np.vstack([shared, extra_l]), self.sigma.window)
-        right = Configuration(np.vstack([shared, extra_r]), self.sigma.window)
-        cost = float(extra_l.shape[0] + extra_r.shape[0])
-        realised = metrics.rho1(left, right)
-        if realised != cost:  # shared atoms cancel exactly; extras never collide a.s.
-            raise InternalConsistencyError(
-                f"superposition cost hint {cost} disagrees with rho1 {realised}"
-            )
-        return CoupledPair(left=left, right=right, cost_hint=cost)
+        """One coupled pair, drawn from ``seed``'s stream."""
+        return self.sample_batch(1, seed)[0]
 
     def sample_batch(self, n: int, seed: SeedSpec) -> list[CoupledPair]:
-        return [self.sample(SeedSpec(seed.seed, seed.stream_id + i)) for i in range(n)]
+        """``n`` independent coupled pairs; pair i is drawn from its own stream.
+
+        Pair i uses ``SeedSpec(seed.seed, seed.stream_id + i).rng()`` alone,
+        so it is the same pair whatever ``n`` is, and equals
+        ``sample(SeedSpec(seed.seed, seed.stream_id + i))``.  Each stream
+        draws, in this order, the shared layer's count and points, then the
+        left extras' and the right extras' (an extra layer with zero mass
+        draws nothing).  The layers are drawn for all pairs at once by
+        :func:`_rejection_rounds`; every atom is checked against the window
+        in one array, and each configuration is a row slice of it.  Each
+        pair's cost hint, its number of extra atoms, is checked against
+        ``metrics.rho1``.
+        """
+        if n < 1:
+            raise ValidationError("batch size must be positive")
+        shared, lefts, rights = self._layer_points(n, seed)
+        window = self.sigma.window
+        # pair i's rows: its left atoms (shared, left extras), then its right ones
+        rows = [x for s, l, r in zip(shared, lefts, rights) for x in (s, l, s, r)]
+        atoms = _checked_atoms(np.concatenate(rows), window)
+        pairs, start = [], 0
+        for common, extra_l, extra_r in zip(shared, lefts, rights):
+            mid = start + len(common) + len(extra_l)
+            end = mid + len(common) + len(extra_r)
+            left = Configuration._trusted(atoms[start:mid], window)
+            right = Configuration._trusted(atoms[mid:end], window)
+            start = end
+            cost = float(len(extra_l) + len(extra_r))
+            realised = metrics.rho1(left, right)
+            if realised != cost:  # shared atoms cancel exactly; extras never collide a.s.
+                raise InternalConsistencyError(
+                    f"superposition cost hint {cost} disagrees with rho1 {realised}"
+                )
+            pairs.append(CoupledPair(left=left, right=right, cost_hint=cost))
+        return pairs
+
+    def _layer_points(self, n: int, seed: SeedSpec) -> list[list[np.ndarray]]:
+        """Each pair's points of the shared, left-extra and right-extra layers.
+
+        The pairs' generators live only in this call, so that the memory
+        they hold is free again before the configurations are built.
+        """
+        rngs = [SeedSpec(seed.seed, seed.stream_id + i).rng() for i in range(n)]
+        layers = []
+        for layer in (self.shared, self.left_extra, self.right_extra):
+            if layer is self.shared or layer.total_mass > 0:
+                counts = [int(rng.poisson(layer.total_mass)) for rng in rngs]
+            else:
+                counts = [0] * n
+            points = _rejection_rounds(layer, counts, rngs)
+            at = [0, *accumulate(counts)]
+            layers.append([points[a:b] for a, b in zip(at, at[1:])])
+        return layers
 
     def estimate_mean_cost(self, n_samples: int, seed: SeedSpec) -> Estimate:
         """Monte Carlo mean of the coupling cost (counts only, vectorised)."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 import ppt
 from ppt.cli import ExperimentSpec, main, parse_density_expr, run_experiment
-from ppt.errors import SpecParseError
+from ppt.errors import SpecParseError, ValidationError
 
 
 class TestDensityGrammar:
@@ -217,6 +218,61 @@ class TestVerifyScenarios:
         )
         with pytest.raises(SpecParseError):
             run_experiment(spec)
+
+
+def _spec(kind, parameters, seed, n_samples, stream=0):
+    return ExperimentSpec.from_dict(
+        {
+            "kind": kind,
+            "parameters": parameters,
+            "seed": {"seed": seed, "stream_id": stream},
+            "n_samples": n_samples,
+        }
+    )
+
+
+class TestCoupledPairCounts:
+    @pytest.mark.parametrize("pairs", [0, -2])
+    def test_verify_poisson_tightness_rejects_empty_batches(self, pairs):
+        spec = _spec("verify", {"scenario": "poisson-tightness", "pairs": pairs}, 1, 50)
+        with pytest.raises(ValidationError, match="batch size must be positive"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("pairs", [0, -2])
+    def test_estimate_rubinstein_rejects_empty_batches(self, pairs):
+        parameters = {"estimator": "rubinstein", "p": "const:2", "window": [0, 1], "pairs": pairs}
+        with pytest.raises(ValidationError, match="batch size must be positive"):
+            run_experiment(_spec("estimate", parameters, 1, 50))
+
+
+class TestPinnedReportBytes:
+    """SHA-256 prefixes of ``Report.canonical_bytes`` at seed 2025, as the
+    benchmark's ``results_sha`` computes them."""
+
+    @staticmethod
+    def digest(*payloads):
+        return hashlib.sha256(b"\n".join(payloads)).hexdigest()[:16]
+
+    def test_verify_poisson_tightness(self):
+        payloads = [
+            run_experiment(
+                _spec("verify", {"scenario": "poisson-tightness", "pairs": 400}, 2025, 20_000, stream)
+            ).canonical_bytes()
+            for stream in (0, 10_000)
+        ]
+        assert self.digest(*payloads) == "4d5fb92c27256128"
+
+    def test_estimate_rubinstein_rho2(self):
+        parameters = {
+            "estimator": "rubinstein",
+            "p": "const:2",
+            "window": [0, 1],
+            "metric": "rho2",
+            "coupled": True,
+            "pairs": 200,
+        }
+        report = run_experiment(_spec("estimate", parameters, 2025, 10_000))
+        assert self.digest(report.canonical_bytes()) == "c031269c86b1246b"
 
 
 class TestMainEntry:

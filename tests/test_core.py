@@ -33,6 +33,10 @@ class TestWindow:
         assert w.dim == 2
         assert w.volume == pytest.approx(8.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_wider_than_the_largest_double_has_infinite_volume(self):
+        assert Window([-1e308, 0.0], [1e308, 1.0]).volume == math.inf
+
     def test_requires_lower_below_upper(self):
         with pytest.raises(ValidationError):
             Window([1.0], [1.0])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -279,6 +280,135 @@ class TestSuperposition:
         assert sc.right_extra.total_mass == pytest.approx(0.25, rel=1e-8)
         est = sc.estimate_mean_cost(50_000, SeedSpec(13))
         assert abs(est.mean - 0.5) <= 3.0 * est.std_error
+
+
+def per_pair_rejection(sigma, count, rng, rounds):
+    """The one-stream rejection loop as it ran before streams were batched;
+    appends its number of rounds to ``rounds``."""
+    if count == 0:
+        rounds.append(0)
+        return np.empty((0, sigma.window.dim))
+    lo, hi = sigma.window.bounds()
+    d = sigma.window.dim
+    accept_rate = sigma.total_mass / (sigma.density_sup * sigma.window.volume)
+    out = np.empty((count, d))
+    have = k = 0
+    while have < count:
+        k += 1
+        todo = count - have
+        batch = int(todo / max(accept_rate, 1e-3) * 1.2) + 16
+        pts = rng.uniform(lo, hi, size=(batch, d))
+        thresholds = rng.uniform(0.0, sigma.density_sup, size=batch)
+        accepted = pts[thresholds < sigma.density_at(pts)]
+        take = min(todo, accepted.shape[0])
+        out[have : have + take] = accepted[:take]
+        have += take
+    rounds.append(k)
+    return out
+
+
+def per_pair_superposition(sc, seed, rounds):
+    """``SuperpositionCoupling.sample`` as it ran before streams were batched:
+    (left atoms, right atoms, cost hint) of the pair at ``seed``."""
+    rng = seed.rng()
+    d = sc.sigma.window.dim
+
+    def layer(measure):
+        return per_pair_rejection(measure, int(rng.poisson(measure.total_mass)), rng, rounds)
+
+    shared = layer(sc.shared)
+    extra_l = layer(sc.left_extra) if sc.left_extra.total_mass > 0 else np.empty((0, d))
+    extra_r = layer(sc.right_extra) if sc.right_extra.total_mass > 0 else np.empty((0, d))
+    left = ppt.Configuration(np.vstack([shared, extra_l]), sc.sigma.window)
+    right = ppt.Configuration(np.vstack([shared, extra_r]), sc.sigma.window)
+    return left.atoms, right.atoms, float(extra_l.shape[0] + extra_r.shape[0])
+
+
+def _coupling(sigma, p_expr):
+    return SuperpositionCoupling(sigma, parse_density_expr(p_expr))
+
+
+class TestBatchedSuperposition:
+    """Every stream of a batch is drawn exactly as it was drawn alone."""
+
+    CASES = {
+        "right extras only": (Window([0.0], [1.0]), "const:1", "const:2"),
+        "both extras": (Window([0.0], [1.0]), "const:1", "step:0.5,0.2,3"),
+        "left extras only": (Window([0.0], [1.0]), "const:1", "const:0.4"),
+        "2-d window": (Window([0.0, 0.0], [1.0, 2.0]), "const:2.5", "step:0.5,0.5,2"),
+        # x^8 against its envelope 1 accepts 1/9 of the proposals
+        "low acceptance": (Window([0.0], [1.0]), "poly:0,0,0,0,0,0,0,0,3", "poly:0,2"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_batch_equals_per_pair_draws(self, case):
+        window, density, p_expr = self.CASES[case]
+        fn = parse_density_expr(density)
+        sc = _coupling(IntensityMeasure(fn, window, fn.sup_on(window)), p_expr)
+        seed = SeedSpec(2025, 7)
+        pairs = sc.sample_batch(150, seed)
+        rounds = []
+        for i, pair in enumerate(pairs):
+            left, right, cost = per_pair_superposition(sc, SeedSpec(2025, 7 + i), rounds)
+            assert pair.left.atoms.tobytes() == left.tobytes()
+            assert pair.right.atoms.tobytes() == right.tobytes()
+            assert pair.left.atoms.shape == left.shape and pair.right.atoms.shape == right.shape
+            assert pair.cost_hint == cost
+            assert pair.left.window is window and not pair.left.atoms.flags.writeable
+        if case == "low acceptance":
+            assert max(rounds) >= 2  # some stream drew a second rejection round
+
+    def test_pair_does_not_depend_on_batch_size(self, lebesgue):
+        sc = _coupling(lebesgue, "step:0.5,0.2,3")
+        big = sc.sample_batch(40, SeedSpec(3, 100))
+        small = sc.sample_batch(5, SeedSpec(3, 135))
+        for a, b in zip(big[35:], small):
+            assert a.left.atoms.tobytes() == b.left.atoms.tobytes()
+            assert a.right.atoms.tobytes() == b.right.atoms.tobytes()
+
+    def test_sample_is_the_batch_of_one(self, lebesgue):
+        sc = _coupling(lebesgue, "step:0.5,0.2,3")
+        for i in range(10):
+            one = sc.sample(SeedSpec(4, i))
+            batch = sc.sample_batch(1, SeedSpec(4, i))[0]
+            assert one.left.atoms.tobytes() == batch.left.atoms.tobytes()
+            assert one.right.atoms.tobytes() == batch.right.atoms.tobytes()
+            assert one.cost_hint == batch.cost_hint
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_batch_rejected(self, lebesgue, n):
+        with pytest.raises(ValidationError, match="batch size must be positive"):
+            _coupling(lebesgue, "const:2").sample_batch(n, SeedSpec(1))
+
+    def test_rejection_points_bytes_pinned(self):
+        fn = parse_density_expr("poly:0,0,0,0,0,0,0,0,3")
+        sigma = IntensityMeasure(fn, Window([0.0], [1.0]), 3.0)
+        pts = simulate.rejection_points(sigma, 200, np.random.default_rng(5))
+        assert pts.shape == (200, 1)
+        assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == "8e013124a55a7dda"
+        assert pts.tobytes() == per_pair_rejection(sigma, 200, np.random.default_rng(5), []).tobytes()
+
+    def test_negative_count_rejected(self, lebesgue):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            simulate.rejection_points(lebesgue, -1, np.random.default_rng(0))
+
+    def test_envelope_violation_raises_from_the_batch(self, lebesgue):
+        lying = IntensityMeasure(
+            lambda x: np.full(np.shape(x)[:-1], 2.0), lebesgue.window, 1.0, total_mass_hint=2.0
+        )
+        sc = SuperpositionCoupling(lying, parse_density_expr("const:2"))
+        with pytest.raises(ppt.EnvelopeViolationError):
+            sc.sample_batch(20, SeedSpec(5))
+
+    def test_no_progress_raises_from_the_batch(self, lebesgue):
+        # a zero density that declares mass 5: every left-extra proposal is rejected
+        empty = IntensityMeasure(
+            lambda x: np.zeros(np.shape(x)[:-1]), lebesgue.window, 1.0, total_mass_hint=5.0
+        )
+        sc = SuperpositionCoupling(empty, parse_density_expr("const:2"))
+        assert sc.left_extra.total_mass == 5.0
+        with pytest.raises(SamplerHardnessError):
+            sc.sample_batch(20, SeedSpec(6))
 
 
 def rational_timechange(scale=1.0, horizon=30.0):
