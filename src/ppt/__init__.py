@@ -72,6 +72,7 @@ from .bounds import (
     bound_w2_halfline,
     bound_w2_timechange,
     bound_w2_timechange_family,
+    gibbs_count_law_rho1,
     gibbs_density,
     gibbs_normalization_mc,
     gibbs_normalization_series,

@@ -47,6 +47,7 @@ __all__ = [
     "gibbs_density",
     "gibbs_normalization_series",
     "gibbs_normalization_mc",
+    "gibbs_count_law_rho1",
     "nested_gradient_mc",
 ]
 
@@ -411,20 +412,43 @@ def poisson_density(p: Callable, sigma: IntensityMeasure) -> Callable[[Configura
     return L
 
 
-def gibbs_normalization_series(c: float, mass: float, include_diagonal: bool = True, terms: int = 400) -> float:
-    """Exact acceptance probability E exp(-V) for a constant potential:
-    the Poisson series over counts with V(n) = c n^2 (diagonal in) or c n(n-1)."""
+def _gibbs_count_weights(c: float, mass: float, terms: int) -> tuple[list[float], list[float]]:
+    """Poisson count pmf(k) and the unnormalised Gibbs count weights
+    pmf(k) e^{-c k(k-1)}, for k = 0, 1, ... (at most ``terms`` of them)."""
     if c < 0 or mass < 0:
         raise ValidationError("series needs c >= 0 and mass >= 0")
-    total = 0.0
+    pmf, weights = [], []
     log_pmf = -mass
     for k in range(terms):
-        v = c * (k * k if include_diagonal else k * (k - 1))
-        total += math.exp(log_pmf - v)
+        pmf.append(math.exp(log_pmf))
+        weights.append(math.exp(log_pmf - c * k * (k - 1)))
         log_pmf += math.log(mass) - math.log(k + 1) if mass > 0 else -math.inf
         if mass == 0:
             break
-    return total
+    return pmf, weights
+
+
+def gibbs_normalization_series(c: float, mass: float, terms: int = 400) -> float:
+    """Exact acceptance probability E exp(-V) for a constant potential:
+    the Poisson series over counts with V(n) = c n(n-1)."""
+    return sum(_gibbs_count_weights(c, mass, terms)[1])
+
+
+def gibbs_count_law_rho1(c: float, mass: float) -> float:
+    """Exact W_rho1 between Poisson(sigma) and the Gibbs law of a constant
+    potential ``c``, for an intensity of total mass ``mass``.
+
+    V depends on the atom count alone, so given the count both laws place
+    i.i.d. atoms from sigma/mass.  The count is 1-Lipschitz for rho1 and
+    nesting the smaller configuration in the larger attains |N - M|, so the
+    distance is the W1 distance of the two count laws, sum_k |F_P(k) - F_G(k)|.
+    """
+    pmf, weights = _gibbs_count_weights(c, mass, 400)
+    if not 1.0 - sum(pmf) <= 1e-12:
+        raise ValidationError(f"mass {mass} is too large for the 400-term count series")
+    poisson = np.cumsum(pmf)
+    gibbs = np.cumsum(np.array(weights) / sum(weights))
+    return float(np.abs(poisson - gibbs).sum())
 
 
 def gibbs_normalization_mc(
@@ -432,13 +456,10 @@ def gibbs_normalization_mc(
     sigma: IntensityMeasure,
     n_samples: int,
     seed: SeedSpec,
-    include_diagonal: bool = True,
 ) -> Estimate:
     """Monte Carlo estimate of E exp(-V) under Poisson(sigma)."""
     configs = poisson_batch_with_rng(sigma, n_samples, seed.rng())
-    vals = np.array(
-        [math.exp(-interaction_energy(phi, w, include_diagonal)) for w in configs]
-    )
+    vals = np.array([math.exp(-interaction_energy(phi, w)) for w in configs])
     return estimate_from_values(vals, seed)
 
 
@@ -446,7 +467,6 @@ def gibbs_density(
     phi: Callable,
     sigma: IntensityMeasure,
     normalization: float,
-    include_diagonal: bool = True,
 ) -> Callable[[Configuration], float]:
     """Normalised Gibbs density exp(-V)/normalization with respect to Poisson(sigma).
 
@@ -457,12 +477,12 @@ def gibbs_density(
         raise ValidationError("normalization must be positive")
 
     def L(config: Configuration) -> float:
-        return math.exp(-interaction_energy(phi, config, include_diagonal)) / normalization
+        return math.exp(-interaction_energy(phi, config)) / normalization
 
     def stack(atoms: np.ndarray, window) -> np.ndarray:
-        energies = _stacked_energy(phi, atoms, include_diagonal).tolist()
+        energies = _stacked_energy(phi, atoms).tolist()
         return np.array([math.exp(-v) / normalization for v in energies])
 
     L.stack = stack
-    L.expr = f"gibbs_density({_fn_label(phi)},z={normalization!r},diag={include_diagonal})"
+    L.expr = f"gibbs_density({_fn_label(phi)},z={normalization!r})"
     return L

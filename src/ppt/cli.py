@@ -218,7 +218,7 @@ def _require(params: dict, key: str, path: str = "parameters"):
 
 _PARAM_KEYS = {
     "distance": {"metric", "left", "right", "window", "hex_floats"},
-    "sample": {"family", "density", "window", "n_configs", "mixer", "phi", "include_diagonal", "hex_floats"},
+    "sample": {"family", "density", "window", "n_configs", "mixer", "phi", "hex_floats"},
     "bound": {"family", "p", "density", "window", "mixer", "phi", "horizon", "scale", "marks_mass"},
     "estimate": {"estimator", "p", "density", "window", "metric", "pairs", "coupled", "horizon", "scale", "phi"},
     "tail": {"mass", "r", "masses", "rs", "eta_size"},
@@ -359,6 +359,8 @@ def _run_sample(spec: ExperimentSpec) -> dict:
     sigma = _intensity_from_params(p, "parameters")
     family = p.get("family", "poisson")
     n_configs = int(p.get("n_configs", 1))
+    if n_configs < 1:
+        raise SpecParseError("n_configs must be positive", where="parameters.n_configs")
     hex_floats = bool(p.get("hex_floats", False))
     out: dict = {"family": family, "configurations": []}
     if family == "poisson":
@@ -370,13 +372,10 @@ def _run_sample(spec: ExperimentSpec) -> dict:
         ]
     elif family == "gibbs":
         phi = parse_density_expr(p.get("phi", "const:0.0"))
-        include_diagonal = bool(p.get("include_diagonal", True))
         configs = []
         accept = []
         for i in range(n_configs):
-            cfg, acc = simulate.sample_gibbs(
-                phi, sigma, spec.seed.child(i), include_diagonal=include_diagonal
-            )
+            cfg, acc = simulate.sample_gibbs(phi, sigma, spec.seed.child(i))
             configs.append(cfg)
             accept.append(acc)
         out["acceptance"] = {
@@ -601,24 +600,39 @@ def _scenario_poisson_tightness(spec: ExperimentSpec) -> dict:
 def _scenario_gibbs_bound(spec: ExperimentSpec) -> dict:
     p = spec.parameters
     sigma = _intensity_from_params({"window": p.get("window", [0.0, 1.0])}, "parameters")
-    phi = parse_density_expr(p.get("phi", "const:0.05"))
+    phi_expr = p.get("phi", "const:0.05")
+    phi = parse_density_expr(phi_expr)
     pairs = int(p.get("pairs", 200))
     bound = bounds_mod.bound_tv_gibbs(phi, sigma)
     proposals, accepted, acc = simulate.sample_gibbs_coupled(phi, sigma, pairs, spec.seed)
+    # -n is 1-Lipschitz for rho1, so its mean gap lower-bounds W_rho1
+    dual = transport.dual_lower_bound(lambda w: -float(w.n), proposals, accepted)
+    # a plug-in estimate with no theorem tying it to the bound: reported only
     primal = transport.estimate_rubinstein_empirical(proposals, accepted, "rho1")
-    assertions = [
-        _assertion(
-            "primal_below_bound",
-            primal.mean <= bound.value + 3 * primal.std_error,
-            f"{primal.mean:.6g} <= {bound.value:.6g} + 3*{primal.std_error:.3g}",
-        )
-    ]
-    return {
+    results = {
         "bound": bound.to_dict(),
         "acceptance": acc.to_dict(),
+        "dual_witness": dual.to_dict(),
         "primal_empirical": primal.to_dict(),
-        "assertions": assertions,
     }
+    assertions = [
+        _assertion(
+            "dual_below_bound",
+            dual.mean <= bound.value + 3 * dual.std_error,
+            f"{dual.mean:.6g} <= {bound.value:.6g} + 3*{dual.std_error:.3g}",
+        )
+    ]
+    head, _, body = phi_expr.partition(":")
+    if head == "const":
+        # V depends on the count alone, so W_rho1 is known exactly
+        (c,) = _parse_floats(body, phi_expr, len(head) + 1)
+        exact = bounds_mod.gibbs_count_law_rho1(c, sigma.total_mass)
+        results["exact_count_law_rho1"] = exact
+        assertions.append(
+            _assertion("exact_below_bound", exact <= bound.value, f"{exact:.6g} <= {bound.value:.6g}")
+        )
+    results["assertions"] = assertions
+    return results
 
 
 def _scenario_halfline(spec: ExperimentSpec) -> dict:
@@ -798,7 +812,10 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     try:
         results = _RUNNERS[spec.kind](spec)
     except PPTError as exc:
-        raise type(exc)(f"{exc} [spec kind={spec.kind}]") from exc
+        # re-raise the same error, so that ``where``, ``diagnostics`` and
+        # ``trace`` reach the caller
+        exc.args = (f"{exc} [spec kind={spec.kind}]",)
+        raise
     wall = int(round(1000 * (time.perf_counter() - start)))
     # grid experiments (tail grids, verify tail-grid) also get a CSV side table
     csv_rows = results.get("grid", [])

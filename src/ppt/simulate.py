@@ -260,46 +260,38 @@ def sample_cox(base: IntensityMeasure, mixer, seed: SeedSpec) -> Configuration:
 # --------------------------------------------------------------------------
 
 
-def interaction_energy(
-    phi: Callable[[np.ndarray], float],
-    config: Configuration,
-    include_diagonal: bool = True,
-) -> float:
-    """Pairwise interaction energy: sum of phi(x - y) over ordered atom pairs.
+def interaction_energy(phi: Callable[[np.ndarray], float], config: Configuration) -> float:
+    """Pairwise interaction energy V = sum over i != j of phi(x_i - x_j).
 
-    The diagonal contributes n * phi(0) by default, matching an integral of
-    phi against the full product measure of the configuration with itself;
-    many spatial-statistics conventions drop it, hence the flag.
+    The sum runs over ordered pairs of distinct atoms, so the diagonal
+    i == j contributes nothing.  This is the energy that
+    :func:`ppt.bounds.bound_tv_gibbs` linearises.
     """
-    return float(_stacked_energy(phi, config.atoms[None], include_diagonal)[0])
+    return float(_stacked_energy(phi, config.atoms[None])[0])
 
 
-def _stacked_energy(phi, atoms: np.ndarray, include_diagonal: bool) -> np.ndarray:
+def _stacked_energy(phi, atoms: np.ndarray) -> np.ndarray:
     """:func:`interaction_energy` of each row of a ``(k, n, d)`` atom stack.
 
     One ``phi`` call, on an ``(m, d)`` array as for a single configuration,
     covers the pairs of every row.  Each row's energy is bit-identical to a
-    running sum over its pairs (i < j in row-major order), plus ``n * phi(0)``
-    when the diagonal is included.  Rows with no atoms have energy 0.0.
+    running sum over its pairs (i < j in row-major order).  Rows with fewer
+    than two atoms have energy 0.0.
     """
     k, n, dim = atoms.shape
-    total = np.zeros(k)
-    if n >= 2:
-        i, j = np.triu_indices(n, 1)  # pairs i < j in row-major order
-        diffs = (atoms[:, i] - atoms[:, j]).reshape(-1, dim)
-        pair_terms = 2.0 * eval_points(phi, diffs).reshape(k, i.size)
-        # cumsum adds left to right along the pair axis
-        total = np.cumsum(pair_terms, axis=1)[:, -1]
-    if include_diagonal and n:
-        total = total + n * float(eval_points(phi, np.zeros(dim)))
-    return total
+    if n < 2:
+        return np.zeros(k)
+    i, j = np.triu_indices(n, 1)  # pairs i < j in row-major order
+    diffs = (atoms[:, i] - atoms[:, j]).reshape(-1, dim)
+    pair_terms = 2.0 * eval_points(phi, diffs).reshape(k, i.size)
+    # cumsum adds left to right along the pair axis
+    return np.cumsum(pair_terms, axis=1)[:, -1]
 
 
 def _gibbs_rejection(
     phi,
     sigma: IntensityMeasure,
     rng: np.random.Generator,
-    include_diagonal: bool,
     acceptance_floor: float,
     collect_proposals: list | None = None,
 ) -> tuple[Configuration, int]:
@@ -309,7 +301,7 @@ def _gibbs_rejection(
         proposal = Configuration(_poisson_atoms(sigma, rng), sigma.window)
         if collect_proposals is not None:
             collect_proposals.append(proposal)
-        v = interaction_energy(phi, proposal, include_diagonal)
+        v = interaction_energy(phi, proposal)
         if v < 0:
             raise ValidationError("pair potential must be nonnegative")
         energies.append(v)
@@ -331,18 +323,18 @@ def sample_gibbs(
     phi: Callable[[np.ndarray], float],
     sigma: IntensityMeasure,
     seed: SeedSpec,
-    include_diagonal: bool = True,
     acceptance_floor: float = 1e-4,
 ) -> tuple[Configuration, Estimate]:
     """Exact draw from the Gibbs law with density proportional to exp(-V).
 
-    V is the pairwise energy of ``phi`` (see :func:`interaction_energy`).
+    V is the pairwise energy sum over i != j of phi(x_i - x_j), with no
+    diagonal term (see :func:`interaction_energy`).
     Because phi >= 0 gives exp(-V) <= 1, plain rejection from Poisson
     proposals is exact.  Returns the accepted configuration together with a
     one-run acceptance-rate estimate (1/number of proposals, geometric MLE).
     """
     rng = seed.rng()
-    config, k = _gibbs_rejection(phi, sigma, rng, include_diagonal, acceptance_floor)
+    config, k = _gibbs_rejection(phi, sigma, rng, acceptance_floor)
     p_hat = 1.0 / k
     se = p_hat * math.sqrt(max(1.0 - p_hat, 0.0)) if k > 1 else 0.0
     return config, Estimate(mean=p_hat, std_error=se, n_samples=k, seed=seed)
@@ -353,7 +345,6 @@ def sample_gibbs_coupled(
     sigma: IntensityMeasure,
     n: int,
     seed: SeedSpec,
-    include_diagonal: bool = True,
     acceptance_floor: float = 1e-4,
 ) -> tuple[list[Configuration], list[Configuration], Estimate]:
     """Coupled Poisson and Gibbs sample lists from one rejection stream.
@@ -371,9 +362,7 @@ def sample_gibbs_coupled(
     proposals: list[Configuration] = []
     accepted: list[Configuration] = []
     while len(accepted) < n:
-        config, _ = _gibbs_rejection(
-            phi, sigma, rng, include_diagonal, acceptance_floor, collect_proposals=proposals
-        )
+        config, _ = _gibbs_rejection(phi, sigma, rng, acceptance_floor, collect_proposals=proposals)
         accepted.append(config)
     total_props = len(proposals)  # always >= n: every acceptance consumed a proposal
     p_hat = n / total_props

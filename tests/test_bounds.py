@@ -118,18 +118,28 @@ class TestGibbsBound:
         gibbs /= gibbs.sum()
         return float(np.abs(np.cumsum(poisson) - np.cumsum(gibbs)).sum())
 
-    def test_exact_count_law_rho1_of_the_diagonal_law(self, lebesgue):
-        # with the diagonal the energy of k atoms is 0.05 k^2
+    def test_exact_count_law_rho1_of_the_gibbs_law(self, lebesgue):
+        # the energy of k atoms is 0.05 k(k-1)
         got = self.exact_count_law_rho1(parse_density_expr("const:0.05"), lebesgue)
-        assert got == pytest.approx(0.12504, abs=5e-6)
+        assert got == pytest.approx(0.0838040501545, abs=1e-12)
+        assert ppt.gibbs_count_law_rho1(0.05, 1.0) == pytest.approx(got, abs=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="bound_tv_gibbs integrates the off-diagonal energy (0.1); the samplers keep the diagonal",
-    )
     def test_bound_dominates_the_exact_count_law_rho1(self, lebesgue):
         phi = parse_density_expr("const:0.05")
         assert self.exact_count_law_rho1(phi, lebesgue) <= bound_tv_gibbs(phi, lebesgue).value
+
+    def test_count_law_rho1_edges(self):
+        assert ppt.gibbs_count_law_rho1(0.0, 3.0) == pytest.approx(0.0, abs=1e-15)  # the laws agree
+        assert ppt.gibbs_count_law_rho1(0.5, 0.0) == 0.0  # both laws are the empty configuration
+        with pytest.raises(ValidationError):  # the Poisson pmf underflows to 0
+            ppt.gibbs_count_law_rho1(0.05, 1000.0)
+
+    def test_normalization_mc_agrees_with_the_series(self, lebesgue):
+        series = gibbs_normalization_series(0.05, 1.0)
+        assert series == pytest.approx(0.95728, abs=5e-6)
+        got = ppt.gibbs_normalization_mc(parse_density_expr("const:0.05"), lebesgue, 4000, SeedSpec(0))
+        assert got.n_samples == 4000
+        assert abs(got.mean - series) <= 3.0 * got.std_error
 
 
 class TestHalflineBound:
@@ -175,25 +185,27 @@ class TestGeneralBound:
         # with the off-diagonal energy the linearisation chain gives
         # E int |grad L| <= 2 double-integral of phi, here 0.1
         phi = parse_density_expr("const:0.05")
-        z = gibbs_normalization_series(0.05, 1.0, include_diagonal=False)
-        L = gibbs_density(phi, lebesgue, z, include_diagonal=False)
+        z = gibbs_normalization_series(0.05, 1.0)
+        L = gibbs_density(phi, lebesgue, z)
         got = bound_tv_general(L, lebesgue, 3000, SeedSpec(22), inner_samples=32)
         closed = bound_tv_gibbs(phi, lebesgue).value
         assert got.value <= closed + 3.0 * got.std_error
 
-    def test_gibbs_density_diagonal_matches_series_oracle(self, lebesgue):
-        # independent series oracle for E int |grad L| with the diagonal kept:
-        # sum_k pmf(k) e^{-c k^2} (1 - e^{-(2ck + c)}) / Z
+    def test_gibbs_density_matches_series_oracle(self, lebesgue):
+        # independent series oracle for E int |grad L| with V(k) = c k(k-1):
+        # adding an atom to k raises V by 2ck, so
+        # sum_k pmf(k) e^{-c k(k-1)} (1 - e^{-2ck}) / Z
         c = 0.05
-        z = gibbs_normalization_series(c, 1.0, include_diagonal=True)
+        z = gibbs_normalization_series(c, 1.0)
         exact = (
             sum(
-                math.exp(-1.0) / math.factorial(k) * math.exp(-c * k * k)
-                * (1.0 - math.exp(-(2 * c * k + c)))
+                math.exp(-1.0) / math.factorial(k) * math.exp(-c * k * (k - 1))
+                * (1.0 - math.exp(-2 * c * k))
                 for k in range(60)
             )
             / z
         )
+        assert exact == pytest.approx(0.0838040501545, abs=1e-12)
         L = gibbs_density(parse_density_expr("const:0.05"), lebesgue, z)
         got = bound_tv_general(L, lebesgue, 4000, SeedSpec(23), inner_samples=32)
         assert abs(got.value - exact) <= 3.0 * got.std_error
@@ -332,8 +344,7 @@ class TestGeneralBound:
 
         functionals = {
             "poisson": poisson_density(p, sigma),
-            "gibbs-diag": gibbs_density(phi, sigma, 0.8),
-            "gibbs-off": gibbs_density(phi, sigma, 0.8, include_diagonal=False),
+            "gibbs": gibbs_density(phi, sigma, 0.8),
             "leq": CountThresholdEvent(k=int(mass)),
             "leq-region": CountThresholdEvent(k=int(mass) // 2, region=region),
             "geq": CountAtLeastEvent(m=int(mass) + 1),

@@ -245,6 +245,32 @@ class TestCoupledPairCounts:
             run_experiment(_spec("estimate", parameters, 1, 50))
 
 
+class TestSampleSpec:
+    def test_include_diagonal_key_is_rejected(self):
+        parameters = {"family": "gibbs", "window": [0, 1], "phi": "const:0.05", "include_diagonal": False}
+        with pytest.raises(SpecParseError) as err:
+            _spec("sample", parameters, 1, 10)
+        assert err.value.where == "parameters.include_diagonal"
+
+    @pytest.mark.parametrize("family", ["poisson", "cox", "gibbs"])
+    @pytest.mark.parametrize("n_configs", [0, -2])
+    def test_nonpositive_n_configs_is_a_spec_error(self, family, n_configs, tmp_path):
+        parameters = {
+            "family": family,
+            "window": [0, 1],
+            "n_configs": n_configs,
+            **({"mixer": {"family": "constant", "value": 1.0}} if family == "cox" else {}),
+        }
+        with pytest.raises(SpecParseError) as err:
+            run_experiment(_spec("sample", parameters, 1, 10))
+        # run_experiment adds the kind to the message and keeps ``where``
+        assert err.value.where == "parameters.n_configs"
+        assert str(err.value) == "n_configs must be positive [spec kind=sample]"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "sample", "parameters": parameters}))
+        assert main(["sample", "--spec", str(spec_path)]) == 2
+
+
 class TestPinnedReportBytes:
     """SHA-256 prefixes of ``Report.canonical_bytes`` at seed 2025, as the
     benchmark's ``results_sha`` computes them."""
@@ -273,6 +299,22 @@ class TestPinnedReportBytes:
         }
         report = run_experiment(_spec("estimate", parameters, 2025, 10_000))
         assert self.digest(report.canonical_bytes()) == "c031269c86b1246b"
+
+    def test_verify_gibbs_bound(self):
+        report = run_experiment(_spec("verify", {"scenario": "gibbs-bound"}, 2025, 10_000))
+        assert report.all_assertions_passed()
+        assert self.digest(report.canonical_bytes()) == "c490b79dbc946ee9"
+
+    def test_sample_gibbs(self):
+        parameters = {
+            "family": "gibbs",
+            "window": [[0, 0], [1, 1]],
+            "density": "const:200",
+            "phi": "poly:1e-5,0,6e-5",
+            "n_configs": 10,
+        }
+        report = run_experiment(_spec("sample", parameters, 2025, 10_000))
+        assert self.digest(report.canonical_bytes()) == "c81a9646032f3074"
 
 
 class TestMainEntry:

@@ -47,11 +47,16 @@ def per_pair(mu, nu, fn):
 def old_rho2(omega, eta):
     """rho2 as it was computed before the one-atom shortcut and the rescaling
     of tiny gaps; None when the squared gap of a matched pair of distinct
-    atoms is below the smallest normal double, where this formula loses it."""
+    atoms is below the smallest normal double, where this formula loses it.
+
+    The arguments are taken in the order ``metrics.rho2`` documents, which
+    depends only on the multisets of atoms."""
     if omega.n != eta.n:
         return math.inf
     if omega.n == 0:
         return 0.0
+    if omega.n > 1 and sorted(eta.atoms.tolist()) < sorted(omega.atoms.tolist()):
+        omega, eta = eta, omega
     gaps = omega.atoms[:, None, :] - eta.atoms[None, :, :]
     sq = np.einsum("ijk,ijk->ij", gaps, gaps)
     perm, _ = assignment_solve(sq)
@@ -101,8 +106,19 @@ def test_interned_rho0_rho1_equal_the_per_pair_loop(lists):
         assert_bitwise_equal(_cost_matrix(mu, nu, name), per_pair(mu, nu, getattr(metrics, name)))
 
 
+def configs_2d(*rows):
+    window = Window([-1.0, -1.0], [1.0, 1.0])
+    return [Configuration(np.array(r, float).reshape(-1, 2), window) for r in rows]
+
+
 @settings(max_examples=200, deadline=None)
 @given(sample_lists(max_atoms=3))
+@example(  # old_rho2 in storage order differs from rho2 here in the last bit
+    (
+        configs_2d([(-0.0, 7.828275135559407e-80), (-0.0, -0.0), (-0.0, -0.0)]),
+        configs_2d([(-0.0, -0.0), (-0.5, 0.9999999999999999), (1.0, 0.07260059688572773)]),
+    )
+)
 def test_rho2_count_screen_equals_the_per_pair_loop(lists):
     mu, nu = lists
     want = per_pair(mu, nu, metrics.rho2)

@@ -158,10 +158,10 @@ class TestSampleGibbs:
         assert acc.mean == 1.0 and acc.n_samples == 1
 
     def test_acceptance_rate_matches_series(self, lebesgue):
-        # acceptance probability is the Poisson series of exp(-c n^2)
+        # acceptance probability is the Poisson series of exp(-c n(n-1))
         c = 0.3
         phi = parse_density_expr(f"const:{c}")
-        expected = gibbs_normalization_series(c, 1.0, include_diagonal=True)
+        expected = gibbs_normalization_series(c, 1.0)
         _, _, acc = ppt.sample_gibbs_coupled(phi, lebesgue, 2000, SeedSpec(7))
         se = math.sqrt(expected * (1 - expected) / acc.n_samples)
         assert abs(acc.mean - expected) <= 3.0 * se
@@ -181,8 +181,7 @@ class TestSampleGibbs:
     def test_interaction_energy_diagonal_convention(self, unit_window):
         phi = parse_density_expr("const:0.1")
         cfg = ppt.Configuration([[0.2], [0.8]], unit_window)
-        assert ppt.interaction_energy(phi, cfg) == pytest.approx(0.4)  # c n^2
-        assert ppt.interaction_energy(phi, cfg, include_diagonal=False) == pytest.approx(0.2)
+        assert ppt.interaction_energy(phi, cfg) == pytest.approx(0.2)  # c n(n-1): no diagonal
 
     @pytest.mark.parametrize("n", [0, 1, 2, 37])
     def test_interaction_energy_equals_pair_loop(self, n):
@@ -194,8 +193,7 @@ class TestSampleGibbs:
         for i in range(n):
             for j in range(i + 1, n):
                 want += 2.0 * float(phi(cfg.atoms[i] - cfg.atoms[j]))
-        assert ppt.interaction_energy(phi, cfg, include_diagonal=False) == want
-        assert ppt.interaction_energy(phi, cfg) == want + n * float(phi(np.zeros(2)))
+        assert ppt.interaction_energy(phi, cfg) == want
 
     def test_coupled_lists_share_configurations(self, lebesgue):
         phi = parse_density_expr("const:0.05")
