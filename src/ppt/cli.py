@@ -50,7 +50,8 @@ __all__ = ["ExperimentSpec", "Report", "parse_density_expr", "run_experiment", "
 # --------------------------------------------------------------------------
 
 
-def _parse_floats(body: str, expr: str, offset: int) -> list[float]:
+def _parse_floats(body: str, expr: str, offset: int, count: int | None = None) -> list[float]:
+    """The comma-separated numbers of ``body``; exactly ``count`` of them unless None."""
     out = []
     pos = offset
     for tok in body.split(","):
@@ -61,6 +62,12 @@ def _parse_floats(body: str, expr: str, offset: int) -> list[float]:
         except ValueError:
             raise SpecParseError(f"bad number {tok!r} in {expr!r} at position {pos}", where=pos)
         pos += len(tok) + 1
+    if count is not None and len(out) != count:
+        family = expr.partition(":")[0]
+        raise SpecParseError(
+            f"{family} takes {count} number{'s' if count > 1 else ''}, got {len(out)} in {expr!r}",
+            where=offset,
+        )
     return out
 
 
@@ -76,7 +83,7 @@ def parse_density_expr(expr: str):
     head, _, body = expr.partition(":")
     offset = len(head) + 1
     if head == "const":
-        (c,) = _parse_floats(body, expr, offset)
+        (c,) = _parse_floats(body, expr, offset, 1)
         if c < 0:
             raise SpecParseError(f"constant density must be nonnegative in {expr!r}", where=offset)
 
@@ -104,7 +111,7 @@ def parse_density_expr(expr: str):
 
         fn.sup_on = _poly_sup
     elif head == "exp":
-        a, b = _parse_floats(body, expr, offset)
+        a, b = _parse_floats(body, expr, offset, 2)
         if a < 0:
             raise SpecParseError(f"amplitude must be nonnegative in {expr!r}", where=offset)
 
@@ -119,7 +126,7 @@ def parse_density_expr(expr: str):
 
         fn.sup_on = _exp_sup
     elif head == "step":
-        threshold, lo_v, hi_v = _parse_floats(body, expr, offset)
+        threshold, lo_v, hi_v = _parse_floats(body, expr, offset, 3)
         if lo_v < 0 or hi_v < 0:
             raise SpecParseError(f"step levels must be nonnegative in {expr!r}", where=offset)
 

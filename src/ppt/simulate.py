@@ -114,12 +114,14 @@ def _rejection_rounds(
         raise ValidationError("cannot draw points from a measure with zero total mass")
     sup = sigma.density_sup
     rate = max(mass / (sup * sigma.window.volume), 1e-3)
+    width = hi - lo
     chunks: list[list[np.ndarray]] = [[] for _ in todo]
     empty_rounds = [0] * len(todo)
     while active:
         sizes = [int(todo[k] / rate * 1.2) + 16 for k in active]
-        # each generator draws its proposals, then its thresholds
-        proposals = _joined([rngs[k].uniform(lo, hi, size=(m, d)) for k, m in zip(active, sizes)])
+        # each generator draws its proposals, then its thresholds; lo + width * random()
+        # is Generator.uniform(lo, hi)'s own formula, without its array-bounds checks
+        proposals = _joined([lo + width * rngs[k].random((m, d)) for k, m in zip(active, sizes)])
         thresholds = _joined([rngs[k].uniform(0.0, sup, size=m) for k, m in zip(active, sizes)])
         keep = thresholds < sigma.density_at(proposals)
         accepted = proposals[keep]
@@ -523,9 +525,11 @@ def sample_coupled_superposition(
 # --------------------------------------------------------------------------
 
 _TABLE_LEVELS = 16  # bisection levels of v_inverse answered by its table
-_BLOCK = 8192  # points of r per v_inverse block
+_BLOCK = 32768  # points of r per v_inverse block
 _CHECK_GRID = 4097  # points of the grid that TimeChangeSpec is validated on
-_CHUNK_ATOMS = 1_000_000  # atoms per chunk of TimeChangeCoupling.estimate_mean_cost
+# atoms per chunk of TimeChangeCoupling.estimate_mean_cost: two v_inverse blocks,
+# so its temporaries stay that small however many draws it averages
+_CHUNK_ATOMS = 2 * _BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -594,20 +598,20 @@ class TimeChangeSpec:
         identity time change inverts exactly.
 
         The first 16 bisection levels are looked up instead of run: the spec
-        tabulates v once at those levels' midpoints, and because the table is
-        nondecreasing, ``searchsorted`` on it gives the bracket that the 16
-        decisions ``v(mid) < r`` reach; the remaining levels and the Newton
-        steps run as before, so the result is bit-identical to plain
-        bisection.  Within a block the keys are sorted first (``argsort``),
-        looked up, bisected and polished in that order, and each result is
-        written back to its key's position: consecutive lookups then touch
-        neighbouring table entries instead of missing the cache.  Plain
-        bisection runs instead, in the given order, when v is not
-        nondecreasing on the table, when ``tol`` asks for fewer than 16
-        levels, and for a block of ``r`` holding NaN (NaN sorts last, but
-        bisection sends it left).  ``r`` is processed in fixed blocks so
-        that the temporaries stay small; every operation is elementwise, so
-        neither the blocks nor the sorting change any value.
+        tabulates v once at those levels' midpoints, and because the table
+        ``vt`` is nondecreasing, the number of its entries below ``r``
+        (:func:`_count_below`, a branch-free descent with no sorting) gives
+        the bracket that the 16 decisions ``v(mid) < r`` reach; a NaN key
+        compares false throughout, so the descent and bisection both send it
+        left.  The remaining levels copy ``mid`` into ``lo`` or ``hi`` by a
+        bitwise select on the float64 bits, with a mask that is all ones
+        where ``v(mid) < r``: it copies bits, so it cannot change a value,
+        and it has no per-element branch to mispredict.  Two Newton steps
+        follow, so the result is bit-identical to plain bisection.  Plain
+        bisection (the same select) runs instead when v is not nondecreasing
+        on the table and when ``tol`` asks for fewer than 16 levels.  ``r``
+        is processed in fixed blocks so that the temporaries stay small;
+        every operation is elementwise, so the blocks change no value.
         """
         r = np.asarray(r, float)
         flat = r.reshape(-1)
@@ -617,26 +621,41 @@ class TimeChangeSpec:
         table = self._bisection_table if iters >= _TABLE_LEVELS else None
         for start in range(0, flat.size, _BLOCK):
             rb = flat[start : start + _BLOCK]
-            idx = slice(start, start + rb.size)
-            if table is not None and not np.isnan(rb).any():
+            if table is not None:
                 ends, vt = table
-                idx = start + np.argsort(rb)
-                rb = flat[idx]  # sorted keys: the table lookups walk it in order
-                s = np.searchsorted(vt, rb, side="left")
-                lo, hi, levels = ends[s], ends[s + 1], iters - _TABLE_LEVELS
+                s = _count_below(vt, rb)
+                lo, hi, levels = ends.take(s), ends[1:].take(s), iters - _TABLE_LEVELS
             else:
                 lo, hi, levels = np.zeros_like(rb), np.full_like(rb, self.horizon), iters
+            lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
             for _ in range(levels):
                 mid = 0.5 * (lo + hi)
-                below = self.v(mid) < rb
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
+                m = -(self.v(mid) < rb).astype(np.int64)  # all ones where the root is above mid
+                mid_bits = mid.view(np.int64)
+                lo_bits ^= (lo_bits ^ mid_bits) & m
+                hi_bits ^= (hi_bits ^ mid_bits) & ~m
             t = 0.5 * (lo + hi)
             for _ in range(2):
                 slope = 1.0 + np.asarray(self.U_prime(t), float)
                 t = np.clip(t - (self.v(t) - rb) / slope, 0.0, self.horizon)
-            out[idx] = t
+            out[start : start + rb.size] = t
         return out.reshape(r.shape)[()]  # a numpy scalar for scalar r, as before
+
+
+def _count_below(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """For each key, the number of entries of ``a`` below it.
+
+    ``a`` is nondecreasing with 2^K - 1 entries; for keys that are not NaN
+    this is ``searchsorted(a, keys, side="left")``, and a NaN key gets 0.
+    A branch-free descent: ``s += half * (a[s + half - 1] < key)`` for
+    half = 2^(K-1), ..., 1, vectorised over the keys, with no sorting.
+    """
+    s = np.zeros(keys.shape, np.intp)
+    half = (a.size + 1) // 2
+    while half:
+        s += half * (a[half - 1 :].take(s) < keys)  # a[s + half - 1], gathered through a view
+        half //= 2
+    return s
 
 
 class TimeChangeCoupling:
@@ -668,7 +687,12 @@ class TimeChangeCoupling:
         return CoupledPair(left=left, right=right, cost_hint=cost)
 
     def estimate_mean_cost(self, n_samples: int, seed: SeedSpec) -> Estimate:
-        """Monte Carlo mean of the per-draw coupling cost, vectorised across draws."""
+        """Monte Carlo mean of the per-draw coupling cost, vectorised across draws.
+
+        All draws' counts come first, then the atoms of whole draws in chunks
+        of about ``_CHUNK_ATOMS``; the generator yields the same doubles
+        however its uniform draws are split, so the chunks change no value.
+        """
         if n_samples < 2:
             raise ValidationError("need at least two samples")
         rng = seed.rng()

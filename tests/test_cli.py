@@ -47,6 +47,12 @@ class TestDensityGrammar:
             parse_density_expr(expr)
         assert err.value.where is not None
 
+    @pytest.mark.parametrize("expr", ["const:1,2", "exp:1", "exp:1,2,3", "step:1,2", "step:1,2,3,4"])
+    def test_wrong_number_of_arguments(self, expr):
+        with pytest.raises(SpecParseError, match="takes") as err:
+            parse_density_expr(expr)
+        assert err.value.where == expr.index(":") + 1  # where the arguments start
+
 
 class TestSpecParsing:
     def test_unknown_top_level_key(self):
@@ -305,6 +311,11 @@ class TestPinnedReportBytes:
         assert report.all_assertions_passed()
         assert self.digest(report.canonical_bytes()) == "c490b79dbc946ee9"
 
+    def test_verify_halfline_timechange(self):
+        report = run_experiment(_spec("verify", {"scenario": "halfline-timechange"}, 2025, 20_000))
+        assert report.all_assertions_passed()
+        assert self.digest(report.canonical_bytes()) == "fba62da0fd775361"
+
     def test_sample_gibbs(self):
         parameters = {
             "family": "gibbs",
@@ -364,6 +375,14 @@ class TestMainEntry:
         spec_path = tmp_path / "broken.json"
         spec_path.write_text("{not json")
         assert main(["tail", "--spec", str(spec_path)]) == 2
+
+    def test_wrong_number_of_density_arguments_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps({"kind": "bound", "parameters": {"family": "poisson", "p": "const:1,2", "window": [0, 1]}})
+        )
+        assert main(["bound", "--spec", str(spec_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_key_exit_code(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -485,6 +485,18 @@ class TestTimeChange:
         b = coupling.estimate_mean_cost(500, SeedSpec(16))
         assert a.mean == b.mean and a.std_error == b.std_error
 
+    def test_chunk_size_does_not_change_bytes(self, monkeypatch):
+        coupling = TimeChangeCoupling(rational_timechange())
+
+        def estimate_bytes(chunk_atoms):
+            monkeypatch.setattr(simulate, "_CHUNK_ATOMS", chunk_atoms)
+            est = coupling.estimate_mean_cost(300, SeedSpec(16))
+            return np.array([est.mean, est.std_error]).tobytes(), est.n_samples, est.seed
+
+        # one draw per chunk, a few draws, several draws, and every draw in one chunk
+        results = [estimate_bytes(k) for k in (1, 101, 4096, 10**7)]
+        assert all(r == results[0] for r in results[1:])
+
 
 def bisection_v_inverse(tc, r, tol=1e-12):
     """Reference: plain bisection over the whole bracket, then two Newton steps."""
@@ -503,6 +515,37 @@ def bisection_v_inverse(tc, r, tol=1e-12):
         slope = 1.0 + np.asarray(tc.U_prime(t), float)
         t = np.clip(t - (tc.v(t) - r) / slope, 0.0, tc.horizon)
     return t
+
+
+class TestCountBelow:
+    """``_count_below`` is ``searchsorted(a, keys, side="left")`` by a
+    branch-free descent, on nondecreasing arrays of 2^K - 1 entries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.integers(1, 9),
+        pool=st.lists(
+            st.sampled_from([-math.inf, -2.5, -1.0, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 3.0, math.inf]),
+            min_size=1,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.lists(st.floats(allow_nan=False), max_size=20),
+    )
+    def test_equals_searchsorted(self, levels, pool, seed, extra):
+        rng = np.random.default_rng(seed)
+        a = np.sort(rng.choice(np.array(pool + extra), 2**levels - 1))  # runs of ties
+        finite = a[np.isfinite(a)]
+        with np.errstate(over="ignore"):  # nextafter of the largest double is inf
+            neighbours = [np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)]
+        keys = np.concatenate([a, *neighbours, [0.0, -0.0, math.inf, -math.inf], extra])
+        rng.shuffle(keys)
+        got = simulate._count_below(a, keys)
+        assert got.tobytes() == np.searchsorted(a, keys, side="left").astype(np.intp).tobytes()
+
+    def test_nan_key_goes_left(self):
+        # bisection sends NaN left (``v(mid) < nan`` is false), and so does the descent
+        a = np.arange(7.0)
+        assert simulate._count_below(a, np.array([math.nan, 3.5])).tolist() == [0, 4]
 
 
 class TestVInverseTable:
@@ -528,7 +571,8 @@ class TestVInverseTable:
             assert np.asarray(tc.v_inverse(value)).tobytes() == bisection_v_inverse(tc, value).tobytes()
 
     def test_repeated_and_descending_keys(self):
-        # each block is looked up in sorted order and scattered back
+        # the table descent sees keys in the given order: ties, runs and a
+        # descending sweep must reach bisection's bracket all the same
         tc = self.TC
         rng = np.random.default_rng(44)
         keys = rng.uniform(0.0, tc.v_end, 50)
