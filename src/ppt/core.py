@@ -359,7 +359,7 @@ class IntensityMeasure:
             window=window,
             density_sup=sup,
             label=label or f"const:{rate}",
-            total_mass_hint=rate * window.volume,
+            total_mass_hint=rate * window.volume if rate else 0.0,  # 0 * inf volume is NaN
         )
 
     def density_at(self, points: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ the deterministic time change for the Wasserstein distance on the half-line).
 
 All samplers are pure given their :class:`~ppt.core.SeedSpec`.  The Poisson
 batch variants draw a whole batch from one derived stream, so they are
-bit-reproducible for a fixed batch size.
+bit-reproducible for a fixed batch size; :func:`poisson_counts` is such a
+batch's count draw alone, the same integers without the atoms.
 :meth:`SuperpositionCoupling.sample_batch` gives pair i its own stream,
 ``stream_id + i``, so each pair is the same whatever the batch size.
 """
@@ -43,6 +44,7 @@ __all__ = [
     "sample_poisson",
     "sample_poisson_batch",
     "poisson_batch_with_rng",
+    "poisson_counts",
     "sample_cox",
     "interaction_energy",
     "sample_gibbs",
@@ -110,11 +112,16 @@ def _rejection_rounds(
         return np.empty((0, d))
     lo, hi = sigma.window.bounds()
     mass = sigma.total_mass
+    if not math.isfinite(mass):
+        raise ValidationError(f"cannot draw points from a measure with total mass {mass}")
     if mass <= 0:
         raise ValidationError("cannot draw points from a measure with zero total mass")
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not np.all(np.isfinite(width)):
+        raise ValidationError("cannot draw points: the window is wider than the largest double")
     sup = sigma.density_sup
     rate = max(mass / (sup * sigma.window.volume), 1e-3)
-    width = hi - lo
     chunks: list[list[np.ndarray]] = [[] for _ in todo]
     empty_rounds = [0] * len(todo)
     while active:
@@ -152,8 +159,22 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+# the largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX)
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _count_mean(sigma: IntensityMeasure) -> float:
+    """``sigma.total_mass``, checked to be a Poisson mean that ``Generator.poisson`` accepts."""
+    mass = sigma.total_mass
+    if not 0 <= mass <= _POISSON_LAM_MAX:  # also catches NaN and inf
+        raise ValidationError(
+            f"total mass {mass} is not a Poisson mean in [0, {_POISSON_LAM_MAX:.6g}]"
+        )
+    return mass
+
+
 def _poisson_atoms(sigma: IntensityMeasure, rng: np.random.Generator) -> np.ndarray:
-    n = int(rng.poisson(sigma.total_mass))
+    n = int(rng.poisson(_count_mean(sigma)))
     if n == 0:
         return np.empty((0, sigma.window.dim))
     return rejection_points(sigma, n, rng)
@@ -168,19 +189,31 @@ def sample_poisson(sigma: IntensityMeasure, seed: SeedSpec) -> Configuration:
     return Configuration(_poisson_atoms(sigma, seed.rng()), sigma.window)
 
 
+def poisson_counts(sigma: IntensityMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The atom counts of ``n`` independent Poisson draws: Poisson(sigma(L)) each.
+
+    This is the count draw that :func:`poisson_batch_with_rng` makes before
+    any atom, so on twin generators the counts equal its configurations'
+    ``n``.  A statistic of the count alone, such as the count witness
+    F(omega) = omega(L), needs only these.
+    """
+    if n < 1:
+        raise ValidationError("batch size must be positive")
+    mass = _count_mean(sigma)
+    return rng.poisson(mass, size=n) if mass > 0 else np.zeros(n, dtype=int)
+
+
 def poisson_batch_with_rng(
     sigma: IntensityMeasure, n: int, rng: np.random.Generator
 ) -> list[Configuration]:
     """``n`` independent Poisson draws from an explicit generator (vectorised).
 
-    The batch's atoms are checked against the window once, as one array;
-    each configuration is a row slice of it.
+    The counts come from :func:`poisson_counts`, then every draw's atoms from
+    the same generator.  The batch's atoms are checked against the window
+    once, as one array; each configuration is a row slice of it.
     """
-    if n < 1:
-        raise ValidationError("batch size must be positive")
-    mass = sigma.total_mass
+    counts = poisson_counts(sigma, n, rng)
     window = sigma.window
-    counts = rng.poisson(mass, size=n) if mass > 0 else np.zeros(n, dtype=int)
     total = int(counts.sum())
     pts = rejection_points(sigma, total, rng) if total else np.empty((0, window.dim))
     atoms = _checked_atoms(pts, window)
@@ -491,7 +524,8 @@ class SuperpositionCoupling:
         layers = []
         for layer in (self.shared, self.left_extra, self.right_extra):
             if layer is self.shared or layer.total_mass > 0:
-                counts = [int(rng.poisson(layer.total_mass)) for rng in rngs]
+                mass = _count_mean(layer)
+                counts = [int(rng.poisson(mass)) for rng in rngs]
             else:
                 counts = [0] * n
             points = _rejection_rounds(layer, counts, rngs)

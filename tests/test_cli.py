@@ -306,6 +306,11 @@ class TestPinnedReportBytes:
         report = run_experiment(_spec("estimate", parameters, 2025, 10_000))
         assert self.digest(report.canonical_bytes()) == "c031269c86b1246b"
 
+    def test_estimate_dual_count_witness(self):
+        parameters = {"estimator": "dual_count_witness", "p": "poly:1,2", "window": [0, 1]}
+        report = run_experiment(_spec("estimate", parameters, 2025, 20_000))
+        assert self.digest(report.canonical_bytes()) == "707b9f4537ee4cf7"
+
     def test_verify_gibbs_bound(self):
         report = run_experiment(_spec("verify", {"scenario": "gibbs-bound"}, 2025, 10_000))
         assert report.all_assertions_passed()

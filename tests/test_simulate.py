@@ -121,6 +121,96 @@ class TestSamplePoisson:
         with pytest.raises(ValidationError):
             simulate.poisson_batch_with_rng(sigma, 40, seed.rng())
 
+class TestPoissonCounts:
+    """``poisson_counts`` is the count draw of ``poisson_batch_with_rng``."""
+
+    @staticmethod
+    def batch_counts(sigma, n, rng):
+        return [w.n for w in simulate.poisson_batch_with_rng(sigma, n, rng)]
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            IntensityMeasure.uniform(Window([0.0], [1.0]), 0.0),
+            IntensityMeasure.uniform(Window([0.0, 0.0], [1.0, 2.0]), 1.5),
+            IntensityMeasure(parse_density_expr("poly:1,2"), Window([0.0], [1.0]), 3.0),
+        ],
+        ids=["mass-0", "2-d", "quadrature-mass"],
+    )
+    def test_equal_to_the_batch_counts(self, sigma, seed):
+        counts = simulate.poisson_counts(sigma, 300, seed.rng())
+        assert counts.tolist() == self.batch_counts(sigma, 300, seed.rng())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
+    def test_equal_to_the_batch_counts_for_any_seed(self, seed, n):
+        sigma = IntensityMeasure.uniform(Window([0.0], [2.0]), 1.5)
+        counts = simulate.poisson_counts(sigma, n, SeedSpec(seed).rng())
+        assert counts.tolist() == self.batch_counts(sigma, n, SeedSpec(seed).rng())
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_batch_raises(self, lebesgue, seed, n):
+        with pytest.raises(ValidationError):
+            simulate.poisson_counts(lebesgue, n, seed.rng())
+
+
+class TestUndrawableMass:
+    """Masses and windows that the samplers cannot draw from raise
+    ``ValidationError``, not numpy's bare ``ValueError``."""
+
+    wide = Window([-1.7e308], [1.7e308])  # accepted; its volume is inf
+    draws = {
+        "poisson_counts": lambda s: simulate.poisson_counts(s, 5, np.random.default_rng(0)),
+        "poisson_batch_with_rng": lambda s: simulate.poisson_batch_with_rng(
+            s, 5, np.random.default_rng(0)
+        ),
+        "sample_poisson": lambda s: ppt.sample_poisson(s, SeedSpec(0)),
+    }
+
+    @pytest.mark.parametrize("draw", draws)
+    def test_wide_window_zero_rate_draws_nothing(self, draw):
+        sigma = IntensityMeasure.uniform(self.wide, 0.0)
+        assert sigma.total_mass == 0.0
+        got = self.draws[draw](sigma)
+        if draw == "poisson_counts":
+            assert got.tolist() == [0] * 5
+        else:
+            assert all(w.n == 0 for w in (got if isinstance(got, list) else [got]))
+
+    @pytest.mark.parametrize("draw", draws)
+    def test_wide_window_uniform(self, draw):
+        sigma = IntensityMeasure.uniform(self.wide, 3.0)
+        assert self.wide.volume == math.inf
+        with pytest.raises(ValidationError):
+            self.draws[draw](sigma)
+
+    def test_wide_window_rejection_points(self):
+        sigma = IntensityMeasure.uniform(self.wide, 3.0)
+        with pytest.raises(ValidationError):
+            simulate.rejection_points(sigma, 3, np.random.default_rng(0))
+        # a finite mass does not make the window's width finite
+        finite = IntensityMeasure(sigma.density, self.wide, 3.0, total_mass_hint=1.0)
+        with pytest.raises(ValidationError, match="wider"):
+            simulate.rejection_points(finite, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("draw", draws)
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, 1e19, -1.0])
+    def test_mass_that_generator_poisson_refuses(self, unit_window, mass, draw):
+        sigma = IntensityMeasure(lambda x: np.ones(np.shape(x)[:-1]), unit_window, 1.0,
+                                 total_mass_hint=mass)
+        with pytest.raises(ValidationError):
+            self.draws[draw](sigma)
+
+    def test_largest_accepted_mean(self, unit_window):
+        top = simulate._POISSON_LAM_MAX
+        np.random.default_rng(0).poisson(top)  # numpy's own limit, accepted
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).poisson(np.nextafter(top, math.inf))
+        sigma = IntensityMeasure(lambda x: np.ones(np.shape(x)[:-1]), unit_window, 1.0,
+                                 total_mass_hint=top)
+        assert simulate.poisson_counts(sigma, 2, np.random.default_rng(0)).size == 2
+
+
 class TestSampleCox:
     def test_degenerate_mixer_is_poisson(self, unit_window):
         base = IntensityMeasure.uniform(unit_window, 2.0)

@@ -500,6 +500,32 @@ class TestDualLowerBound:
         assert dual.mean <= primal.mean + 3 * (dual.std_error + primal.std_error)
 
 
+class TestDualFromValues:
+    def test_equals_dual_lower_bound_field_for_field(self, seed):
+        sigma = ppt.IntensityMeasure.uniform(ppt.Window([0.0, 0.0], [1.0, 2.0]), 1.5)
+        mu = ppt.sample_poisson_batch(sigma, 300, seed)
+        nu = ppt.sample_poisson_batch(sigma.scaled(2.0), 250, ppt.SeedSpec(1, 1))
+        want = dual_lower_bound(lambda w: float(w.n), mu, nu)
+        got = transport.dual_from_values(
+            np.array([w.n for w in mu]), np.array([w.n for w in nu])
+        )
+        assert got.to_dict() == want.to_dict()
+        assert struct.pack("<2d", got.mean, got.std_error) == struct.pack(
+            "<2d", want.mean, want.std_error
+        )
+
+    def test_single_values_have_zero_error(self):
+        est = transport.dual_from_values(np.array([1.0]), np.array([4.0]))
+        assert (est.mean, est.std_error, est.n_samples) == (3.0, 0.0, 2)
+
+    @pytest.mark.parametrize("f_mu, f_nu", [([], [1.0]), ([1.0], [])])
+    def test_empty_side_raises(self, f_mu, f_nu):
+        with pytest.raises(ValidationError):
+            transport.dual_from_values(np.array(f_mu), np.array(f_nu))
+        with pytest.raises(ValidationError):  # F is not called on an empty list
+            dual_lower_bound(float, f_mu, f_nu)
+
+
 class TestExactOracle:
     def test_identical_masses(self):
         assert exact_oracle_discrete([1.0], [1.0], 30) == pytest.approx(0.0, abs=1e-12)
