@@ -412,26 +412,35 @@ def poisson_density(p: Callable, sigma: IntensityMeasure) -> Callable[[Configura
     return L
 
 
-def _gibbs_count_weights(c: float, mass: float, terms: int) -> tuple[list[float], list[float]]:
+_COUNT_TERMS = 400  # counts k = 0 .. 399 of the constant-potential count series
+
+
+def _gibbs_count_weights(c: float, mass: float) -> tuple[list[float], list[float]]:
     """Poisson count pmf(k) and the unnormalised Gibbs count weights
-    pmf(k) e^{-c k(k-1)}, for k = 0, 1, ... (at most ``terms`` of them)."""
-    if c < 0 or mass < 0:
+    pmf(k) e^{-c k(k-1)}, for k = 0, 1, ... (at most ``_COUNT_TERMS`` of
+    them).  Raises when the Poisson counts beyond the last term carry more
+    than 1e-12 of the mass, rather than return a truncated series."""
+    if not (c >= 0 and mass >= 0):  # NaN fails too
         raise ValidationError("series needs c >= 0 and mass >= 0")
     pmf, weights = [], []
     log_pmf = -mass
-    for k in range(terms):
+    for k in range(_COUNT_TERMS):
         pmf.append(math.exp(log_pmf))
         weights.append(math.exp(log_pmf - c * k * (k - 1)))
         log_pmf += math.log(mass) - math.log(k + 1) if mass > 0 else -math.inf
         if mass == 0:
             break
+    if not 1.0 - sum(pmf) <= 1e-12:
+        raise ValidationError(f"mass {mass} is too large for the {_COUNT_TERMS}-term count series")
     return pmf, weights
 
 
-def gibbs_normalization_series(c: float, mass: float, terms: int = 400) -> float:
+def gibbs_normalization_series(c: float, mass: float) -> float:
     """Exact acceptance probability E exp(-V) for a constant potential:
-    the Poisson series over counts with V(n) = c n(n-1)."""
-    return sum(_gibbs_count_weights(c, mass, terms)[1])
+    the Poisson series over counts with V(n) = c n(n-1), summed over the
+    first 400 counts.  Raises :class:`ValidationError` when ``mass`` is so
+    large that the counts beyond them carry more than 1e-12 of the mass."""
+    return sum(_gibbs_count_weights(c, mass)[1])
 
 
 def gibbs_count_law_rho1(c: float, mass: float) -> float:
@@ -443,9 +452,7 @@ def gibbs_count_law_rho1(c: float, mass: float) -> float:
     nesting the smaller configuration in the larger attains |N - M|, so the
     distance is the W1 distance of the two count laws, sum_k |F_P(k) - F_G(k)|.
     """
-    pmf, weights = _gibbs_count_weights(c, mass, 400)
-    if not 1.0 - sum(pmf) <= 1e-12:
-        raise ValidationError(f"mass {mass} is too large for the 400-term count series")
+    pmf, weights = _gibbs_count_weights(c, mass)
     poisson = np.cumsum(pmf)
     gibbs = np.cumsum(np.array(weights) / sum(weights))
     return float(np.abs(poisson - gibbs).sum())

@@ -239,11 +239,11 @@ def _require(params: dict, key: str, path: str = "parameters"):
 
 
 _PARAM_KEYS = {
-    "distance": {"metric", "left", "right", "window", "hex_floats"},
+    "distance": {"metric", "left", "right", "window"},
     "sample": {"family", "density", "window", "n_configs", "mixer", "phi", "hex_floats"},
     "bound": {"family", "p", "density", "window", "mixer", "phi", "horizon", "scale", "marks_mass"},
-    "estimate": {"estimator", "p", "density", "window", "metric", "pairs", "coupled", "horizon", "scale", "phi"},
-    "tail": {"mass", "r", "masses", "rs", "eta_size"},
+    "estimate": {"estimator", "p", "density", "window", "metric", "pairs", "coupled", "horizon", "scale"},
+    "tail": {"mass", "r", "masses", "rs"},
     "isoperimetry": {"event", "density", "window"},
     "verify": {"scenario", "window", "p", "phi", "horizon", "scale", "pairs", "masses", "rs", "mass"},
 }

@@ -77,8 +77,8 @@ def upper_int_part(R: float) -> int:
 
 
 def poisson_pmf(mass: float, k: int) -> float:
-    if mass < 0 or k < 0:
-        raise ValidationError("poisson_pmf needs mass >= 0 and k >= 0")
+    if not 0 <= mass < math.inf or k < 0:  # NaN fails too
+        raise ValidationError("poisson_pmf needs a finite mass >= 0 and k >= 0")
     if mass == 0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(mass) - mass - math.lgamma(k + 1))
@@ -91,18 +91,12 @@ def poisson_tail_exact(mass: float, k: int) -> float:
     tail is order one); above the mean the tail is summed directly starting
     from the stable log-space pmf at k.
     """
-    if not mass > 0:
-        raise ValidationError("mass must be positive")
+    if not 0 < mass < math.inf:
+        raise ValidationError("mass must be positive and finite")
     if k <= 0:
         return 1.0
     if k <= mass:
-        # descend from pmf(k-1): terms shrink going down, so the sum is stable
-        t = poisson_pmf(mass, k - 1)
-        s = t
-        for i in range(k - 1, 0, -1):
-            t *= i / mass
-            s += t
-        return max(0.0, 1.0 - s)
+        return 1.0 - _poisson_lower(mass, k - 1)
     t = poisson_pmf(mass, k)
     if t == 0.0:
         return 0.0  # below double-precision range
@@ -427,20 +421,24 @@ def poincare_l1_check(
     return lhs, rhs
 
 
+_COAREA_MAX_LEVELS = 10_000  # widest observed range coarea_check sums levels over
+
+
 def coarea_check(
     F: Callable[[Configuration], float],
     sigma: IntensityMeasure,
     n_samples: int,
     seed: SeedSpec,
     inner_samples: int = 32,
-    max_levels: int = 10_000,
 ) -> tuple[Estimate, Estimate]:
     """Both sides of the co-area identity for integer-valued functionals.
 
     lhs estimates E int |grad F| d sigma directly; rhs sums the surface
     integrand of {F > t} over half-integer thresholds t spanning the observed
     range, on an independent stream.  The two agree within combined Monte
-    Carlo error; an unbounded observed range is an error.
+    Carlo error.  An observed range wider than ``_COAREA_MAX_LEVELS`` =
+    10000 levels raises :class:`ValidationError`, because the level sum
+    holds n_samples x inner_samples x levels comparisons at once.
     """
     lhs_vals, _ = nested_gradient_mc(F, sigma, n_samples, inner_samples, seed, base_path=5)
     lhs = estimate_from_values(lhs_vals, seed)
@@ -455,7 +453,7 @@ def coarea_check(
     if np.any(np.abs(observed - np.round(observed)) > 1e-9):
         raise ValidationError("co-area check requires an integer-valued functional")
     lo, hi = float(observed.min()), float(observed.max())
-    if hi - lo > max_levels:
+    if hi - lo > _COAREA_MAX_LEVELS:
         raise ValidationError(f"observed range [{lo}, {hi}] too wide for the level sum")
     thresholds = np.arange(math.floor(lo) + 0.5, hi, 1.0)
     rhs_vals = np.zeros(n_samples)

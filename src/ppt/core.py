@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EnvelopeViolationError, ValidationError
+from .quadrature import eval_points, integrate
 
 __all__ = [
     "Window",
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 MAX_WINDOW_DIM = 4  # marked configurations use time as an extra coordinate
-MAX_QUADRATURE_DIM = 3
 
 
 def _as_tuple(values, name: str) -> tuple[float, ...]:
@@ -364,8 +364,6 @@ class IntensityMeasure:
 
     def density_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the density on an (n, d) batch, enforcing the envelope."""
-        from .quadrature import eval_points
-
         pts = np.atleast_2d(np.asarray(points, float))
         vals = eval_points(self.density, pts)
         if np.any(vals < 0):
@@ -381,8 +379,6 @@ class IntensityMeasure:
     def total_mass(self) -> float:
         if self.total_mass_hint is not None:
             return float(self.total_mass_hint)
-        from .quadrature import integrate  # deferred: quadrature imports nothing from here
-
         lo, hi = self.window.bounds()
         return float(integrate(self.density_at, lo, hi, rel_tol=1e-8))
 

@@ -73,21 +73,29 @@ def _panel(f, a: float, b: float) -> tuple[float, float]:
     return i31, abs(i31 - i15)
 
 
+_MAX_PANELS = 4000  # panels integrate_1d may split [a, b] into
+
+
 def integrate_1d(
     f: Callable,
     a: float,
     b: float,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-14,
-    max_panels: int = 4000,
 ) -> float:
+    """Integrate ``f`` over [a, b] to error at most max(rel_tol * |value|,
+    abs_tol), splitting the panel of largest error estimate first.
+
+    Raises :class:`QuadratureError`, with the five worst panels as its
+    trace, when ``_MAX_PANELS`` = 4000 panels have not reached the target.
+    """
     val, err = _panel(f, a, b)
     # heap of (-error, order, a, b, value); order breaks ties deterministically
     order = 0
     heap = [(-err, order, a, b, val)]
     total, total_err = val, err
     while total_err > max(rel_tol * abs(total), abs_tol):
-        if len(heap) >= max_panels:
+        if len(heap) >= _MAX_PANELS:
             trace = sorted(heap)[:5]
             raise QuadratureError(
                 f"1-d quadrature did not converge: error {total_err:.3e} with "

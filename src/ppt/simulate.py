@@ -558,7 +558,8 @@ def sample_coupled_superposition(
 # time-change coupling for the Wasserstein distance on the half-line
 # --------------------------------------------------------------------------
 
-_TABLE_LEVELS = 16  # bisection levels of v_inverse answered by its table
+_BRACKET = 1e-6  # v_inverse's bisection bracket, the square root of its tolerance 1e-12
+_TABLE_LEVELS = 16  # most bisection levels of v_inverse answered by its table
 _BLOCK = 32768  # points of r per v_inverse block
 _CHECK_GRID = 4097  # points of the grid that TimeChangeSpec is validated on
 # atoms per chunk of TimeChangeCoupling.estimate_mean_cost: two v_inverse blocks,
@@ -602,18 +603,26 @@ class TimeChangeSpec:
         return float(self.v(np.array([self.horizon]))[0])
 
     @cached_property
-    def _bisection_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The first ``_TABLE_LEVELS`` levels of :meth:`v_inverse`'s bisection.
+    def _bisection_table(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The first levels of :meth:`v_inverse`'s bisection, and how many
+        levels remain after them.
 
-        Returns ``(ends, vt)``: ``ends`` holds 0, the 2^K - 1 midpoints of
-        those levels in increasing order and the horizon, each built by the
-        bisection's own ``0.5 * (lo + hi)`` from its bracket, so they are the
-        floats bisection visits; ``vt`` is v at the midpoints.  None when
-        ``vt`` is not nondecreasing, because a bracket search on it would not
-        repeat bisection's decisions.
+        Bisection runs ``levels = ceil(log2(max(horizon / _BRACKET, 2))) + 1``
+        levels in all; the table holds the first K = min(levels,
+        ``_TABLE_LEVELS``) of them.  Returns ``(ends, vt, levels - K)``:
+        ``ends`` holds 0, the 2^K - 1 midpoints of those levels in increasing
+        order and the horizon, each built by the bisection's own
+        ``0.5 * (lo + hi)`` from its bracket, so they are the floats
+        bisection visits; ``vt`` is v at the midpoints.  When ``vt`` is not
+        nondecreasing, a bracket search on it would not repeat bisection's
+        decisions, so the table has K = 0 levels: ``ends = [0, horizon]``,
+        an empty ``vt``, and every level is left to run.
         """
-        ends = np.array([0.0, self.horizon])
-        for _ in range(_TABLE_LEVELS):
+        levels = int(math.ceil(math.log2(max(self.horizon / _BRACKET, 2.0)))) + 1
+        tabled = min(levels, _TABLE_LEVELS)
+        whole = np.array([0.0, self.horizon])
+        ends = whole
+        for _ in range(tabled):
             mids = 0.5 * (ends[:-1] + ends[1:])
             out = np.empty(2 * ends.size - 1)
             out[0::2] = ends
@@ -621,46 +630,39 @@ class TimeChangeSpec:
             ends = out
         vt = self.v(ends[1:-1])
         if not np.all(vt[1:] >= vt[:-1]):
-            return None
-        return ends, vt
+            return whole, vt[:0], levels
+        return ends, vt, levels - tabled
 
-    def v_inverse(self, r, tol: float = 1e-12):
-        """Invert v to absolute tolerance ``tol`` (vectorised).
+    def v_inverse(self, r):
+        """Invert v to absolute tolerance 1e-12 (vectorised).
 
-        Bisection brackets the root, then two Newton steps polish it to the
-        bracket width squared (v' = 1 + U' > 0 keeps Newton safe), so the
-        identity time change inverts exactly.
+        Bisection brackets the root to width ``_BRACKET`` = 1e-6, then two
+        Newton steps polish it to the bracket width squared (v' = 1 + U' > 0
+        keeps Newton safe), so the identity time change inverts exactly.
 
-        The first 16 bisection levels are looked up instead of run: the spec
-        tabulates v once at those levels' midpoints, and because the table
-        ``vt`` is nondecreasing, the number of its entries below ``r``
-        (:func:`_count_below`, a branch-free descent with no sorting) gives
-        the bracket that the 16 decisions ``v(mid) < r`` reach; a NaN key
-        compares false throughout, so the descent and bisection both send it
-        left.  The remaining levels copy ``mid`` into ``lo`` or ``hi`` by a
-        bitwise select on the float64 bits, with a mask that is all ones
-        where ``v(mid) < r``: it copies bits, so it cannot change a value,
-        and it has no per-element branch to mispredict.  Two Newton steps
-        follow, so the result is bit-identical to plain bisection.  Plain
-        bisection (the same select) runs instead when v is not nondecreasing
-        on the table and when ``tol`` asks for fewer than 16 levels.  ``r``
-        is processed in fixed blocks so that the temporaries stay small;
-        every operation is elementwise, so the blocks change no value.
+        The table's bisection levels (:attr:`_bisection_table`, at most 16)
+        are looked up instead of run: because its ``vt`` is nondecreasing,
+        the number of its entries below ``r`` (:func:`_count_below`, a
+        branch-free descent with no sorting) gives the bracket that those
+        decisions ``v(mid) < r`` reach; a NaN key compares false throughout,
+        so the descent and bisection both send it left.  A table of 0 levels
+        gives every key the bracket [0, horizon].  The remaining levels copy
+        ``mid`` into ``lo`` or ``hi`` by a bitwise select on the float64
+        bits, with a mask that is all ones where ``v(mid) < r``: it copies
+        bits, so it cannot change a value, and it has no per-element branch
+        to mispredict.  Two Newton steps follow, so the result is
+        bit-identical to plain bisection.  ``r`` is processed in fixed blocks
+        so that the temporaries stay small; every operation is elementwise,
+        so the blocks change no value.
         """
         r = np.asarray(r, float)
         flat = r.reshape(-1)
         out = np.empty(flat.shape)
-        bracket = max(math.sqrt(tol), 1e-8)
-        iters = int(math.ceil(math.log2(max(self.horizon / bracket, 2.0)))) + 1
-        table = self._bisection_table if iters >= _TABLE_LEVELS else None
+        ends, vt, levels = self._bisection_table
         for start in range(0, flat.size, _BLOCK):
             rb = flat[start : start + _BLOCK]
-            if table is not None:
-                ends, vt = table
-                s = _count_below(vt, rb)
-                lo, hi, levels = ends.take(s), ends[1:].take(s), iters - _TABLE_LEVELS
-            else:
-                lo, hi, levels = np.zeros_like(rb), np.full_like(rb, self.horizon), iters
+            s = _count_below(vt, rb)
+            lo, hi = ends.take(s), ends[1:].take(s)
             lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
             for _ in range(levels):
                 mid = 0.5 * (lo + hi)
@@ -679,8 +681,9 @@ class TimeChangeSpec:
 def _count_below(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """For each key, the number of entries of ``a`` below it.
 
-    ``a`` is nondecreasing with 2^K - 1 entries; for keys that are not NaN
-    this is ``searchsorted(a, keys, side="left")``, and a NaN key gets 0.
+    ``a`` is nondecreasing with 2^K - 1 entries, K >= 0; for keys that are
+    not NaN this is ``searchsorted(a, keys, side="left")``, and a NaN key
+    gets 0.
     A branch-free descent: ``s += half * (a[s + half - 1] < key)`` for
     half = 2^(K-1), ..., 1, vectorised over the keys, with no sorting.
     """

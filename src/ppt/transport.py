@@ -555,8 +555,8 @@ def _emd_with_reduced_costs(a, b, cost) -> tuple[TransportPlan, np.ndarray]:
     C = np.asarray(cost, float)
     if C.shape != (a.size, b.size):
         raise ValidationError(f"cost shape {C.shape} does not match marginals")
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValidationError("marginals must be nonnegative")
+    if not (np.all(a >= 0) and np.all(b >= 0)):  # NaN fails too
+        raise ValidationError("marginals must be nonnegative numbers")
     if abs(a.sum() - 1.0) > _MARGINAL_TOL or abs(b.sum() - 1.0) > _MARGINAL_TOL:
         raise ValidationError("marginals must sum to 1 within 1e-12")
     if np.any(np.isnan(C)) or np.any(C < 0):
@@ -571,30 +571,28 @@ def _emd_with_reduced_costs(a, b, cost) -> tuple[TransportPlan, np.ndarray]:
 
 
 def _cost_matrix(samples_mu, samples_nu, metric) -> np.ndarray:
-    """Matrix of ``metric`` between every configuration of ``samples_mu``
-    (rows) and of ``samples_nu`` (columns).
+    """Matrix of ``metric``, rho2 or a callable, between every configuration
+    of ``samples_mu`` (rows) and of ``samples_nu`` (columns).
 
-    A callable is called once per pair.  For the named metrics the windows
-    are compared once for all configurations; rho0 and rho1 then come from
-    counts of shared atoms (:func:`_shared_atom_pairs`) in integer
-    arithmetic, and rho2 is called only on pairs of equal atom count, every
-    other entry being +inf.  Each entry equals the per-pair ``metrics`` value
-    bit for bit.
+    A callable is called once per pair.  For rho2 the windows are compared
+    once for all configurations, and rho2 is called only on pairs of equal
+    atom count, every other entry being +inf; each entry equals the per-pair
+    ``metrics.rho2`` value bit for bit.  rho0 and rho1 never need this
+    matrix: :func:`_prefix_moments` solves them from groups of equal
+    multisets and from shared-atom counts (:func:`_rho1_matrix`), so their
+    names are rejected here as any other string is.
     """
     if callable(metric):
         return np.array([[metric(x, y) for y in samples_nu] for x in samples_mu], dtype=float)
-    if metric not in ("rho0", "rho1", "rho2"):
+    if metric != "rho2":
         raise ValidationError(f"unknown metric {metric!r}; expected rho0, rho1 or rho2")
     from . import metrics  # deferred: metrics.rho2 delegates back to assignment_solve
 
     count_mu, count_nu = _atom_counts(samples_mu, samples_nu)
-    if metric == "rho2":
-        C = np.full((count_mu.size, count_nu.size), math.inf)
-        for i, j in zip(*np.nonzero(count_mu[:, None] == count_nu[None, :])):
-            C[i, j] = metrics.rho2(samples_mu[i], samples_nu[j])
-        return C
-    rho1 = _rho1_matrix(count_mu, count_nu, *_shared_atom_pairs(samples_mu, samples_nu))
-    return (rho1 > 0).astype(float) if metric == "rho0" else rho1.astype(float)
+    C = np.full((count_mu.size, count_nu.size), math.inf)
+    for i, j in zip(*np.nonzero(count_mu[:, None] == count_nu[None, :])):
+        C[i, j] = metrics.rho2(samples_mu[i], samples_nu[j])
+    return C
 
 
 def _atom_counts(samples_mu, samples_nu) -> tuple[np.ndarray, np.ndarray]:
@@ -819,8 +817,9 @@ def _prefix_moments(samples_mu, samples_nu, metric, prefixes, dispersion: bool =
     where no plan has finite cost.
 
     rho0, and rho1 on a partial-matching sharing graph, have closed forms in
-    integer arithmetic; every other case is solved densely, the prefixes'
-    matrices being leading blocks of one matrix (:func:`_cost_matrix`
+    integer arithmetic, and rho1 on any other sharing graph is solved densely
+    on its :func:`_rho1_matrix`; rho2 and callables are solved densely, the
+    prefixes' matrices being leading blocks of one matrix (:func:`_cost_matrix`
     rejects an unknown metric).
     """
     if metric in ("rho0", "rho1"):
@@ -990,8 +989,8 @@ def exact_oracle_discrete(
         raise ValidationError("cell mass vectors must have equal length")
     if not 1 <= len(mu) <= 2:
         raise ValidationError("oracle supports at most 2 cells")
-    if any(v < 0 for v in mu + nu):
-        raise ValidationError("cell masses must be nonnegative")
+    if not all(0 <= v < math.inf for v in mu + nu):  # NaN fails too
+        raise ValidationError("cell masses must be nonnegative and finite")
     if truncation < 1:
         raise ValidationError("truncation must be >= 1")
 

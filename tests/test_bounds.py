@@ -134,6 +134,16 @@ class TestGibbsBound:
         with pytest.raises(ValidationError):  # the Poisson pmf underflows to 0
             ppt.gibbs_count_law_rho1(0.05, 1000.0)
 
+    def test_normalization_series_raises_rather_than_truncate(self):
+        # c = 0 means V = 0, so E exp(-V) = 1 whenever the series holds the mass
+        assert gibbs_normalization_series(0.0, 200.0) == pytest.approx(1.0, abs=1e-12)
+        for mass in (350.0, 1000.0):  # the first 400 counts miss 0.5% and all of the mass
+            with pytest.raises(ValidationError, match="too large"):
+                gibbs_normalization_series(0.0, mass)
+        for c, mass in ((math.nan, 1.0), (0.05, math.nan)):
+            with pytest.raises(ValidationError):
+                gibbs_normalization_series(c, mass)
+
     def test_normalization_mc_agrees_with_the_series(self, lebesgue):
         series = gibbs_normalization_series(0.05, 1.0)
         assert series == pytest.approx(0.95728, abs=5e-6)

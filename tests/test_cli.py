@@ -65,6 +65,22 @@ class TestSpecParsing:
             ExperimentSpec.from_dict({"kind": "tail", "parameters": {"mass": 1, "bogus": 2}})
         assert "bogus" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "kind, parameters, key",
+        [
+            ("distance", {"metric": "rho1", "left": [[0.5]], "right": [], "window": [0, 1], "hex_floats": True}, "hex_floats"),
+            ("estimate", {"estimator": "dual_count_witness", "p": "const:2", "window": [0, 1], "phi": "const:0.05"}, "phi"),
+            ("tail", {"mass": 2.0, "r": 1.0, "eta_size": 3}, "eta_size"),
+        ],
+    )
+    def test_keys_no_runner_reads_are_rejected(self, kind, parameters, key, tmp_path):
+        with pytest.raises(SpecParseError) as err:
+            run_experiment(_spec(kind, parameters, 1, 10))
+        assert err.value.where == f"parameters.{key}"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+        assert main([kind, "--spec", str(spec_path)]) == 2
+
     def test_kind_mismatch(self):
         with pytest.raises(SpecParseError):
             ExperimentSpec.from_dict({"kind": "tail", "parameters": {}}, kind_override="bound")

@@ -29,7 +29,7 @@ from ppt import (
     upper_int_part,
     verify_disjoint_support,
 )
-from ppt.concentration import event_probability_exact
+from ppt.concentration import event_probability_exact, poisson_pmf
 from ppt.errors import ValidationError
 
 from conftest import config
@@ -67,6 +67,27 @@ class TestPoissonTail:
                 ref = float(scipy.stats.poisson.sf(k - 1, mass))
                 if ref > 1e-290:
                     assert mine == pytest.approx(ref, rel=1e-12)
+
+    def test_below_the_mean_complements_the_lower_sum(self):
+        # the complement of P(N <= k - 1) summed downward from pmf(k - 1), clipped at 0
+        for mass in (0.7, 4.5, 20.0, 150.0):
+            for k in range(1, int(mass) + 1):
+                t = s = poisson_pmf(mass, k - 1)
+                for i in range(k - 1, 0, -1):
+                    t *= i / mass
+                    s += t
+                assert poisson_tail_exact(mass, k) == max(0.0, 1.0 - s)
+
+    @pytest.mark.parametrize("mass", [math.inf, math.nan, 0.0, -1.0])
+    def test_domain(self, mass):
+        for k in (0, 2, 3):
+            with pytest.raises(ValidationError):
+                poisson_tail_exact(mass, k)  # at mass inf the tail is 1, not the 0 a sum gives
+
+    @pytest.mark.parametrize("mass", [math.inf, math.nan, -1.0])
+    def test_pmf_domain(self, mass):
+        with pytest.raises(ValidationError):
+            poisson_pmf(mass, 2)
 
 
 class TestLaplaceBound:
@@ -325,5 +346,6 @@ class TestCoarea:
 
     def test_unbounded_range_rejected(self, lebesgue, seed):
         with pytest.raises(ValidationError) as err:
-            coarea_check(lambda w: float(w.n), lebesgue, 300, seed, inner_samples=8, max_levels=2)
+            # adding a point moves F by 20001, beyond the 10000 levels the sum allows
+            coarea_check(lambda w: 20001.0 * w.n, lebesgue, 300, seed, inner_samples=8)
         assert "range" in str(err.value)

@@ -1,10 +1,11 @@
 """Configuration cost matrices against the per-pair metric loop.
 
-``transport._cost_matrix`` builds the rho0/rho1 matrices from interned atoms
-and screens rho2 entries by atom count; every entry must equal what the
-per-pair ``metrics`` call gives, bit for bit.  The rho2 estimates skip the
-matrix when the count classes admit no finite plan, with the results of
-building it.
+rho1 comes from counts of shared interned atoms (``transport._rho1_matrix``),
+rho0 from groups of equal multisets (``transport._multiset_groups``), and
+``transport._cost_matrix`` screens rho2 entries by atom count; every entry
+must equal what the per-pair ``metrics`` call gives, bit for bit.  The rho2
+estimates skip the matrix when the count classes admit no finite plan, with
+the results of building it.
 """
 
 import itertools
@@ -42,6 +43,21 @@ def sample_lists(draw, max_atoms=5):
 
 def per_pair(mu, nu, fn):
     return np.array([[float(fn(x, y)) for y in nu] for x in mu], dtype=float).reshape(len(mu), len(nu))
+
+
+def interned_rho1(mu, nu):
+    """The rho1 matrix from shared-atom counts, as the dense rho1 path builds it."""
+    count_mu, count_nu = transport._atom_counts(mu, nu)
+    return transport._rho1_matrix(count_mu, count_nu, *transport._shared_atom_pairs(mu, nu)).astype(float)
+
+
+def grouped_rho0(mu, nu):
+    """The rho0 matrix from the multiset groups the rho0 closed form uses."""
+    group_mu, group_nu = transport._multiset_groups(mu, nu)
+    return (group_mu[:, None] != group_nu[None, :]).astype(float)
+
+
+STRUCTURED = {"rho0": grouped_rho0, "rho1": interned_rho1}
 
 
 def old_rho2(omega, eta):
@@ -102,8 +118,8 @@ def assert_bitwise_equal(got, want):
 @given(sample_lists())
 def test_interned_rho0_rho1_equal_the_per_pair_loop(lists):
     mu, nu = lists
-    for name in ("rho0", "rho1"):
-        assert_bitwise_equal(_cost_matrix(mu, nu, name), per_pair(mu, nu, getattr(metrics, name)))
+    for name, matrix in STRUCTURED.items():
+        assert_bitwise_equal(matrix(mu, nu), per_pair(mu, nu, getattr(metrics, name)))
 
 
 def configs_2d(*rows):
@@ -142,8 +158,8 @@ def test_signed_zero_is_one_atom():
     w = Window([-1.0, -1.0], [1.0, 1.0])
     a = Configuration(np.array([[-0.0, 0.5], [0.0, 0.5], [0.25, -0.0]]), w)
     b = Configuration(np.array([[0.0, 0.5], [0.0, 0.5], [0.25, 0.0]]), w)
-    for name in ("rho0", "rho1"):
-        assert _cost_matrix([a], [b], name)[0, 0] == 0.0
+    for name, matrix in STRUCTURED.items():
+        assert matrix([a], [b])[0, 0] == 0.0
 
 
 def test_repeated_atoms_match_with_multiplicity():
@@ -151,8 +167,8 @@ def test_repeated_atoms_match_with_multiplicity():
     mu = [Configuration(np.array([[0.5], [0.5], [0.5], [0.25]]), w)]
     nu = [Configuration(np.array([[0.5], [0.25], [0.25]]), w), ppt.empty_configuration(w)]
     # shared: one 0.5 and one 0.25 -> 4 + 3 - 2 * 2; against the empty one: 4
-    assert _cost_matrix(mu, nu, "rho1").tolist() == [[3.0, 4.0]]
-    assert _cost_matrix(mu, nu, "rho0").tolist() == [[1.0, 1.0]]
+    assert interned_rho1(mu, nu).tolist() == [[3.0, 4.0]]
+    assert grouped_rho0(mu, nu).tolist() == [[1.0, 1.0]]
 
 
 @pytest.mark.parametrize("name", ["rho0", "rho1", "rho2"])
@@ -160,12 +176,23 @@ def test_window_mismatch_raises_for_every_configuration(name):
     w, other = Window([0.0], [1.0]), Window([0.0], [2.0])
     same = [Configuration(np.array([[0.5]]), w) for _ in range(3)]
     odd = Configuration(np.array([[0.5]]), other)
-    with pytest.raises(ValidationError):
-        _cost_matrix(same, same[:2] + [odd], name)
-    with pytest.raises(ValidationError):
-        _cost_matrix([odd] + same, same, name)
-    with pytest.raises(ValidationError):
+    for mu, nu in ((same, same[:2] + [odd]), ([odd] + same, same)):
+        for solve in (ppt.estimate_rubinstein_empirical, ppt.doubling_diagnostic):
+            with pytest.raises(ValidationError, match="one window"):
+                solve(mu, nu, name)
+    with pytest.raises(ValidationError, match="one window"):
         ppt.estimate_rubinstein_empirical(same, [odd], name)
+    with pytest.raises(ValidationError, match="one window"):
+        _cost_matrix(same, same[:2] + [odd], "rho2")
+
+
+def test_cost_matrix_takes_rho2_or_a_callable():
+    # rho0 and rho1 are solved from their structure, never from this matrix
+    w = Window([0.0], [1.0])
+    mu = [Configuration(np.array([[0.5]]), w)]
+    for name in ("rho0", "rho1", "rho3"):
+        with pytest.raises(ValidationError, match="unknown metric"):
+            _cost_matrix(mu, mu, name)
 
 
 def test_user_callables_keep_the_per_pair_path():
@@ -187,8 +214,8 @@ def test_coupled_samples_rho1_matrix_equals_the_per_pair_loop():
     coupling = ppt.SuperpositionCoupling(sigma, parse_density_expr("const:1.5"), p_sup=1.5)
     pairs = coupling.sample_batch(60, SeedSpec(7))
     mu, nu = [p.left for p in pairs], [p.right for p in pairs]
-    for name in ("rho0", "rho1"):
-        assert_bitwise_equal(_cost_matrix(mu, nu, name), per_pair(mu, nu, getattr(metrics, name)))
+    for name, matrix in STRUCTURED.items():
+        assert_bitwise_equal(matrix(mu, nu), per_pair(mu, nu, getattr(metrics, name)))
 
 
 def test_doubling_diagnostic_equals_separate_half_and_full_solves():

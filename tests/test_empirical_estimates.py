@@ -23,7 +23,7 @@ import ppt
 from ppt import Configuration, SeedSpec, Window, metrics, transport
 from ppt.cli import parse_density_expr
 
-from test_cost_matrices import sample_lists
+from test_cost_matrices import interned_rho1, per_pair, sample_lists
 
 UNIT = Window([0.0], [1.0])
 
@@ -93,7 +93,7 @@ def test_structured_path_equals_the_dense_path_and_highs(lists):
     for metric in ("rho0", "rho1"):
         est = ppt.estimate_rubinstein_empirical(mu, nu, metric)
         assert estimate_bytes(est) == estimate_bytes(ppt.estimate_rubinstein_empirical(mu, nu, dense(metric)))
-        assert_matches_highs(est, transport._cost_matrix(mu, nu, metric))
+        assert_matches_highs(est, per_pair(mu, nu, getattr(metrics, metric)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,7 +103,7 @@ def test_rho0_on_any_sharing_graph_equals_the_dense_path(lists):
     mu, nu = lists
     est = ppt.estimate_rubinstein_empirical(mu, nu, "rho0")
     assert estimate_bytes(est) == estimate_bytes(ppt.estimate_rubinstein_empirical(mu, nu, dense("rho0")))
-    assert_matches_highs(est, transport._cost_matrix(mu, nu, "rho0"))
+    assert_matches_highs(est, per_pair(mu, nu, metrics.rho0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,7 +125,7 @@ def test_non_matching_rho1_takes_the_dense_path():
     graph = transport._shared_atom_pairs(mu, nu)
     assert transport._rho1_matching_moments(*transport._atom_counts(mu, nu), *graph) is None
     est = ppt.estimate_rubinstein_empirical(mu, nu, "rho1")
-    assert_matches_highs(est, transport._cost_matrix(mu, nu, "rho1"))
+    assert_matches_highs(est, per_pair(mu, nu, metrics.rho1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,7 +203,7 @@ def test_rectangular_estimate_equals_the_assignment_optimum():
     coupling = ppt.SuperpositionCoupling(sigma, parse_density_expr("const:2"), p_sup=2.0)
     pairs = coupling.sample_batch(300, SeedSpec(2025, 10_000))
     left, right = [p.left for p in pairs], [p.right for p in pairs[:150]]
-    C = np.repeat(transport._cost_matrix(left, right, "rho1"), 2, axis=1)
+    C = np.repeat(interned_rho1(left, right), 2, axis=1)
     rows, cols = scipy.optimize.linear_sum_assignment(C)
     est = ppt.estimate_rubinstein_empirical(left, right, "rho1")
     assert est.mean == float(Fraction(int(C[rows, cols].sum()), 300))

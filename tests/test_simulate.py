@@ -588,13 +588,13 @@ class TestTimeChange:
         assert all(r == results[0] for r in results[1:])
 
 
-def bisection_v_inverse(tc, r, tol=1e-12):
-    """Reference: plain bisection over the whole bracket, then two Newton steps."""
+def bisection_v_inverse(tc, r):
+    """Reference: plain bisection over the whole bracket down to width 1e-6,
+    then two Newton steps."""
     r = np.asarray(r, float)
     lo = np.zeros_like(r)
     hi = np.full_like(r, tc.horizon)
-    bracket = max(math.sqrt(tol), 1e-8)
-    iters = int(math.ceil(math.log2(max(tc.horizon / bracket, 2.0)))) + 1
+    iters = int(math.ceil(math.log2(max(tc.horizon / 1e-6, 2.0)))) + 1
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         below = tc.v(mid) < r
@@ -609,11 +609,11 @@ def bisection_v_inverse(tc, r, tol=1e-12):
 
 class TestCountBelow:
     """``_count_below`` is ``searchsorted(a, keys, side="left")`` by a
-    branch-free descent, on nondecreasing arrays of 2^K - 1 entries."""
+    branch-free descent, on nondecreasing arrays of 2^K - 1 entries, K >= 0."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        levels=st.integers(1, 9),
+        levels=st.integers(0, 9),
         pool=st.lists(
             st.sampled_from([-math.inf, -2.5, -1.0, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 3.0, math.inf]),
             min_size=1,
@@ -642,10 +642,10 @@ class TestVInverseTable:
     """``v_inverse`` looks up its first bisection levels in a table; every
     result must keep the bytes of plain bisection."""
 
-    TC = rational_timechange(horizon=100.0)  # 28 bisection levels at tol 1e-12
+    TC = rational_timechange(horizon=100.0)  # 28 bisection levels, 16 of them tabled
 
     def edge_inputs(self, tc):
-        _, vt = tc._bisection_table
+        _, vt, _ = tc._bisection_table
         special = [0.0, -0.0, tc.v_end, -1.0, -1e-300, tc.v_end * (1 + 1e-15), 2.0 * tc.v_end,
                    math.inf, -math.inf, math.nan, 5e-324]
         return np.concatenate([special, vt, np.nextafter(vt, -np.inf), np.nextafter(vt, np.inf)])
@@ -678,17 +678,22 @@ class TestVInverseTable:
 
     def test_table_holds_the_bisection_midpoints(self):
         tc = self.TC
-        ends, vt = tc._bisection_table
-        assert ends.size == 2**16 + 1 and vt.size == 2**16 - 1
+        ends, vt, rest = tc._bisection_table
+        assert ends.size == 2**16 + 1 and vt.size == 2**16 - 1 and rest == 28 - 16
         assert ends[0] == 0.0 and ends[-1] == tc.horizon and ends[2**15] == 0.5 * (0.0 + tc.horizon)
         assert np.all(np.diff(ends) > 0) and np.all(np.diff(vt) >= 0)
 
-    def test_coarse_tolerance_runs_plain_bisection(self):
-        tc = self.TC
-        r = np.concatenate([np.random.default_rng(42).uniform(0.0, tc.v_end, 5000), self.edge_inputs(tc)])
-        for tol in (1e-4, 1e-2):  # 15 and 11 levels, fewer than the table's 16
-            assert tc.v_inverse(r, tol=tol).tobytes() == bisection_v_inverse(tc, r, tol=tol).tobytes()
-        assert tc.v_inverse(r, tol=1e-5).tobytes() == bisection_v_inverse(tc, r, tol=1e-5).tobytes()
+    def test_short_horizon_tables_every_level_it_can(self):
+        # 17, 16, 15 and 2 bisection levels: the table takes at most 16 of them
+        for horizon, tabled, rest in [(0.033, 16, 1), (0.03, 16, 0), (0.01, 15, 0), (1e-7, 2, 0)]:
+            tc = rational_timechange(horizon=horizon)
+            ends, vt, left = tc._bisection_table
+            assert ends.size == 2**tabled + 1 and vt.size == 2**tabled - 1 and left == rest
+            edges = self.edge_inputs(tc)
+            r = np.concatenate([np.random.default_rng(42).uniform(0.0, tc.v_end, 5000), edges])
+            assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
+            for value in edges[:11]:
+                assert np.asarray(tc.v_inverse(value)).tobytes() == bisection_v_inverse(tc, value).tobytes()
 
     def test_non_monotone_table_falls_back(self):
         # v is t on the 4097-point validation grid (spacing 1/4096) and dips
@@ -705,7 +710,8 @@ class TestVInverseTable:
             return -0.01 * f * np.sin(2.0 * f * t)
 
         tc = TimeChangeSpec(U=U, U_prime=U_prime, horizon=h)
-        assert tc._bisection_table is None
+        ends, vt, rest = tc._bisection_table  # 0 levels: every key starts from [0, h]
+        assert ends.tolist() == [0.0, h] and vt.size == 0 and rest == 21
         r = np.random.default_rng(43).uniform(0.0, tc.v_end, 20_000)
         assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
 

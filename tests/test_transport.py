@@ -197,6 +197,15 @@ class TestEmd:
         with pytest.raises(ValidationError):
             emd([1.0], [1.0], np.array([[-1.0]]))
 
+    @pytest.mark.parametrize("cost", [[[1.0, 2.0], [3.0, 4.0]], [[1.0, math.inf], [3.0, 4.0]]])
+    @pytest.mark.parametrize("a", [[math.nan, 1.0], [math.nan, math.nan], [0.5, math.inf]])
+    def test_non_finite_marginals_raise(self, a, cost):
+        # NaN compares false with 0 and with the sum tolerance, so it needs its own check
+        with pytest.raises(ValidationError, match="marginals must"):
+            emd(a, [0.5, 0.5], np.array(cost))
+        with pytest.raises(ValidationError, match="marginals must"):
+            emd([0.5, 0.5], a, np.array(cost))
+
     def test_plan_serialization(self):
         plan = emd([0.5, 0.5], [1.0], np.array([[1.0], [2.0]]))
         triplets = plan.to_json_triplets()
@@ -547,6 +556,13 @@ class TestExactOracle:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             exact_oracle_discrete([1.0], [2.0], 3)
+
+    @pytest.mark.parametrize(
+        "mu, nu", [([math.nan], [1.0]), ([1.0], [math.inf]), ([1.0, math.inf], [1.0, 1.0]), ([1.0, 1.0], [math.nan, 1.0])]
+    )
+    def test_non_finite_masses_raise(self, mu, nu):
+        with pytest.raises(ValidationError, match="finite"):
+            exact_oracle_discrete(mu, nu, 20)
 
     def test_cell_count_guard(self):
         with pytest.raises(ValidationError):
