@@ -16,14 +16,9 @@ from .core import (
     IntensityMeasure,
     SeedSpec,
     Window,
-    config_from_json,
-    config_to_json,
-    empty_configuration,
     grad_sharp,
     multiset_equal,
     rademacher_check,
-    sym_diff_count,
-    total_mass,
 )
 from .errors import (
     EnvelopeViolationError,
@@ -55,13 +50,10 @@ from .simulate import (
     TimeChangeSpec,
     TwoPointMixer,
     interaction_energy,
-    sample_coupled_superposition,
-    sample_coupled_timechange,
     sample_cox,
     sample_gibbs,
     sample_gibbs_coupled,
     sample_poisson,
-    sample_poisson_batch,
 )
 from .bounds import (
     BoundResult,

@@ -426,7 +426,8 @@ def _gibbs_count_weights(c: float, mass: float) -> tuple[list[float], list[float
     log_pmf = -mass
     for k in range(_COUNT_TERMS):
         pmf.append(math.exp(log_pmf))
-        weights.append(math.exp(log_pmf - c * k * (k - 1)))
+        energy = c * k * (k - 1) if k > 1 else 0.0  # no pairs: zero energy, also for c = inf
+        weights.append(math.exp(log_pmf - energy))
         log_pmf += math.log(mass) - math.log(k + 1) if mass > 0 else -math.inf
         if mass == 0:
             break

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -386,7 +386,7 @@ def _run_sample(spec: ExperimentSpec) -> dict:
     hex_floats = bool(p.get("hex_floats", False))
     out: dict = {"family": family, "configurations": []}
     if family == "poisson":
-        configs = simulate.sample_poisson_batch(sigma, n_configs, spec.seed)
+        configs = simulate.poisson_batch_with_rng(sigma, n_configs, spec.seed.rng())
     elif family == "cox":
         mixer = _mixer_from_params(p.get("mixer", {}), "parameters.mixer")
         configs = [
@@ -470,7 +470,7 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
             mu = [c.left for c in sampled]
             nu = [c.right for c in sampled]
         else:
-            mu = simulate.sample_poisson_batch(sigma, pairs, spec.seed)
+            mu = simulate.poisson_batch_with_rng(sigma, pairs, spec.seed.rng())
             nu = simulate.poisson_batch_with_rng(_tilted(sigma, pfn), pairs, spec.seed.rng(1))
         est = transport.estimate_rubinstein_empirical(mu, nu, metric)
         diag = transport.doubling_diagnostic(mu, nu, metric) if pairs >= 4 else {}
@@ -574,7 +574,7 @@ def _scenario_poisson_tightness(spec: ExperimentSpec) -> dict:
 
     dual = _count_witness_dual(sigma, pfn, n, spec.seed.rng(11), spec.seed.rng(12))
 
-    sampled = coupling.sample_batch(pairs, SeedSpec(spec.seed.seed, spec.seed.stream_id + 1000))
+    sampled = coupling.sample_batch(pairs, spec.seed.child(1000))
     primal = transport.estimate_rubinstein_empirical(
         [c.left for c in sampled], [c.right for c in sampled], "rho1"
     )
@@ -855,13 +855,7 @@ def main(argv=None) -> int:
             data = json.load(fh)
         spec = ExperimentSpec.from_dict(data, kind_override=args.kind)
         if args.seed is not None:
-            spec = ExperimentSpec(
-                kind=spec.kind,
-                parameters=spec.parameters,
-                seed=SeedSpec(args.seed, spec.seed.stream_id),
-                n_samples=spec.n_samples,
-                output_path=spec.output_path,
-            )
+            spec = replace(spec, seed=SeedSpec(args.seed, spec.seed.stream_id))
         report = run_experiment(spec)
     except PPTError as exc:
         print(f"error: {exc}", file=sys.stderr)

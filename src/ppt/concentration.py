@@ -450,6 +450,8 @@ def coarea_check(
     if mass <= 0:
         return lhs, estimate_from_values(np.zeros(n_samples), seed)
     observed = np.concatenate([f0, f1.ravel()])
+    if not np.all(np.isfinite(observed)):
+        raise ValidationError("co-area check requires a finite functional")
     if np.any(np.abs(observed - np.round(observed)) > 1e-9):
         raise ValidationError("co-area check requires an integer-valued functional")
     lo, hi = float(observed.min()), float(observed.max())

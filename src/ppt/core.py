@@ -26,7 +26,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -44,16 +43,11 @@ __all__ = [
     "IntensityMeasure",
     "SeedSpec",
     "Estimate",
-    "empty_configuration",
     "multiset_equal",
-    "sym_diff_count",
-    "total_mass",
     "grad_sharp",
     "rademacher_check",
     "config_to_coords",
     "config_from_coords",
-    "config_to_json",
-    "config_from_json",
 ]
 
 MAX_WINDOW_DIM = 4  # marked configurations use time as an extra coordinate
@@ -127,7 +121,7 @@ def _checked_atoms(atoms, window: Window) -> np.ndarray:
     """Frozen (n, d) atom array, checked against ``window``: dimension,
     finiteness and membership of every atom."""
     arr = np.asarray(atoms, dtype=float)
-    if arr.size == 0:
+    if arr.shape == (0,):
         arr = arr.reshape(0, window.dim)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
@@ -192,15 +186,7 @@ class Configuration:
         Only the new point is validated: the atoms already held are frozen
         and were validated when this configuration was built.
         """
-        pt = np.asarray(point, float).reshape(1, -1)
-        if pt.shape[1] != self.dim:
-            raise ValidationError(
-                f"point dimension {pt.shape[1]} does not match configuration dimension {self.dim}"
-            )
-        if not np.all(np.isfinite(pt)):
-            raise ValidationError("atom coordinates must be finite")
-        if not self.window.contains(pt)[0]:
-            raise ValidationError("every atom must lie inside the window")
+        pt = _checked_atoms(np.asarray(point, float).reshape(1, -1), self.window)
         atoms = np.vstack([self.atoms, pt])
         atoms.setflags(write=False)
         return Configuration._trusted(atoms, self.window)
@@ -208,8 +194,6 @@ class Configuration:
     def restrict(self, window: Window) -> "Configuration":
         """Restriction: keep only the atoms lying inside ``window``."""
         window._require_dim(self.dim, "restriction")
-        if self.n == 0:
-            return Configuration(self.atoms, window)
         keep = window.contains(self.atoms)
         return Configuration(self.atoms[keep], window)
 
@@ -236,10 +220,6 @@ class Configuration:
         return count
 
 
-def empty_configuration(window: Window) -> Configuration:
-    return Configuration(np.empty((0, window.dim)), window)
-
-
 def _require_shared_window(omega: Configuration, eta: Configuration) -> None:
     if omega.window != eta.window:
         raise ValidationError("configurations must share one window")
@@ -249,14 +229,6 @@ def multiset_equal(omega: Configuration, eta: Configuration) -> bool:
     if omega.n != eta.n:
         return False
     return omega.multiset() == eta.multiset()
-
-
-def sym_diff_count(omega: Configuration, eta: Configuration) -> int:
-    """Atoms of ``omega`` not matched (with multiplicity) by atoms of ``eta``."""
-    _require_shared_window(omega, eta)
-    diff = omega.multiset()
-    diff.subtract(eta.multiset())
-    return sum(c for c in diff.values() if c > 0)
 
 
 @dataclass(frozen=True)
@@ -405,17 +377,9 @@ class IntensityMeasure:
         )
 
 
-def total_mass(sigma: IntensityMeasure) -> float:
-    """Adaptive quadrature of the density over the window (relative error 1e-8)."""
-    return sigma.total_mass
-
-
 def grad_sharp(F: Callable[[Configuration], float], omega: Configuration, x) -> float:
     """Add-one-point finite difference F(omega + x) - F(omega)."""
-    pt = np.asarray(x, float).reshape(-1)
-    if omega.window.dim != pt.shape[0] or not bool(omega.window.contains(pt[None, :])[0]):
-        raise ValidationError("gradient point must lie inside the configuration window")
-    return float(F(omega.add(pt))) - float(F(omega))
+    return float(F(omega.add(x))) - float(F(omega))
 
 
 def rademacher_check(
@@ -443,9 +407,9 @@ def rademacher_check(
 
 # --- configuration serialization -------------------------------------------
 #
-# JSON array of coordinate arrays.  Decimal floats use repr round-tripping,
-# which is binary exact for 64-bit floats; hex strings are offered for a
-# textually bit-exact variant.
+# A configuration as a list of coordinate lists, ready for ``json``.  Decimal
+# floats use repr round-tripping, which is binary exact for 64-bit floats; hex
+# strings are offered for a textually bit-exact variant.
 
 
 def config_to_coords(config: Configuration, hex_floats: bool = False) -> list:
@@ -458,13 +422,4 @@ def config_from_coords(coords: Sequence[Sequence], window: Window) -> Configurat
     rows = []
     for row in coords:
         rows.append([float.fromhex(v) if isinstance(v, str) else float(v) for v in row])
-    atoms = np.asarray(rows, float) if rows else np.empty((0, window.dim))
-    return Configuration(atoms, window)
-
-
-def config_to_json(config: Configuration, hex_floats: bool = False) -> str:
-    return json.dumps(config_to_coords(config, hex_floats=hex_floats))
-
-
-def config_from_json(text: str, window: Window) -> Configuration:
-    return config_from_coords(json.loads(text), window)
+    return Configuration(np.asarray(rows, float), window)

@@ -2,10 +2,11 @@
 couplings (independent-superposition for the total-variation distance and
 the deterministic time change for the Wasserstein distance on the half-line).
 
-All samplers are pure given their :class:`~ppt.core.SeedSpec`.  The Poisson
-batch variants draw a whole batch from one derived stream, so they are
-bit-reproducible for a fixed batch size; :func:`poisson_counts` is such a
-batch's count draw alone, the same integers without the atoms.
+All samplers are pure given their :class:`~ppt.core.SeedSpec`, or a generator
+derived from one.  :func:`poisson_batch_with_rng` draws a whole batch from one
+generator, so it is bit-reproducible for a fixed batch size;
+:func:`poisson_counts` is such a batch's count draw alone, the same integers
+without the atoms.
 :meth:`SuperpositionCoupling.sample_batch` gives pair i its own stream,
 ``stream_id + i``, so each pair is the same whatever the batch size.
 """
@@ -42,7 +43,6 @@ __all__ = [
     "ConstantMixer",
     "rejection_points",
     "sample_poisson",
-    "sample_poisson_batch",
     "poisson_batch_with_rng",
     "poisson_counts",
     "sample_cox",
@@ -50,9 +50,7 @@ __all__ = [
     "sample_gibbs",
     "sample_gibbs_coupled",
     "SuperpositionCoupling",
-    "sample_coupled_superposition",
     "TimeChangeCoupling",
-    "sample_coupled_timechange",
 ]
 
 
@@ -219,11 +217,6 @@ def poisson_batch_with_rng(
     atoms = _checked_atoms(pts, window)
     offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
     return [Configuration._trusted(atoms[lo:hi], window) for lo, hi in zip(offsets, offsets[1:])]
-
-
-def sample_poisson_batch(sigma: IntensityMeasure, n: int, seed: SeedSpec) -> list[Configuration]:
-    """``n`` independent Poisson draws from one derived stream (vectorised)."""
-    return poisson_batch_with_rng(sigma, n, seed.rng())
 
 
 @dataclass(frozen=True)
@@ -480,16 +473,15 @@ class SuperpositionCoupling:
     def sample_batch(self, n: int, seed: SeedSpec) -> list[CoupledPair]:
         """``n`` independent coupled pairs; pair i is drawn from its own stream.
 
-        Pair i uses ``SeedSpec(seed.seed, seed.stream_id + i).rng()`` alone,
-        so it is the same pair whatever ``n`` is, and equals
-        ``sample(SeedSpec(seed.seed, seed.stream_id + i))``.  Each stream
+        Pair i uses ``seed.child(i).rng()`` alone, so it is the same pair
+        whatever ``n`` is, and equals ``sample(seed.child(i))``.  Each stream
         draws, in this order, the shared layer's count and points, then the
-        left extras' and the right extras' (an extra layer with zero mass
-        draws nothing).  The layers are drawn for all pairs at once by
-        :func:`_rejection_rounds`; every atom is checked against the window
-        in one array, and each configuration is a row slice of it.  Each
-        pair's cost hint, its number of extra atoms, is checked against
-        ``metrics.rho1``.
+        left extras' and the right extras' (a layer with zero mass draws the
+        count 0, which consumes nothing from the stream).  The layers are
+        drawn for all pairs at once by :func:`_rejection_rounds`; every atom
+        is checked against the window in one array, and each configuration
+        is a row slice of it.  Each pair's cost hint, its number of extra
+        atoms, is checked against ``metrics.rho1``.
         """
         if n < 1:
             raise ValidationError("batch size must be positive")
@@ -520,14 +512,11 @@ class SuperpositionCoupling:
         The pairs' generators live only in this call, so that the memory
         they hold is free again before the configurations are built.
         """
-        rngs = [SeedSpec(seed.seed, seed.stream_id + i).rng() for i in range(n)]
+        rngs = [seed.child(i).rng() for i in range(n)]
         layers = []
         for layer in (self.shared, self.left_extra, self.right_extra):
-            if layer is self.shared or layer.total_mass > 0:
-                mass = _count_mean(layer)
-                counts = [int(rng.poisson(mass)) for rng in rngs]
-            else:
-                counts = [0] * n
+            mass = _count_mean(layer)
+            counts = [int(rng.poisson(mass)) for rng in rngs]
             points = _rejection_rounds(layer, counts, rngs)
             at = [0, *accumulate(counts)]
             layers.append([points[a:b] for a, b in zip(at, at[1:])])
@@ -542,16 +531,6 @@ class SuperpositionCoupling:
             self.right_extra.total_mass, size=n_samples
         )
         return estimate_from_values(costs.astype(float), seed)
-
-
-def sample_coupled_superposition(
-    sigma: IntensityMeasure,
-    p: Callable[[np.ndarray], float],
-    seed: SeedSpec,
-    p_sup: float | None = None,
-) -> CoupledPair:
-    """One draw of the superposition coupling (see :class:`SuperpositionCoupling`)."""
-    return SuperpositionCoupling(sigma, p, p_sup=p_sup).sample(seed)
 
 
 # --------------------------------------------------------------------------
@@ -752,8 +731,3 @@ class TimeChangeCoupling:
             costs[done : done + take] = np.sqrt(sums)
             done += take
         return estimate_from_values(costs, seed)
-
-
-def sample_coupled_timechange(tc: TimeChangeSpec, seed: SeedSpec) -> CoupledPair:
-    """One draw of the time-change coupling (see :class:`TimeChangeCoupling`)."""
-    return TimeChangeCoupling(tc).sample(seed)

@@ -96,15 +96,6 @@ class TransportPlan:
         if np.max(np.abs(w.sum(axis=1) - a)) > 1e-12 or np.max(np.abs(w.sum(axis=0) - b)) > 1e-12:
             raise ValidationError("plan does not reproduce its marginals to 1e-12")
 
-    def to_json_triplets(self) -> dict:
-        """Sparse triplet serialization: lists of [row, col, weight]."""
-        r, c = np.nonzero(self.weights)
-        return {
-            "shape": [int(s) for s in self.weights.shape],
-            "triplets": [[int(i), int(j), float(self.weights[i, j])] for i, j in zip(r, c)],
-            "cost": self.cost,
-        }
-
 
 # --------------------------------------------------------------------------
 # assignment

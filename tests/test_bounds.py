@@ -131,12 +131,17 @@ class TestGibbsBound:
     def test_count_law_rho1_edges(self):
         assert ppt.gibbs_count_law_rho1(0.0, 3.0) == pytest.approx(0.0, abs=1e-15)  # the laws agree
         assert ppt.gibbs_count_law_rho1(0.5, 0.0) == 0.0  # both laws are the empty configuration
+        # a hard core allows at most one atom: the Gibbs count law is {0: 1/2, 1: 1/2}, so
+        # sum_k |F_P(k) - F_G(k)| = (1/2 - 1/e) + (1 - 2/e) + (3/e - 1) = 1/2
+        assert ppt.gibbs_count_law_rho1(math.inf, 1.0) == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ValidationError):  # the Poisson pmf underflows to 0
             ppt.gibbs_count_law_rho1(0.05, 1000.0)
 
     def test_normalization_series_raises_rather_than_truncate(self):
         # c = 0 means V = 0, so E exp(-V) = 1 whenever the series holds the mass
         assert gibbs_normalization_series(0.0, 200.0) == pytest.approx(1.0, abs=1e-12)
+        # a hard core (c = inf) accepts exactly the configurations of at most one atom
+        assert gibbs_normalization_series(math.inf, 1.0) == pytest.approx(2.0 / math.e, rel=1e-15)
         for mass in (350.0, 1000.0):  # the first 400 counts miss 0.5% and all of the mass
             with pytest.raises(ValidationError, match="too large"):
                 gibbs_normalization_series(0.0, mass)

@@ -15,14 +15,14 @@ from ppt import (
     Window,
     grad_sharp,
     rademacher_check,
-    sym_diff_count,
 )
-from ppt.core import config_from_json, config_to_json, estimate_from_values
+from ppt.core import config_from_coords, config_to_coords, estimate_from_values
 from ppt.errors import (
     EnvelopeViolationError,
     UnsupportedDimensionError,
     ValidationError,
 )
+from ppt.simulate import poisson_batch_with_rng
 
 from conftest import config
 
@@ -70,8 +70,8 @@ class TestWindow:
 
 class TestConfiguration:
     def test_empty_is_valid(self, unit_window):
-        cfg = ppt.empty_configuration(unit_window)
-        assert cfg.n == 0
+        cfg = Configuration([], unit_window)
+        assert cfg.n == 0 and cfg.atoms.shape == (0, 1)
 
     def test_atom_outside_window_rejected(self, unit_window):
         with pytest.raises(ValidationError):
@@ -99,7 +99,7 @@ class TestConfiguration:
 
     def test_add_validates_only_the_new_point(self, unit_window):
         cfg = config([0.25], unit_window)
-        for bad in ([1.5], [math.nan], [0.5, 0.5]):
+        for bad in ([1.5], [math.nan], [0.5, 0.5], []):
             with pytest.raises(ValidationError):
                 cfg.add(bad)
         grown = cfg.add([0.75])
@@ -160,32 +160,9 @@ def test_count_in_equals_the_numpy_membership_count(case):
     assert got == int(np.count_nonzero(region.contains(cfg.atoms)))
 
 
-class TestSymDiffCount:
-    def test_identical(self, unit_window):
-        a = config([0.5], unit_window)
-        assert sym_diff_count(a, a) == 0
-
-    def test_one_unmatched(self, unit_window):
-        a = config([[0.1], [0.2]], unit_window)
-        b = config([[0.2]], unit_window)
-        assert sym_diff_count(a, b) == 1
-        assert sym_diff_count(b, a) == 0
-
-    def test_multiplicity_counts(self, unit_window):
-        a = config([[0.3], [0.3]], unit_window)
-        b = config([[0.3]], unit_window)
-        assert sym_diff_count(a, b) == 1
-
-    def test_window_mismatch(self, unit_window):
-        a = config([0.5], unit_window)
-        b = config([0.5], Window([0.0], [2.0]))
-        with pytest.raises(ValidationError):
-            sym_diff_count(a, b)
-
-
 class TestTotalMass:
     def test_unit_box(self, lebesgue):
-        assert ppt.total_mass(lebesgue) == pytest.approx(1.0, rel=1e-10)
+        assert lebesgue.total_mass == pytest.approx(1.0, rel=1e-10)
 
     def test_constant_2d(self):
         w = Window([0.0, 0.0], [1.0, 1.0])
@@ -240,7 +217,7 @@ class TestGradSharp:
         F = lambda w: float(w.n)
         G = lambda w: float(min(w.n, 3) * 0.5)
         FG = lambda w: F(w) + G(w)
-        cfgs = ppt.sample_poisson_batch(IntensityMeasure.uniform(unit_window, 2.0), 20, seed)
+        cfgs = poisson_batch_with_rng(IntensityMeasure.uniform(unit_window, 2.0), 20, seed.rng())
         rng = seed.rng(99)
         for cfg in cfgs:
             x = rng.uniform(0.0, 1.0, size=1)
@@ -257,8 +234,9 @@ class TestGradSharp:
 
     def test_point_outside_window(self, unit_window):
         cfg = config([0.5], unit_window)
-        with pytest.raises(ValidationError):
-            grad_sharp(lambda w: 0.0, cfg, [1.5])
+        for bad in ([1.5], [math.nan], [0.5, 0.5], []):
+            with pytest.raises(ValidationError):
+                grad_sharp(lambda w: 0.0, cfg, bad)
 
 
 class TestRademacherCheck:
@@ -327,17 +305,17 @@ class TestEstimate:
 class TestSerialization:
     def test_decimal_round_trip_is_bit_exact(self, unit_window, seed):
         cfg = ppt.sample_poisson(IntensityMeasure.uniform(unit_window, 5.0), seed)
-        back = config_from_json(config_to_json(cfg), unit_window)
+        back = config_from_coords(json.loads(json.dumps(config_to_coords(cfg))), unit_window)
         assert np.array_equal(cfg.atoms, back.atoms)
 
     def test_hex_round_trip(self, unit_window):
         cfg = config([[0.1], [1.0 / 3.0]], unit_window)
-        text = config_to_json(cfg, hex_floats=True)
+        text = json.dumps(config_to_coords(cfg, hex_floats=True))
         assert "0x" in text
-        back = config_from_json(text, unit_window)
+        back = config_from_coords(json.loads(text), unit_window)
         assert np.array_equal(cfg.atoms, back.atoms)
 
     def test_empty_configuration(self, unit_window):
-        cfg = ppt.empty_configuration(unit_window)
-        assert json.loads(config_to_json(cfg)) == []
-        assert config_from_json("[]", unit_window).n == 0
+        cfg = Configuration([], unit_window)
+        assert json.dumps(config_to_coords(cfg)) == "[]"
+        assert config_from_coords(json.loads("[]"), unit_window).n == 0

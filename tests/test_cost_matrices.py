@@ -21,6 +21,7 @@ import ppt
 from ppt import Configuration, SeedSpec, Window, metrics, transport
 from ppt.cli import parse_density_expr
 from ppt.errors import ValidationError
+from ppt.simulate import poisson_batch_with_rng
 from ppt.transport import _cost_matrix, _feasible_on_finite, _rho2_infeasible, assignment_solve
 
 # a small pool makes repeated atoms, shared atoms and -0.0 against 0.0 common
@@ -165,7 +166,7 @@ def test_signed_zero_is_one_atom():
 def test_repeated_atoms_match_with_multiplicity():
     w = Window([0.0], [1.0])
     mu = [Configuration(np.array([[0.5], [0.5], [0.5], [0.25]]), w)]
-    nu = [Configuration(np.array([[0.5], [0.25], [0.25]]), w), ppt.empty_configuration(w)]
+    nu = [Configuration(np.array([[0.5], [0.25], [0.25]]), w), Configuration([], w)]
     # shared: one 0.5 and one 0.25 -> 4 + 3 - 2 * 2; against the empty one: 4
     assert interned_rho1(mu, nu).tolist() == [[3.0, 4.0]]
     assert grouped_rho0(mu, nu).tolist() == [[1.0, 1.0]]
@@ -220,8 +221,8 @@ def test_coupled_samples_rho1_matrix_equals_the_per_pair_loop():
 
 def test_doubling_diagnostic_equals_separate_half_and_full_solves():
     sigma = ppt.IntensityMeasure.uniform(Window([0.0], [1.0]), 2.0)
-    mu = ppt.sample_poisson_batch(sigma, 13, SeedSpec(11))
-    nu = ppt.sample_poisson_batch(sigma, 10, SeedSpec(12))
+    mu = poisson_batch_with_rng(sigma, 13, SeedSpec(11).rng())
+    nu = poisson_batch_with_rng(sigma, 10, SeedSpec(12).rng())
     for name in ("rho0", "rho1", "rho2"):
         diag = ppt.doubling_diagnostic(mu, nu, name)
         half = ppt.estimate_rubinstein_empirical(mu[:6], nu[:5], name).mean

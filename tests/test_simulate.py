@@ -39,7 +39,7 @@ class TestSamplePoisson:
     def test_count_mean_and_variance(self, unit_window):
         # Poisson(2): mean 2 and variance 2, both at three standard errors
         sigma = IntensityMeasure.uniform(unit_window, 2.0)
-        configs = ppt.sample_poisson_batch(sigma, 100_000, SeedSpec(101))
+        configs = simulate.poisson_batch_with_rng(sigma, 100_000, SeedSpec(101).rng())
         mean, var, counts = count_stats(configs)
         n = counts.size
         assert abs(mean - 2.0) <= 3.0 * math.sqrt(2.0 / n)
@@ -52,7 +52,7 @@ class TestSamplePoisson:
         # density x on [0,1]: P(atom <= 1/2) = 1/4
         w = Window([0.0], [1.0])
         sigma = IntensityMeasure(parse_density_expr("poly:0,1"), w, 1.0)
-        configs = ppt.sample_poisson_batch(sigma, 20_000, seed)
+        configs = simulate.poisson_batch_with_rng(sigma, 20_000, seed.rng())
         atoms = np.concatenate([c.atoms[:, 0] for c in configs if c.n])
         frac = float(np.mean(atoms <= 0.5))
         se = math.sqrt(0.25 * 0.75 / atoms.size)
@@ -62,7 +62,7 @@ class TestSamplePoisson:
         lying = IntensityMeasure(lambda x: np.full(np.shape(x)[:-1], 2.0), unit_window, 1.0,
                                  total_mass_hint=2.0)
         with pytest.raises(ppt.EnvelopeViolationError):
-            ppt.sample_poisson_batch(lying, 50, seed)
+            simulate.poisson_batch_with_rng(lying, 50, seed.rng())
 
     def test_box_count_statistics(self):
         # counts inside a sub-box are Poisson with the box mass, mean and
@@ -70,7 +70,7 @@ class TestSamplePoisson:
         w = Window([0.0, 0.0], [1.0, 1.0])
         sigma = IntensityMeasure.uniform(w, 3.0)
         box = Window([0.0, 0.0], [0.5, 0.5])
-        configs = ppt.sample_poisson_batch(sigma, 30_000, SeedSpec(102))
+        configs = simulate.poisson_batch_with_rng(sigma, 30_000, SeedSpec(102).rng())
         counts = np.array([c.count_in(box) for c in configs], float)
         n = counts.size
         assert abs(counts.mean() - 0.75) <= 3.0 * math.sqrt(0.75 / n)
@@ -80,8 +80,8 @@ class TestSamplePoisson:
         assert abs(var - 0.75) <= 3.0 * se_var
 
     def test_batch_reproducibility_bitwise(self, lebesgue):
-        a = ppt.sample_poisson_batch(lebesgue, 20, SeedSpec(103))
-        b = ppt.sample_poisson_batch(lebesgue, 20, SeedSpec(103))
+        a = simulate.poisson_batch_with_rng(lebesgue, 20, SeedSpec(103).rng())
+        b = simulate.poisson_batch_with_rng(lebesgue, 20, SeedSpec(103).rng())
         assert all(np.array_equal(x.atoms, y.atoms) for x, y in zip(a, b))
 
 
@@ -299,7 +299,7 @@ class TestSampleGibbs:
 
 class TestSuperposition:
     def test_equal_intensities_couple_exactly(self, lebesgue, seed):
-        pair = ppt.sample_coupled_superposition(lebesgue, parse_density_expr("const:1"), seed)
+        pair = SuperpositionCoupling(lebesgue, parse_density_expr("const:1")).sample(seed)
         assert pair.cost_hint == 0.0
         assert ppt.multiset_equal(pair.left, pair.right)
 
@@ -518,13 +518,13 @@ class TestTimeChange:
             U_prime=lambda t: np.zeros_like(np.asarray(t, float)),
             horizon=5.0,
         )
-        pair = ppt.sample_coupled_timechange(tc, seed)
+        pair = TimeChangeCoupling(tc).sample(seed)
         assert pair.cost_hint == 0.0
         assert np.array_equal(pair.left.atoms, pair.right.atoms)
 
     def test_atom_order_preserved(self, seed):
         tc = rational_timechange()
-        pair = ppt.sample_coupled_timechange(tc, seed)
+        pair = TimeChangeCoupling(tc).sample(seed)
         left = pair.left.atoms[:, 0]
         assert np.all(np.diff(left) >= 0)
 

@@ -22,6 +22,7 @@ from ppt import (
 )
 from ppt import transport
 from ppt.errors import InternalConsistencyError, TruncationError, ValidationError
+from ppt.simulate import poisson_batch_with_rng
 
 from conftest import brute_force_assignment, config
 
@@ -205,12 +206,6 @@ class TestEmd:
             emd(a, [0.5, 0.5], np.array(cost))
         with pytest.raises(ValidationError, match="marginals must"):
             emd([0.5, 0.5], a, np.array(cost))
-
-    def test_plan_serialization(self):
-        plan = emd([0.5, 0.5], [1.0], np.array([[1.0], [2.0]]))
-        triplets = plan.to_json_triplets()
-        assert triplets["shape"] == [2, 1]
-        assert len(triplets["triplets"]) == 2
 
 
 @st.composite
@@ -468,8 +463,8 @@ class TestEmpiricalEstimates:
         assert est.mean == 0.0
 
     def test_rho0_bounded_by_one(self, lebesgue, seed):
-        mu = ppt.sample_poisson_batch(lebesgue, 12, seed)
-        nu = ppt.sample_poisson_batch(lebesgue, 12, ppt.SeedSpec(1, 1))
+        mu = poisson_batch_with_rng(lebesgue, 12, seed.rng())
+        nu = poisson_batch_with_rng(lebesgue, 12, ppt.SeedSpec(1, 1).rng())
         est = estimate_rubinstein_empirical(mu, nu, "rho0")
         assert 0.0 <= est.mean <= 1.0
 
@@ -485,15 +480,15 @@ class TestEmpiricalEstimates:
             estimate_rubinstein_empirical(a, a, "rho7")
 
     def test_doubling_diagnostic_fields(self, lebesgue, seed):
-        mu = ppt.sample_poisson_batch(lebesgue, 8, seed)
-        nu = ppt.sample_poisson_batch(lebesgue, 8, ppt.SeedSpec(2, 1))
+        mu = poisson_batch_with_rng(lebesgue, 8, seed.rng())
+        nu = poisson_batch_with_rng(lebesgue, 8, ppt.SeedSpec(2, 1).rng())
         diag = doubling_diagnostic(mu, nu, "rho1")
         assert set(diag) == {"n_half", "n_full", "estimate_half", "estimate_full", "gap"}
 
 
 class TestDualLowerBound:
     def test_constant_witness_gives_zero(self, lebesgue, seed):
-        mu = ppt.sample_poisson_batch(lebesgue, 10, seed)
+        mu = poisson_batch_with_rng(lebesgue, 10, seed.rng())
         est = dual_lower_bound(lambda w: 1.0, mu, mu)
         assert est.mean == 0.0
 
@@ -512,8 +507,8 @@ class TestDualLowerBound:
 class TestDualFromValues:
     def test_equals_dual_lower_bound_field_for_field(self, seed):
         sigma = ppt.IntensityMeasure.uniform(ppt.Window([0.0, 0.0], [1.0, 2.0]), 1.5)
-        mu = ppt.sample_poisson_batch(sigma, 300, seed)
-        nu = ppt.sample_poisson_batch(sigma.scaled(2.0), 250, ppt.SeedSpec(1, 1))
+        mu = poisson_batch_with_rng(sigma, 300, seed.rng())
+        nu = poisson_batch_with_rng(sigma.scaled(2.0), 250, ppt.SeedSpec(1, 1).rng())
         want = dual_lower_bound(lambda w: float(w.n), mu, nu)
         got = transport.dual_from_values(
             np.array([w.n for w in mu]), np.array([w.n for w in nu])
