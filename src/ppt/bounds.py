@@ -292,6 +292,9 @@ def nested_gradient_mc(
     return mass * acc / inner_samples, f0
 
 
+_SLAB_ROWS = 4096  # most rows (configurations) in one slab of the add-one-point kernel
+
+
 def _add_one_point_values(F, sigma, n_outer, inner_samples, config_rng, point_rng):
     """The add-one-point kernel shared by every gradient estimate.
 
@@ -302,38 +305,51 @@ def _add_one_point_values(F, sigma, n_outer, inner_samples, config_rng, point_rn
 
     All inner points are checked against the window once, as one array
     (dimension, finiteness, membership: what ``Configuration.add`` checks per
-    point).  Each w_i then gets one read-only ``(inner_samples, n_i + 1, d)``
-    slab: its atoms repeated over the first axis, with x_ij appended as the
-    last atom.  A functional with a ``stack(atoms, window)`` method gets the
-    whole slab in one call; any other F receives the slab's rows as
-    configurations.  Either way this happens after all the F(w_i) and in row
-    order, so each value equals F(w_i.add(x_ij)) bit for bit.
+    point).  The draws are then grouped by atom count n, in increasing n.
+    Each group's rows w_i + x_ij, in draw order and then in j, go into
+    read-only ``(k, n + 1, d)`` slabs of at most ``_SLAB_ROWS`` rows: w_i's
+    atoms, with x_ij appended as the last atom.  A functional with a
+    ``stack(atoms, window)`` method gets each slab in one call, so there is
+    one call per atom count unless a group is split; any other F receives the
+    slab's rows as configurations, one call per row.  Either way this
+    happens after all the F(w_i), and each value equals F(w_i.add(x_ij)) bit
+    for bit.
     """
     configs = poisson_batch_with_rng(sigma, n_outer, config_rng)
     f0 = np.array([float(F(w)) for w in configs])
     if sigma.total_mass <= 0:
         return f0, np.empty((n_outer, 0))
     window = sigma.window
-    xs = _checked_atoms(rejection_points(sigma, n_outer * inner_samples, point_rng), window)
-    xs = xs.reshape(n_outer, inner_samples, window.dim)
+    d = window.dim
+    points = _checked_atoms(rejection_points(sigma, n_outer * inner_samples, point_rng), window)
     stack = getattr(F, "stack", None)
-    f1 = np.empty((n_outer, inner_samples))
+    trusted = Configuration._trusted
+    by_count: dict[int, list[int]] = {}
     for i, w in enumerate(configs):
-        slab = np.empty((inner_samples, w.n + 1, window.dim))
-        slab[:, :-1] = w.atoms
-        slab[:, -1] = xs[i]
-        slab.setflags(write=False)
-        if stack is not None:
-            vals = np.asarray(stack(slab, window), dtype=float)
-            if vals.shape != (inner_samples,):
-                raise ValidationError(
-                    f"stack returned shape {vals.shape} on atoms of shape {slab.shape}, "
-                    f"expected ({inner_samples},)"
-                )
-            f1[i] = vals
-        else:
-            f1[i] = [float(F(Configuration._trusted(row, window))) for row in slab]
-    return f0, f1
+        by_count.setdefault(w.n, []).append(i)
+    f1 = np.empty(n_outer * inner_samples)  # row-major (n_outer, inner_samples), like points
+    for n, group in sorted(by_count.items()):
+        atoms = np.stack([configs[i].atoms for i in group])
+        draws = np.array(group)
+        rows = draws.size * inner_samples
+        for start in range(0, rows, _SLAB_ROWS):
+            owner, j = np.divmod(np.arange(start, min(start + _SLAB_ROWS, rows)), inner_samples)
+            at = draws[owner] * inner_samples + j  # where x_ij is in points, and its value in f1
+            slab = np.empty((at.size, n + 1, d))
+            slab[:, :-1] = atoms[owner]
+            slab[:, -1] = points[at]
+            slab.setflags(write=False)
+            if stack is not None:
+                got = np.asarray(stack(slab, window), dtype=float)
+                if got.shape != (at.size,):
+                    raise ValidationError(
+                        f"stack returned shape {got.shape} on atoms of shape {slab.shape}, "
+                        f"expected ({at.size},)"
+                    )
+            else:
+                got = np.fromiter((float(F(trusted(row, window))) for row in slab), float, at.size)
+            f1[at] = got
+    return f0, f1.reshape(n_outer, inner_samples)
 
 
 def bound_tv_general(

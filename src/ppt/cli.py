@@ -212,8 +212,16 @@ def _timechange_from_params(params: dict, path: str) -> simulate.TimeChangeSpec:
         return _s * t / (1.0 + t**3)
 
     def U_prime(t, _s=scale):
-        t = np.asarray(t, float)
-        return _s * (1.0 - 2.0 * t**3) / (1.0 + t**3) ** 2
+        # _s * (1 - 2 t^3) / (1 + t^3)^2 with t^3 computed once; the in-place
+        # steps are the same roundings (1 - y is 1 + (-y)), and hold no more
+        # arrays at once than computing t^3 twice did
+        t3 = np.asarray(t, float) ** 3
+        den = (1.0 + t3) ** 2
+        t3 *= -2.0
+        t3 += 1.0
+        t3 *= _s
+        t3 /= den
+        return t3
 
     U.expr = f"rational_decay(scale={scale})"
     return simulate.TimeChangeSpec(U=U, U_prime=U_prime, horizon=horizon)

@@ -439,24 +439,30 @@ def coarea_check(
     Carlo error.  An observed range wider than ``_COAREA_MAX_LEVELS`` =
     10000 levels raises :class:`ValidationError`, because the level sum
     holds n_samples x inner_samples x levels comparisons at once.
-    """
-    lhs_vals, _ = nested_gradient_mc(F, sigma, n_samples, inner_samples, seed, base_path=5)
-    lhs = estimate_from_values(lhs_vals, seed)
 
+    The rhs stream (6) is drawn and checked first, so that a functional
+    that is not finite, not integer-valued or too wide in range is rejected
+    before the lhs stream (5) is drawn; the streams are independent, so
+    the order changes no value.
+    """
     mass = sigma.total_mass
     f0, f1 = _add_one_point_values(
         F, sigma, n_samples, inner_samples, seed.rng(6, 0), seed.rng(6, 1)
     )
+    if mass > 0:
+        observed = np.concatenate([f0, f1.ravel()])
+        if not np.all(np.isfinite(observed)):
+            raise ValidationError("co-area check requires a finite functional")
+        if np.any(np.abs(observed - np.round(observed)) > 1e-9):
+            raise ValidationError("co-area check requires an integer-valued functional")
+        lo, hi = float(observed.min()), float(observed.max())
+        if hi - lo > _COAREA_MAX_LEVELS:
+            raise ValidationError(f"observed range [{lo}, {hi}] too wide for the level sum")
+
+    lhs_vals, _ = nested_gradient_mc(F, sigma, n_samples, inner_samples, seed, base_path=5)
+    lhs = estimate_from_values(lhs_vals, seed)
     if mass <= 0:
         return lhs, estimate_from_values(np.zeros(n_samples), seed)
-    observed = np.concatenate([f0, f1.ravel()])
-    if not np.all(np.isfinite(observed)):
-        raise ValidationError("co-area check requires a finite functional")
-    if np.any(np.abs(observed - np.round(observed)) > 1e-9):
-        raise ValidationError("co-area check requires an integer-valued functional")
-    lo, hi = float(observed.min()), float(observed.max())
-    if hi - lo > _COAREA_MAX_LEVELS:
-        raise ValidationError(f"observed range [{lo}, {hi}] too wide for the level sum")
     thresholds = np.arange(math.floor(lo) + 0.5, hi, 1.0)
     rhs_vals = np.zeros(n_samples)
     if thresholds.size:

@@ -17,8 +17,9 @@ Conventions used throughout the package:
   as point functions are over points: it takes a read-only ``(k, n, d)``
   array (k configurations of n atoms each in ``window``) and returns their k
   values as a ``float64`` array, each equal bit for bit to ``F`` on that row.
-  The add-one-point gradients then make one ``stack`` call per outer draw
-  (see ``ppt.bounds._add_one_point_values``); without it F is called one
+  The add-one-point gradients then make one ``stack`` call per atom count
+  of the outer draws, on rows from several draws (see
+  ``ppt.bounds._add_one_point_values``); without it F is called one
   configuration at a time;
 * every random operation is driven by a :class:`SeedSpec`, so repeated calls
   with the same spec are bit-identical.
@@ -64,7 +65,10 @@ def _as_tuple(values, name: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-aligned bounded box in R^d, 1 <= d <= 4."""
+    """Axis-aligned bounded box in R^d, 1 <= d <= 4.
+
+    ``dim`` (d) is a plain attribute, stored once when the window is built.
+    """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -80,9 +84,10 @@ class Window:
             )
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValidationError("window requires lower[i] < upper[i] for all i")
-        # read-only array copies of the bounds and the volume, built once:
-        # membership tests run for every atom added to a configuration, and
-        # the volume for every rejection sampler call
+        # read-only array copies of the bounds, the volume and the dimension,
+        # built once: membership tests run for every atom added to a
+        # configuration, the volume for every rejection sampler call and the
+        # dimension check for every count
         for name, values in (("_lo", self.lower), ("_hi", self.upper)):
             arr = np.array(values, float)
             arr.setflags(write=False)
@@ -90,10 +95,7 @@ class Window:
         with np.errstate(over="ignore"):  # a window wider than the largest double has volume inf
             volume = float(np.prod(np.asarray(self.upper) - np.asarray(self.lower)))
         object.__setattr__(self, "_volume", volume)
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
+        object.__setattr__(self, "dim", len(self.lower))
 
     @property
     def volume(self) -> float:
@@ -165,8 +167,9 @@ class Configuration:
         of one; it is stored as given.
         """
         out = object.__new__(cls)
-        object.__setattr__(out, "atoms", atoms)
-        object.__setattr__(out, "window", window)
+        fields = out.__dict__  # what object.__setattr__ writes, without its cost per call
+        fields["atoms"] = atoms
+        fields["window"] = window
         return out
 
     @property
@@ -207,7 +210,8 @@ class Configuration:
         ``lower <= x <= upper`` of ``window.contains``, so the count is
         exactly the number of atoms it accepts.
         """
-        window._require_dim(self.dim, "count")
+        if window.dim != self.window.dim:
+            window._require_dim(self.window.dim, "count")
         lower, upper = window.lower, window.upper
         dims = range(len(lower))
         count = 0

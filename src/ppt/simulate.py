@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -539,6 +539,7 @@ class SuperpositionCoupling:
 
 _BRACKET = 1e-6  # v_inverse's bisection bracket, the square root of its tolerance 1e-12
 _TABLE_LEVELS = 16  # most bisection levels of v_inverse answered by its table
+_BUCKET_ENTRIES = 4  # table entries per bucket of _count_below's index, on average
 _BLOCK = 32768  # points of r per v_inverse block
 _CHECK_GRID = 4097  # points of the grid that TimeChangeSpec is validated on
 # atoms per chunk of TimeChangeCoupling.estimate_mean_cost: two v_inverse blocks,
@@ -612,6 +613,11 @@ class TimeChangeSpec:
             return whole, vt[:0], levels
         return ends, vt, levels - tabled
 
+    @cached_property
+    def _bracket_index(self) -> "_BucketIndex":
+        """:func:`_bucket_index` of the table's ``vt``, built once."""
+        return _bucket_index(self._bisection_table[1])
+
     def v_inverse(self, r):
         """Invert v to absolute tolerance 1e-12 (vectorised).
 
@@ -621,35 +627,38 @@ class TimeChangeSpec:
 
         The table's bisection levels (:attr:`_bisection_table`, at most 16)
         are looked up instead of run: because its ``vt`` is nondecreasing,
-        the number of its entries below ``r`` (:func:`_count_below`, a
-        branch-free descent with no sorting) gives the bracket that those
-        decisions ``v(mid) < r`` reach; a NaN key compares false throughout,
-        so the descent and bisection both send it left.  A table of 0 levels
-        gives every key the bracket [0, horizon].  The remaining levels copy
-        ``mid`` into ``lo`` or ``hi`` by a bitwise select on the float64
-        bits, with a mask that is all ones where ``v(mid) < r``: it copies
-        bits, so it cannot change a value, and it has no per-element branch
-        to mispredict.  Two Newton steps follow, so the result is
-        bit-identical to plain bisection.  ``r`` is processed in fixed blocks
-        so that the temporaries stay small; every operation is elementwise,
-        so the blocks change no value.
+        the number of its entries below ``r`` (:func:`_count_below`: a bucket
+        lookup, then a branch-free descent of at most 16 steps over the
+        bucket, with no sorting) gives the bracket that those decisions
+        ``v(mid) < r`` reach; a NaN key compares false throughout, so the
+        lookup and bisection both send it left.  A table of 0 levels gives
+        every key the bracket [0, horizon].  The remaining levels keep each
+        key's ``lo`` and ``hi`` side by side in one ``(B, 2)`` array and
+        store ``mid`` into the ``lo`` slot where ``v(mid) < r``, else into
+        the ``hi`` slot, in one indexed store: it copies the value, so it
+        cannot change it, and it has no per-element branch to mispredict.
+        Two Newton steps follow, so the result is bit-identical to plain
+        bisection.  ``r`` is processed in fixed blocks so that the
+        temporaries stay small; every operation is elementwise, so the
+        blocks change no value.
         """
         r = np.asarray(r, float)
         flat = r.reshape(-1)
         out = np.empty(flat.shape)
         ends, vt, levels = self._bisection_table
+        index = self._bracket_index
+        hi_slots = np.arange(1, 2 * min(flat.size, _BLOCK), 2)  # flat index of each key's hi
         for start in range(0, flat.size, _BLOCK):
             rb = flat[start : start + _BLOCK]
-            s = _count_below(vt, rb)
-            lo, hi = ends.take(s), ends[1:].take(s)
-            lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
+            s = _count_below(vt, rb, index)
+            lh = np.empty((rb.size, 2))  # each key's bracket [lo, hi]
+            lh[:, 0] = ends.take(s)
+            lh[:, 1] = ends[1:].take(s)
+            slots = hi_slots[: rb.size]
             for _ in range(levels):
-                mid = 0.5 * (lo + hi)
-                m = -(self.v(mid) < rb).astype(np.int64)  # all ones where the root is above mid
-                mid_bits = mid.view(np.int64)
-                lo_bits ^= (lo_bits ^ mid_bits) & m
-                hi_bits ^= (hi_bits ^ mid_bits) & ~m
-            t = 0.5 * (lo + hi)
+                mid = 0.5 * (lh[:, 0] + lh[:, 1])
+                lh.reshape(-1)[slots - (self.v(mid) < rb)] = mid  # lo where the root is above mid
+            t = 0.5 * (lh[:, 0] + lh[:, 1])
             for _ in range(2):
                 slope = 1.0 + np.asarray(self.U_prime(t), float)
                 t = np.clip(t - (self.v(t) - rb) / slope, 0.0, self.horizon)
@@ -657,17 +666,74 @@ class TimeChangeSpec:
         return out.reshape(r.shape)[()]  # a numpy scalar for scalar r, as before
 
 
-def _count_below(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
+class _BucketIndex(NamedTuple):
+    """Where :func:`_count_below` starts its descent for each key.
+
+    A key goes to bucket ``int(_bucket_coordinate(key, lo, hi, scale))``,
+    a nondecreasing map of the key with values in [0, first.size - 1] that
+    sends NaN to bucket 0.  ``first[b]`` is where the descent starts for
+    bucket b, and ``half`` is its first step.
+    """
+
+    lo: float
+    hi: float
+    scale: float
+    first: np.ndarray
+    half: int
+
+
+def _bucket_index(a: np.ndarray) -> _BucketIndex:
+    """The :class:`_BucketIndex` of a nondecreasing array of 2^K - 1 entries.
+
+    The buckets split the range of ``a``'s finite entries into about
+    ``a.size / _BUCKET_ENTRIES`` equal parts (one bucket when that range is
+    empty or wider than the largest double).  The entries of ``a`` in a
+    bucket b are a run ``a[start_b : start_b + span_b]``, where start_b is
+    the number of entries in lower buckets: a key in bucket b exceeds
+    every entry in lower buckets and no entry in higher ones, so its count
+    of entries below lies in [start_b, start_b + span_b].  A descent of
+    ``steps`` = bit length of the largest span covers 2^steps - 1 >= span_b
+    entries from any start; since a is sorted, it stays exact on any window
+    that holds the count, so ``first[b]`` moves the window left where it
+    would run past the end of ``a``.  steps <= K, as no span exceeds a.size.
+    """
+    i, j = a.searchsorted(-math.inf, "right"), a.searchsorted(math.inf, "left")  # a[i:j] is finite
+    lo, hi = (float(a[i]), float(a[j - 1])) if i < j else (0.0, 0.0)
+    buckets = max(a.size // _BUCKET_ENTRIES, 1)
+    width = hi - lo
+    scale = (buckets - 1) / width if 0 < width < math.inf else 0.0
+    if not 0 < scale < math.inf:  # one bucket, with no arithmetic that could overflow
+        lo = hi = scale = 0.0
+    # start_b counts the entries whose coordinate is below b, which are those in lower buckets
+    start = _bucket_coordinate(a, lo, hi, scale).searchsorted(np.arange(buckets), "left")
+    steps = int(np.diff(start, append=a.size).max()).bit_length()
+    first = np.minimum(start, a.size - (2**steps - 1), out=start)
+    return _BucketIndex(lo, hi, scale, first, 2**steps // 2)
+
+
+def _bucket_coordinate(keys: np.ndarray, lo: float, hi: float, scale: float) -> np.ndarray:
+    """Each key's bucket coordinate, a float whose integer part is its bucket."""
+    c = np.fmax(keys, lo)  # NaN -> lo
+    np.fmin(c, hi, out=c)  # no inf or NaN left
+    c -= lo
+    c *= scale
+    return c
+
+
+def _count_below(a: np.ndarray, keys: np.ndarray, index: _BucketIndex | None = None) -> np.ndarray:
     """For each key, the number of entries of ``a`` below it.
 
     ``a`` is nondecreasing with 2^K - 1 entries, K >= 0; for keys that are
     not NaN this is ``searchsorted(a, keys, side="left")``, and a NaN key
-    gets 0.
-    A branch-free descent: ``s += half * (a[s + half - 1] < key)`` for
-    half = 2^(K-1), ..., 1, vectorised over the keys, with no sorting.
+    gets 0.  ``index`` is ``_bucket_index(a)``, built here when not given.
+    The key's bucket gives the start ``s`` of a branch-free descent,
+    ``s += half * (a[s + half - 1] < key)`` for half = ``index.half``, ...,
+    1, vectorised over the keys, with no sorting.
     """
-    s = np.zeros(keys.shape, np.intp)
-    half = (a.size + 1) // 2
+    if index is None:
+        index = _bucket_index(a)
+    s = index.first.take(_bucket_coordinate(keys, index.lo, index.hi, index.scale).astype(np.intp))
+    half = index.half
     while half:
         s += half * (a[half - 1 :].take(s) < keys)  # a[s + half - 1], gathered through a view
         half //= 2

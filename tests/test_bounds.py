@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -300,15 +301,16 @@ class TestGeneralBound:
         kernel = ppt.bounds._add_one_point_values
 
         def spy(G, *args):
+            before = len(stack_calls)
             f0, f1 = kernel(G, *args)
-            calls.append((f0, f1))
+            calls.append((f0, f1, stack_calls[before:]))
             return f0, f1
 
         monkeypatch.setattr(ppt.bounds, "_add_one_point_values", spy)
         monkeypatch.setattr(ppt.concentration, "_add_one_point_values", spy)
         seed = SeedSpec(27)
         # the plain callables go through the per-configuration path, the
-        # stacked ones through one stack call per outer draw
+        # stacked ones through one stack call per distinct atom count
         for G, lvl in ((F, level), (F_stacked, level_stacked)):
             calls.clear()
             got, f0 = nested_gradient_mc(G, sigma, 20, 7, seed, base_path=3)
@@ -317,13 +319,20 @@ class TestGeneralBound:
             expected = [
                 reference(G, 20, 7, seed.rng(3, 0), seed.rng(3, 1)),
                 reference(G, 20, 1, seed.rng(), seed.rng(1)),
+                reference(lvl, 20, 5, seed.rng(6, 0), seed.rng(6, 1)),  # co-area rhs, checked first
                 reference(lvl, 20, 5, seed.rng(5, 0), seed.rng(5, 1)),  # co-area lhs
-                reference(lvl, 20, 5, seed.rng(6, 0), seed.rng(6, 1)),  # co-area rhs
             ]
             assert len(calls) == len(expected)
-            for (f0_got, f1_got), (_, f0_ref, f1_ref) in zip(calls, expected):
+            for (f0_got, f1_got, shapes), (configs, f0_ref, f1_ref) in zip(calls, expected):
                 assert f0_got.tobytes() == f0_ref.tobytes()
                 assert f1_got.tobytes() == f1_ref.tobytes()
+                if G is F:
+                    assert shapes == []
+                    continue
+                # one slab per count, in increasing count, holding every row of its draws
+                inner = f1_ref.shape[1]
+                per_count = Counter(w.n for w in configs)
+                assert shapes == [(per_count[n] * inner, n + 1, dim) for n in sorted(per_count)]
 
             configs, f0_ref, f1_ref = expected[0]
             assert any(w.n == 0 for w in configs)
@@ -335,8 +344,6 @@ class TestGeneralBound:
                 assert got[i] == sigma.total_mass * acc / 7
             _, f0_ref, f1_ref = expected[1]
             assert worst == max(abs(f1_ref[:, 0] - f0_ref))
-        # one stack call per outer draw of each of the four kernel calls
-        assert len(stack_calls) == 4 * 20
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("mass", [0.7, 12.0])
@@ -382,6 +389,42 @@ class TestGeneralBound:
             # and a stack of one configuration is that configuration's value
             for w in configs:
                 assert F.stack(w.atoms[None], window).tobytes() == np.array([float(F(w))]).tobytes(), name
+
+    @pytest.mark.parametrize("cap", [1, 5, 7, 11, 64])
+    def test_row_cap_splits_a_count_class(self, cap, monkeypatch):
+        # a cap below a count class's rows splits the class into several
+        # slabs, none above the cap, and changes no value; 7 is inner_samples
+        import ppt.bounds
+        from ppt.bounds import _add_one_point_values
+
+        window = Window([0.0, 0.0], [1.0, 2.0])
+        sigma = IntensityMeasure.uniform(window, 1.5 / window.volume)
+        L = poisson_density(lambda x: np.exp(np.sin(3.0 * x).sum(axis=-1)), sigma)
+        shapes = []
+
+        def F(config):
+            return L(config)
+
+        def stack(atoms, window):
+            shapes.append(atoms.shape)
+            return L.stack(atoms, window)
+
+        F.stack = stack
+        seed = SeedSpec(33)
+        want = _add_one_point_values(F, sigma, 30, 7, seed.rng(0), seed.rng(1))
+        counts = Counter(w.n for w in ppt.simulate.poisson_batch_with_rng(sigma, 30, seed.rng(0)))
+        assert [shape[0] for shape in shapes] == [counts[n] * 7 for n in sorted(counts)]
+        monkeypatch.setattr(ppt.bounds, "_SLAB_ROWS", cap)
+        shapes.clear()
+        for G in (F, lambda config: L(config)):  # the stack path and the per-row path
+            got = _add_one_point_values(G, sigma, 30, 7, seed.rng(0), seed.rng(1))
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        # each class in full slabs of the cap, then its remainder
+        rows = [counts[n] * 7 for n in sorted(counts)]
+        assert [shape[0] for shape in shapes] == [
+            size for r in rows for size in [cap] * (r // cap) + [r % cap] * (r % cap > 0)
+        ]
+        assert len(shapes) > len(counts) or cap > max(rows)
 
     def test_stack_rejects_nonpositive_p_like_the_loop(self, lebesgue, monkeypatch):
         import ppt.bounds

@@ -344,13 +344,25 @@ class TestCoarea:
         with pytest.raises(ValidationError):
             coarea_check(lambda w: 0.5 * w.n, lebesgue, 200, seed, inner_samples=4)
 
-    # the lhs differences of an infinite F are inf - inf, which numpy warns about
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_functional_rejected(self, lebesgue, seed, bad):
         # NaN passes the integer and range checks; inf reads as a range too wide
         with pytest.raises(ValidationError, match="finite"):
             coarea_check(lambda w: bad if w.n > 1 else 0.0, lebesgue, 50, seed, inner_samples=4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_functional_rejected_before_the_lhs(self, lebesgue, seed, bad, monkeypatch):
+        # the rhs stream is checked before the lhs pass runs, so the lhs never
+        # sees the inf - inf differences of a non-finite F
+        import ppt.concentration
+
+        lhs_calls = []
+        monkeypatch.setattr(
+            ppt.concentration, "nested_gradient_mc", lambda *args, **kwargs: lhs_calls.append(args)
+        )
+        with pytest.raises(ValidationError, match="finite"):
+            coarea_check(lambda w: bad if w.n > 1 else 0.0, lebesgue, 50, seed, inner_samples=4)
+        assert lhs_calls == []
 
     def test_unbounded_range_rejected(self, lebesgue, seed):
         with pytest.raises(ValidationError) as err:

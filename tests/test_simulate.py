@@ -638,6 +638,99 @@ class TestCountBelow:
         assert simulate._count_below(a, np.array([math.nan, 3.5])).tolist() == [0, 4]
 
 
+class TestBucketedBracket:
+    """The bucket index sends each key to a start of ``_count_below``'s
+    descent; the count must still be ``searchsorted(a, keys, side="left")``,
+    in at most K steps on 2^K - 1 entries."""
+
+    @staticmethod
+    def check(a, extra_keys=()):
+        index = simulate._bucket_index(a)
+        levels = (a.size + 1).bit_length() - 1
+        assert index.half.bit_length() <= levels <= 16  # descent steps
+        finite = a[np.isfinite(a)]
+        with np.errstate(over="ignore"):  # nextafter of the largest double is inf
+            neighbours = [np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)]
+        keys = np.concatenate(
+            [a, *neighbours, [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf], np.asarray(extra_keys, float)]
+        )
+        keys = np.concatenate([keys, keys[::-1]])  # ascending and descending runs
+        got = simulate._count_below(a, keys, index)
+        assert got.tobytes() == np.searchsorted(a, keys, side="left").astype(np.intp).tobytes()
+        nan_keys = np.array([math.nan, -math.nan, 1.0, math.nan])
+        assert simulate._count_below(a, nan_keys, index)[[0, 1, 3]].tolist() == [0, 0, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        levels=st.integers(0, 12),
+        pool=st.lists(
+            st.sampled_from([-math.inf, -2.5, -1.0, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 3.0, 1e300, math.inf]),
+            min_size=1,
+        ),
+        extra=st.lists(st.floats(allow_nan=False), max_size=20),
+        run=st.tuples(st.floats(allow_nan=False), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_searchsorted(self, levels, pool, extra, run, seed):
+        # ties, signed zeros, infinite entries, extreme finite values, and a
+        # flat run of one value over up to the whole table
+        rng = np.random.default_rng(seed)
+        size = 2**levels - 1
+        value, share = run
+        flat = np.full(int(share * size), value)
+        a = np.sort(np.concatenate([rng.choice(np.array(pool + extra), size - flat.size), flat]))
+        self.check(a, extra + [value, rng.uniform(-4.0, 4.0)])
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros(2**16 - 1),  # zero-width range: one bucket, every step
+            np.full(2**16 - 1, math.inf),  # no finite entry
+            np.concatenate([np.zeros(2**16 - 2), [1.0]]),  # a flat run of all entries but one
+            np.concatenate([[-1.0], np.zeros(2**16 - 2)]),
+            np.geomspace(1e-300, 1e300, 2**16 - 1),  # steep: most entries in the first bucket
+            np.concatenate([[-1.7e308], np.linspace(0.0, 1.0, 2**16 - 3), [1.7e308]]),  # range overflows
+            np.empty(0),
+        ],
+    )
+    def test_worst_tables(self, a):
+        self.check(a, np.linspace(-2.0, 2.0, 101))
+
+
+def steep_timechange(horizon=100.0):
+    """v' = 1e-3 + 9.999 (t / horizon)^2: slopes from 1e-3 to 10 on [0, horizon]."""
+    c = 9.999 / horizon**2
+
+    def U(t):
+        t = np.asarray(t, float)
+        return (1e-3 - 1.0) * t + c * t**3 / 3.0
+
+    def U_prime(t):
+        t = np.asarray(t, float)
+        return (1e-3 - 1.0) + c * t**2
+
+    return TimeChangeSpec(U=U, U_prime=U_prime, horizon=horizon)
+
+
+def test_steep_time_change_equals_plain_bisection():
+    # the flat start of v crowds thousands of table entries into the lowest buckets
+    tc = steep_timechange()
+    _, vt, rest = tc._bisection_table
+    assert vt.size == 2**16 - 1 and rest == 12
+    assert tc._bracket_index.half.bit_length() > 4  # a long descent in the crowded buckets
+    rng = np.random.default_rng(45)
+    r = np.concatenate(
+        [
+            rng.uniform(0.0, tc.v_end, 50_000),
+            rng.uniform(0.0, 1e-2, 20_000),  # where v' is about 1e-3
+            vt[::97],
+            np.nextafter(vt[::89], np.inf),
+            [0.0, -0.0, tc.v_end, math.inf, -math.inf, math.nan, 5e-324],
+        ]
+    )
+    assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
+
+
 class TestVInverseTable:
     """``v_inverse`` looks up its first bisection levels in a table; every
     result must keep the bytes of plain bisection."""
