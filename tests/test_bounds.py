@@ -424,7 +424,6 @@ class TestGeneralBound:
         assert [shape[0] for shape in shapes] == [
             size for r in rows for size in [cap] * (r // cap) + [r % cap] * (r % cap > 0)
         ]
-        assert len(shapes) > len(counts) or cap > max(rows)
 
     def test_stack_rejects_nonpositive_p_like_the_loop(self, lebesgue, monkeypatch):
         import ppt.bounds
