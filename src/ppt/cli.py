@@ -41,8 +41,6 @@ from .core import (
 )
 from .errors import PPTError, SpecParseError, ValidationError
 
-KINDS = ("distance", "sample", "bound", "estimate", "tail", "isoperimetry", "verify")
-
 __all__ = ["ExperimentSpec", "Report", "parse_density_expr", "run_experiment", "main"]
 
 
@@ -246,17 +244,6 @@ def _require(params: dict, key: str, path: str = "parameters"):
     return params[key]
 
 
-_PARAM_KEYS = {
-    "distance": {"metric", "left", "right", "window"},
-    "sample": {"family", "density", "window", "n_configs", "mixer", "phi", "hex_floats"},
-    "bound": {"family", "p", "density", "window", "mixer", "phi", "horizon", "scale", "marks_mass"},
-    "estimate": {"estimator", "p", "density", "window", "metric", "pairs", "coupled", "horizon", "scale"},
-    "tail": {"mass", "r", "masses", "rs"},
-    "isoperimetry": {"event", "density", "window"},
-    "verify": {"scenario", "window", "p", "phi", "horizon", "scale", "pairs", "masses", "rs", "mass"},
-}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative experiment: kind, parameters, seed, sample count, output."""
@@ -272,7 +259,7 @@ class ExperimentSpec:
             raise SpecParseError(f"unknown kind {self.kind!r}", where="kind")
         if self.n_samples < 1:
             raise SpecParseError("n_samples must be positive", where="n_samples")
-        _check_keys(self.parameters, _PARAM_KEYS[self.kind], "parameters")
+        _check_keys(self.parameters, _KINDS[self.kind][1], "parameters")
 
     @classmethod
     def from_dict(cls, data: dict, kind_override: str | None = None) -> "ExperimentSpec":
@@ -328,23 +315,20 @@ class Report:
     library_version: str = __version__
     csv_rows: list = field(default_factory=list)
 
+    def _payload(self) -> dict:
+        return {
+            "spec_echo": _jsonable(self.spec_echo),
+            "results": _jsonable(self.results),
+            "library_version": self.library_version,
+        }
+
     def canonical_bytes(self) -> bytes:
         """Deterministic payload: everything except wall time and side tables."""
-        payload = {
-            "spec_echo": _jsonable(self.spec_echo),
-            "results": _jsonable(self.results),
-            "library_version": self.library_version,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        return json.dumps(self._payload(), sort_keys=True, separators=(",", ":")).encode()
 
     def to_json(self) -> str:
-        payload = {
-            "spec_echo": _jsonable(self.spec_echo),
-            "results": _jsonable(self.results),
-            "wall_time_ms": int(self.wall_time_ms),
-            "library_version": self.library_version,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        """The deterministic payload plus ``wall_time_ms``."""
+        return json.dumps({**self._payload(), "wall_time_ms": int(self.wall_time_ms)}, sort_keys=True, indent=2)
 
     def csv_text(self) -> str | None:
         if not self.csv_rows:
@@ -820,23 +804,30 @@ def _run_verify(spec: ExperimentSpec) -> dict:
 # --------------------------------------------------------------------------
 
 
-# kind -> runner; ExperimentSpec has validated the kind
-_RUNNERS = {
-    "distance": _run_distance,
-    "sample": _run_sample,
-    "bound": _run_bound,
-    "estimate": _run_estimate,
-    "tail": _run_tail,
-    "isoperimetry": _run_isoperimetry,
-    "verify": _run_verify,
+# kind -> (runner, the parameter keys it reads); ExperimentSpec checks the kind and the keys
+_KINDS = {
+    "distance": (_run_distance, {"metric", "left", "right", "window"}),
+    "sample": (_run_sample, {"family", "density", "window", "n_configs", "mixer", "phi", "hex_floats"}),
+    "bound": (_run_bound, {"family", "p", "density", "window", "mixer", "phi", "horizon", "scale", "marks_mass"}),
+    "estimate": (
+        _run_estimate,
+        {"estimator", "p", "density", "window", "metric", "pairs", "coupled", "horizon", "scale"},
+    ),
+    "tail": (_run_tail, {"mass", "r", "masses", "rs"}),
+    "isoperimetry": (_run_isoperimetry, {"event", "density", "window"}),
+    "verify": (
+        _run_verify,
+        {"scenario", "window", "p", "phi", "horizon", "scale", "pairs", "masses", "rs", "mass"},
+    ),
 }
+KINDS = tuple(_KINDS)
 
 
 def run_experiment(spec: ExperimentSpec) -> Report:
     """Dispatch one experiment spec to the library and wrap the report."""
     start = time.perf_counter()
     try:
-        results = _RUNNERS[spec.kind](spec)
+        results = _KINDS[spec.kind][0](spec)
     except PPTError as exc:
         # re-raise the same error, so that ``where``, ``diagnostics`` and
         # ``trace`` reach the caller

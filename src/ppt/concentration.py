@@ -300,17 +300,18 @@ def surface_measure_exact(A, sigma: IntensityMeasure) -> float:
     """Closed-form surface measure for count-threshold events.
 
     Adding a point inside the region crosses {count <= k} exactly on
-    {count = k}, so the surface equals region_mass * P(count = k); for
-    {count >= m} the crossing happens on {count = m - 1}.
+    {count = k}, so the surface equals region_mass * P(count = k).  For
+    m >= 1, {count >= m} is the complement of {count <= m - 1} and has its
+    surface; {count >= 0} is the whole space, with surface 0.
     """
-    mass = _region_mass(sigma, getattr(A, "region", None))
-    if isinstance(A, CountThresholdEvent):
-        return mass * poisson_pmf(mass, A.k)
     if isinstance(A, CountAtLeastEvent):
         if A.m == 0:
-            return 0.0  # event is the whole space
-        return mass * poisson_pmf(mass, A.m - 1)
-    raise ValidationError("exact surface measure only for count-threshold events")
+            return 0.0
+        A = CountThresholdEvent(A.m - 1, A.region)
+    if not isinstance(A, CountThresholdEvent):
+        raise ValidationError("exact surface measure only for count-threshold events")
+    mass = _region_mass(sigma, A.region)
+    return mass * poisson_pmf(mass, A.k)
 
 
 def _poisson_lower(mass: float, k: int) -> float:
@@ -324,27 +325,26 @@ def _poisson_lower(mass: float, k: int) -> float:
 
 
 def _event_probability_pair(A, sigma: IntensityMeasure) -> tuple[float, float]:
-    """(P(A), 1 - P(A)) with the smaller side computed directly (no cancellation)."""
-    mass = _region_mass(sigma, getattr(A, "region", None))
-    if isinstance(A, CountThresholdEvent):
-        if mass <= 0:
-            return 1.0, 0.0
-        q = poisson_tail_exact(mass, A.k + 1)  # P(not A)
-        if q < 0.5:
-            return 1.0 - q, q
-        p = _poisson_lower(mass, A.k)
-        return p, 1.0 - p
+    """(P(A), 1 - P(A)) with the smaller side computed directly (no cancellation).
+
+    For m >= 1, {count >= m} is the complement of {count <= m - 1}, so its
+    pair is that event's, swapped.
+    """
     if isinstance(A, CountAtLeastEvent):
         if A.m == 0:
-            return 1.0, 0.0
-        if mass <= 0:
-            return 0.0, 1.0
-        p = poisson_tail_exact(mass, A.m)
-        if p < 0.5:
-            return p, 1.0 - p
-        q = _poisson_lower(mass, A.m - 1)
+            return 1.0, 0.0  # the whole space
+        q, p = _event_probability_pair(CountThresholdEvent(A.m - 1, A.region), sigma)
+        return p, q
+    if not isinstance(A, CountThresholdEvent):
+        raise ValidationError("exact probability only for count-threshold events")
+    mass = _region_mass(sigma, A.region)
+    if mass <= 0:
+        return 1.0, 0.0
+    q = poisson_tail_exact(mass, A.k + 1)  # P(not A)
+    if q < 0.5:
         return 1.0 - q, q
-    raise ValidationError("exact probability only for count-threshold events")
+    p = _poisson_lower(mass, A.k)
+    return p, 1.0 - p
 
 
 def event_probability_exact(A, sigma: IntensityMeasure) -> float:

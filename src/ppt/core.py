@@ -359,7 +359,10 @@ class IntensityMeasure:
         return float(integrate(self.density_at, lo, hi, rel_tol=1e-8))
 
     def scaled(self, factor: float) -> "IntensityMeasure":
-        """The measure ``factor * sigma`` (reuses the cached total mass)."""
+        """The measure ``factor * sigma``, with total mass ``factor *
+        self.total_mass``: the base's mass is read (and, without a hint,
+        integrated and cached) here, so the scaled mass does not depend on
+        what was read before."""
         if factor < 0:
             raise ValidationError("scaling factor must be nonnegative")
         if factor == 0:
@@ -369,15 +372,12 @@ class IntensityMeasure:
         def scaled_density(x, _f=factor, _b=base):
             return _f * np.asarray(_b.density(x), dtype=float)
 
-        hint = None
-        if base.total_mass_hint is not None or "total_mass" in base.__dict__:
-            hint = factor * base.total_mass
         return IntensityMeasure(
             density=scaled_density,
             window=base.window,
             density_sup=factor * base.density_sup,
             label=f"{factor}*({base.label})" if base.label else "",
-            total_mass_hint=hint,
+            total_mass_hint=factor * base.total_mass,
         )
 
 

@@ -720,18 +720,16 @@ def _bucket_coordinate(keys: np.ndarray, lo: float, hi: float, scale: float) -> 
     return c
 
 
-def _count_below(a: np.ndarray, keys: np.ndarray, index: _BucketIndex | None = None) -> np.ndarray:
+def _count_below(a: np.ndarray, keys: np.ndarray, index: _BucketIndex) -> np.ndarray:
     """For each key, the number of entries of ``a`` below it.
 
     ``a`` is nondecreasing with 2^K - 1 entries, K >= 0; for keys that are
     not NaN this is ``searchsorted(a, keys, side="left")``, and a NaN key
-    gets 0.  ``index`` is ``_bucket_index(a)``, built here when not given.
+    gets 0.  ``index`` is ``_bucket_index(a)``.
     The key's bucket gives the start ``s`` of a branch-free descent,
     ``s += half * (a[s + half - 1] < key)`` for half = ``index.half``, ...,
     1, vectorised over the keys, with no sorting.
     """
-    if index is None:
-        index = _bucket_index(a)
     s = index.first.take(_bucket_coordinate(keys, index.lo, index.hi, index.scale).astype(np.intp))
     half = index.half
     while half:

@@ -561,17 +561,17 @@ def _emd_with_reduced_costs(a, b, cost) -> tuple[TransportPlan, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-def _cost_matrix(samples_mu, samples_nu, metric) -> np.ndarray:
+def _cost_matrix(samples_mu, samples_nu, metric, count_mu, count_nu) -> np.ndarray:
     """Matrix of ``metric``, rho2 or a callable, between every configuration
-    of ``samples_mu`` (rows) and of ``samples_nu`` (columns).
+    of ``samples_mu`` (rows) and of ``samples_nu`` (columns), whose windows
+    :func:`_atom_counts` has checked and whose atom counts it gave.
 
-    A callable is called once per pair.  For rho2 the windows are compared
-    once for all configurations, and rho2 is called only on pairs of equal
-    atom count, every other entry being +inf; each entry equals the per-pair
-    ``metrics.rho2`` value bit for bit.  rho0 and rho1 never need this
-    matrix: :func:`_prefix_moments` solves them from groups of equal
-    multisets and from shared-atom counts (:func:`_rho1_matrix`), so their
-    names are rejected here as any other string is.
+    A callable is called once per pair.  rho2 is called only on pairs of
+    equal atom count, every other entry being +inf; each entry equals the
+    per-pair ``metrics.rho2`` value bit for bit.  rho0 and rho1 never need
+    this matrix: :func:`_moments` solves them from groups of equal multisets
+    and from shared-atom counts (:func:`_rho1_matrix`), so their names are
+    rejected here as any other string is.
     """
     if callable(metric):
         return np.array([[metric(x, y) for y in samples_nu] for x in samples_mu], dtype=float)
@@ -579,7 +579,6 @@ def _cost_matrix(samples_mu, samples_nu, metric) -> np.ndarray:
         raise ValidationError(f"unknown metric {metric!r}; expected rho0, rho1 or rho2")
     from . import metrics  # deferred: metrics.rho2 delegates back to assignment_solve
 
-    count_mu, count_nu = _atom_counts(samples_mu, samples_nu)
     C = np.full((count_mu.size, count_nu.size), math.inf)
     for i, j in zip(*np.nonzero(count_mu[:, None] == count_nu[None, :])):
         C[i, j] = metrics.rho2(samples_mu[i], samples_nu[j])
@@ -597,18 +596,15 @@ def _atom_counts(samples_mu, samples_nu) -> tuple[np.ndarray, np.ndarray]:
     return count_mu, count_nu
 
 
-def _rho2_infeasible(samples_mu, samples_nu, metric) -> bool:
-    """Whether ``metric`` is rho2 and no plan between the uniform marginals
-    on the two lists has finite cost.
+def _rho2_infeasible(count_mu: np.ndarray, count_nu: np.ndarray) -> bool:
+    """Whether no rho2 plan between the uniform marginals on two lists with
+    these atom counts has finite cost.
 
     Finite rho2 entries join configurations of equal atom count, so they form
     one complete bipartite block per count k, and a finite plan exists iff
     every block balances its mass: #mu_k / n == #nu_k / m.  This is decided
     from the counts alone, before any rho2 value is computed.
     """
-    if metric != "rho2":
-        return False
-    count_mu, count_nu = _atom_counts(samples_mu, samples_nu)
     classes = int(max(count_mu.max(), count_nu.max())) + 1
     per_count_mu = np.bincount(count_mu, minlength=classes) * count_nu.size
     per_count_nu = np.bincount(count_nu, minlength=classes) * count_mu.size
@@ -802,40 +798,28 @@ def _dense_moments(C: np.ndarray, dispersion: bool = True) -> tuple[float, float
     return float(mean), float(var)
 
 
-def _prefix_moments(samples_mu, samples_nu, metric, prefixes, dispersion: bool = True) -> list:
-    """Moments of the transport between ``samples_mu[:p]`` and
-    ``samples_nu[:q]`` for each (p, q) of the increasing ``prefixes``; None
-    where no plan has finite cost.
+def _moments(samples_mu, samples_nu, metric, dispersion: bool = True) -> tuple[float, float | None] | None:
+    """(mean, var) of the transport between the two lists; None when no
+    plan has finite cost.
 
-    rho0, and rho1 on a partial-matching sharing graph, have closed forms in
-    integer arithmetic, and rho1 on any other sharing graph is solved densely
-    on its :func:`_rho1_matrix`; rho2 and callables are solved densely, the
-    prefixes' matrices being leading blocks of one matrix (:func:`_cost_matrix`
-    rejects an unknown metric).
+    The windows are checked and the atom counts taken once, for every
+    metric.  rho0, and rho1 on a partial-matching sharing graph, have closed
+    forms in integer arithmetic; rho1 on any other sharing graph is solved
+    densely on its :func:`_rho1_matrix`.  rho2 is screened by its count
+    classes (:func:`_rho2_infeasible`) and then, like a callable, solved
+    densely on :func:`_cost_matrix`, which rejects an unknown metric.
+    ``dispersion=False`` skips a dense path's second solve (var is None).
     """
-    if metric in ("rho0", "rho1"):
-        count_mu, count_nu = _atom_counts(samples_mu, samples_nu)  # checks the windows
+    count_mu, count_nu = _atom_counts(samples_mu, samples_nu)
     if metric == "rho0":
-        group_mu, group_nu = _multiset_groups(samples_mu, samples_nu)
-        return [_rho0_moments(group_mu[:p], group_nu[:q]) for p, q in prefixes]
+        return _rho0_moments(*_multiset_groups(samples_mu, samples_nu))
     if metric == "rho1":
-        rows, cols, shared = _shared_atom_pairs(samples_mu, samples_nu)
-        out = []
-        for p, q in prefixes:
-            keep = (rows < p) & (cols < q)
-            graph = (count_mu[:p], count_nu[:q], rows[keep], cols[keep], shared[keep])
-            moments = _rho1_matching_moments(*graph)
-            if moments is None:
-                moments = _dense_moments(_rho1_matrix(*graph).astype(float), dispersion)
-            out.append(moments)
-        return out
-    feasible = [not _rho2_infeasible(samples_mu[:p], samples_nu[:q], metric) for p, q in prefixes]
-    if not any(feasible):
-        return [None] * len(prefixes)
-    # the widest prefix with a finite plan holds the others' matrices
-    p, q = max(pq for pq, ok in zip(prefixes, feasible) if ok)
-    C = _cost_matrix(samples_mu[:p], samples_nu[:q], metric)
-    return [_dense_moments(C[:p, :q], dispersion) if ok else None for (p, q), ok in zip(prefixes, feasible)]
+        graph = (count_mu, count_nu, *_shared_atom_pairs(samples_mu, samples_nu))
+        moments = _rho1_matching_moments(*graph)
+        return moments if moments is not None else _dense_moments(_rho1_matrix(*graph).astype(float), dispersion)
+    if metric == "rho2" and _rho2_infeasible(count_mu, count_nu):
+        return None
+    return _dense_moments(_cost_matrix(samples_mu, samples_nu, metric, count_mu, count_nu), dispersion)
 
 
 def estimate_rubinstein_empirical(
@@ -864,12 +848,13 @@ def estimate_rubinstein_empirical(
     LP.  Every other case (rho1 on other sharing graphs, rho2, callables) is
     solved by two dense :func:`emd` solves: one for the optimum, one for the
     dispersion on the optimal plans.  Infinite costs (rho2 with mismatched
-    counts throughout) yield mean = +inf, not an error.
+    counts throughout) yield mean = +inf, not an error.  Whatever the
+    metric, configurations on more than one window raise ValidationError.
     """
     if not samples_mu or not samples_nu:
         raise ValidationError("sample lists must be nonempty")
     n, m = len(samples_mu), len(samples_nu)
-    [moments] = _prefix_moments(samples_mu, samples_nu, metric, [(n, m)])
+    moments = _moments(samples_mu, samples_nu, metric)
     if moments is None:
         return Estimate(mean=float("inf"), std_error=float("inf"), n_samples=n + m, seed=None)
     mean, var = moments
@@ -885,13 +870,14 @@ def doubling_diagnostic(
 
     The half lists are the prefixes of the full ones, and each estimate is
     the mean :func:`estimate_rubinstein_empirical` gives on its lists.  The
-    atoms are interned once for both; a rho2 or callable cost matrix is
-    built once, for the widest of the two list pairs with a finite plan.
+    two list pairs are solved on their own, each with its own interned
+    atoms or cost matrix, and without the dispersion solve.
     """
     n, m = len(samples_mu), len(samples_nu)
     if n < 2 or m < 2:
         raise ValidationError("need at least two samples per side")
-    half, full = _prefix_moments(samples_mu, samples_nu, metric, [(n // 2, m // 2), (n, m)], dispersion=False)
+    half = _moments(samples_mu[: n // 2], samples_nu[: m // 2], metric, dispersion=False)
+    full = _moments(samples_mu, samples_nu, metric, dispersion=False)
     half_cost = half[0] if half else float("inf")
     full_cost = full[0] if full else float("inf")
     gap = (

@@ -204,6 +204,32 @@ class TestRunExperiment:
             run_experiment(spec)
 
 
+class TestTimeChangeKinds:
+    """The bound and estimate kinds built on the CLI's time change
+    U(t) = scale * t / (1 + t^3) (horizon 100, scale 1 by default)."""
+
+    def test_halfline_bound(self):
+        report = run_experiment(_spec("bound", {"family": "halfline"}, 1, 10))
+        assert report.results["bound"]["value"] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
+
+    def test_timechange_bound_scales_with_the_root_of_the_mark_mass(self):
+        def bound(**extra):
+            return run_experiment(_spec("bound", {"family": "timechange", **extra}, 1, 10)).results["bound"]
+
+        plain, marked = bound(), bound(marks_mass=2.0)
+        assert marked["value"] == pytest.approx(math.sqrt(2.0) * plain["value"], rel=1e-12, abs=0.0)
+        assert (plain["details"]["mark_mass"], marked["details"]["mark_mass"]) == (1.0, 2.0)
+        for details in (plain["details"], marked["details"]):
+            assert details["energy_form"] == pytest.approx(details["inverse_form"], abs=1e-6)
+
+    def test_timechange_cost_estimate(self):
+        spec = _spec("estimate", {"estimator": "timechange_cost"}, 3, 200)
+        report = run_experiment(spec)
+        est = report.results["estimate"]
+        assert math.isfinite(est["mean"]) and est["std_error"] > 0
+        assert run_experiment(spec).canonical_bytes() == report.canonical_bytes()
+
+
 class TestVerifyScenarios:
     def test_semicontinuity_passes(self):
         spec = ExperimentSpec.from_dict(

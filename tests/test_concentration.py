@@ -240,6 +240,40 @@ class TestSurfaceMeasure:
         )
 
 
+def at_least_by_its_own_formulas(event, sigma):
+    """(P, 1 - P) and the surface of {count >= m} by the formulas of their
+    own that ``CountAtLeastEvent`` once had, before it was mapped to the
+    complement {count <= m - 1}."""
+    from ppt.concentration import _poisson_lower, _region_mass
+
+    mass = _region_mass(sigma, event.region)
+    if event.m == 0:
+        return (1.0, 0.0), 0.0
+    surface = mass * poisson_pmf(mass, event.m - 1)
+    if mass <= 0:
+        return (0.0, 1.0), surface
+    p = poisson_tail_exact(mass, event.m)
+    if p < 0.5:
+        return (p, 1.0 - p), surface
+    q = _poisson_lower(mass, event.m - 1)
+    return (1.0 - q, q), surface
+
+
+def test_at_least_events_equal_their_own_formulas_bit_for_bit():
+    from ppt.concentration import _event_probability_pair
+
+    unit = Window([0.0], [1.0])
+    masses = (0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 5.0, 10.0, 20.0, 37.5, 50.0, 100.0, 200.0)
+    for mass in masses:
+        sigma = IntensityMeasure.uniform(unit, mass)
+        for region in (None, Window([0.0], [0.5])):
+            for m in range(40):
+                event = CountAtLeastEvent(m=m, region=region)
+                pair, surface = at_least_by_its_own_formulas(event, sigma)
+                got = np.array([*_event_probability_pair(event, sigma), surface_measure_exact(event, sigma)])
+                assert got.tobytes() == np.array([*pair, surface]).tobytes(), (mass, region, m)
+
+
 class TestIsoperimetry:
     def test_empty_event_exact_ratio(self, lebesgue, seed):
         est = isoperimetric_ratio(CountThresholdEvent(k=0), lebesgue, 100, seed)

@@ -181,6 +181,22 @@ class TestTotalMass:
                 c * lebesgue.total_mass, abs=1e-12
             )
 
+    def test_scaled_mass_does_not_depend_on_what_was_read_before(self):
+        # poly:1,2 has no mass hint, so its mass is integrated; scaled once
+        # took that path only if the base mass had been read, and integrated
+        # the scaled density otherwise, which differs in the last bit
+        from ppt.cli import parse_density_expr
+
+        def base():
+            fn = parse_density_expr("poly:1,2")
+            return IntensityMeasure(fn, Window([0.0], [1.0]), fn.sup_on(Window([0.0], [1.0])))
+
+        for f in (0.37, 0.1, 2.5, 3.0):
+            fresh = base().scaled(f).total_mass
+            read = base()
+            _ = read.total_mass
+            assert fresh.hex() == read.scaled(f).total_mass.hex() == (f * read.total_mass).hex()
+
     def test_unsupported_dimension(self):
         w = Window([0.0] * 4, [1.0] * 4)
         sigma = IntensityMeasure(lambda x: 1.0, w, 1.0)

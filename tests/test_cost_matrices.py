@@ -5,7 +5,8 @@ rho0 from groups of equal multisets (``transport._multiset_groups``), and
 ``transport._cost_matrix`` screens rho2 entries by atom count; every entry
 must equal what the per-pair ``metrics`` call gives, bit for bit.  The rho2
 estimates skip the matrix when the count classes admit no finite plan, with
-the results of building it.
+the results of building it.  ``doubling_diagnostic`` solves its half and
+full list pairs as two estimates would.
 """
 
 import itertools
@@ -44,6 +45,11 @@ def sample_lists(draw, max_atoms=5):
 
 def per_pair(mu, nu, fn):
     return np.array([[float(fn(x, y)) for y in nu] for x in mu], dtype=float).reshape(len(mu), len(nu))
+
+
+def rho2_matrix(mu, nu):
+    """The rho2 matrix as the estimate builds it, from the checked atom counts."""
+    return _cost_matrix(mu, nu, "rho2", *transport._atom_counts(mu, nu))
 
 
 def interned_rho1(mu, nu):
@@ -139,7 +145,7 @@ def configs_2d(*rows):
 def test_rho2_count_screen_equals_the_per_pair_loop(lists):
     mu, nu = lists
     want = per_pair(mu, nu, metrics.rho2)
-    assert_bitwise_equal(_cost_matrix(mu, nu, "rho2"), want)
+    assert_bitwise_equal(rho2_matrix(mu, nu), want)
     for i, x in enumerate(mu):
         for j, y in enumerate(nu):
             assert_rho2_matches_the_references(x, y, want[i, j])
@@ -172,7 +178,9 @@ def test_repeated_atoms_match_with_multiplicity():
     assert grouped_rho0(mu, nu).tolist() == [[1.0, 1.0]]
 
 
-@pytest.mark.parametrize("name", ["rho0", "rho1", "rho2"])
+@pytest.mark.parametrize(
+    "name", ["rho0", "rho1", "rho2", pytest.param(lambda x, y: float(abs(x.n - y.n)), id="callable")]
+)
 def test_window_mismatch_raises_for_every_configuration(name):
     w, other = Window([0.0], [1.0]), Window([0.0], [2.0])
     same = [Configuration(np.array([[0.5]]), w) for _ in range(3)]
@@ -183,8 +191,6 @@ def test_window_mismatch_raises_for_every_configuration(name):
                 solve(mu, nu, name)
     with pytest.raises(ValidationError, match="one window"):
         ppt.estimate_rubinstein_empirical(same, [odd], name)
-    with pytest.raises(ValidationError, match="one window"):
-        _cost_matrix(same, same[:2] + [odd], "rho2")
 
 
 def test_cost_matrix_takes_rho2_or_a_callable():
@@ -193,7 +199,7 @@ def test_cost_matrix_takes_rho2_or_a_callable():
     mu = [Configuration(np.array([[0.5]]), w)]
     for name in ("rho0", "rho1", "rho3"):
         with pytest.raises(ValidationError, match="unknown metric"):
-            _cost_matrix(mu, mu, name)
+            _cost_matrix(mu, mu, name, *transport._atom_counts(mu, mu))
 
 
 def test_user_callables_keep_the_per_pair_path():
@@ -205,7 +211,7 @@ def test_user_callables_keep_the_per_pair_path():
         calls.append((x, y))
         return abs(x.n - y.n) + 0.5
 
-    assert _cost_matrix(mu, mu[:2], count_gap).tolist() == [[0.5, 0.5]] * 3
+    assert _cost_matrix(mu, mu[:2], count_gap, *transport._atom_counts(mu, mu[:2])).tolist() == [[0.5, 0.5]] * 3
     assert len(calls) == 6
 
 
@@ -219,15 +225,55 @@ def test_coupled_samples_rho1_matrix_equals_the_per_pair_loop():
         assert_bitwise_equal(matrix(mu, nu), per_pair(mu, nu, getattr(metrics, name)))
 
 
+def assert_doubling_equals_two_estimates(mu, nu, metric):
+    n, m = len(mu), len(nu)
+    diag = ppt.doubling_diagnostic(mu, nu, metric)
+    half = ppt.estimate_rubinstein_empirical(mu[: n // 2], nu[: m // 2], metric).mean
+    full = ppt.estimate_rubinstein_empirical(mu, nu, metric).mean
+    assert (diag["estimate_half"], diag["estimate_full"]) == (half, full)
+
+
 def test_doubling_diagnostic_equals_separate_half_and_full_solves():
     sigma = ppt.IntensityMeasure.uniform(Window([0.0], [1.0]), 2.0)
     mu = poisson_batch_with_rng(sigma, 13, SeedSpec(11).rng())
     nu = poisson_batch_with_rng(sigma, 10, SeedSpec(12).rng())
-    for name in ("rho0", "rho1", "rho2"):
-        diag = ppt.doubling_diagnostic(mu, nu, name)
-        half = ppt.estimate_rubinstein_empirical(mu[:6], nu[:5], name).mean
-        full = ppt.estimate_rubinstein_empirical(mu, nu, name).mean
-        assert (diag["estimate_half"], diag["estimate_full"]) == (half, full)
+    for name in ("rho0", "rho1", "rho2", lambda x, y: float(metrics.rho1(x, y))):
+        assert_doubling_equals_two_estimates(mu, nu, name)
+
+
+def test_doubling_diagnostic_on_coupled_and_dense_rho1_lists():
+    # coupled lists: a partial-matching sharing graph, solved in closed form
+    sigma = ppt.IntensityMeasure.uniform(Window([0.0], [1.0]), 3.0)
+    coupling = ppt.SuperpositionCoupling(sigma, parse_density_expr("const:1.5"), p_sup=1.5)
+    pairs = coupling.sample_batch(21, SeedSpec(7))
+    assert_doubling_equals_two_estimates([p.left for p in pairs], [p.right for p in pairs], "rho1")
+    # each list's first configuration shares atoms with both of the other's,
+    # so neither list pair is a partial matching and both take the dense path
+    w = Window([0.0], [1.0])
+    as_config = lambda *x: Configuration(np.array(x, float).reshape(-1, 1), w)
+    mu = [as_config(0.1, 0.2), as_config(0.1, 0.3), as_config(0.2, 0.4), as_config(0.5)]
+    nu = [as_config(0.1), as_config(0.2, 0.3), as_config(0.1, 0.4, 0.5), as_config(0.6)]
+    for k in (2, 4):
+        graph = transport._shared_atom_pairs(mu[:k], nu[:k])
+        assert transport._rho1_matching_moments(*transport._atom_counts(mu[:k], nu[:k]), *graph) is None
+    assert_doubling_equals_two_estimates(mu, nu, "rho1")
+
+
+def test_one_window_check_per_rho2_estimate(monkeypatch):
+    w = Window([0.0], [1.0])
+    mu, nu = with_counts([1, 2, 1, 2], w), with_counts([2, 1, 2, 1], w)
+    calls = []
+    atom_counts = transport._atom_counts
+
+    def counted(samples_mu, samples_nu):
+        calls.append(None)
+        return atom_counts(samples_mu, samples_nu)
+
+    monkeypatch.setattr(transport, "_atom_counts", counted)
+    assert math.isfinite(ppt.estimate_rubinstein_empirical(mu, nu, "rho2").mean)
+    assert len(calls) == 1
+    ppt.doubling_diagnostic(mu, nu, "rho2")
+    assert len(calls) == 3  # one per list pair
 
 
 def with_counts(counts, window):
@@ -253,12 +299,11 @@ def test_count_screen_agrees_with_the_feasibility_prescreen(count_mu, count_nu, 
     finite = np.isfinite(per_pair(mu, nu, metrics.rho2))
     assert finite.tolist() == (np.array(count_mu)[:, None] == np.array(count_nu)[None, :]).tolist()
     feasible = _feasible_on_finite(np.full(n, 1.0 / n), np.full(m, 1.0 / m), finite)
-    assert _rho2_infeasible(mu, nu, "rho2") == (not feasible)
-    assert not _rho2_infeasible(mu, nu, "rho1")
+    assert _rho2_infeasible(*transport._atom_counts(mu, nu)) == (not feasible)
 
 
 def _screen_off(monkeypatch):
-    monkeypatch.setattr(transport, "_rho2_infeasible", lambda samples_mu, samples_nu, metric: False)
+    monkeypatch.setattr(transport, "_rho2_infeasible", lambda count_mu, count_nu: False)
 
 
 def _counted_rho2(monkeypatch):

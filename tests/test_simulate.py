@@ -629,13 +629,13 @@ class TestCountBelow:
             neighbours = [np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)]
         keys = np.concatenate([a, *neighbours, [0.0, -0.0, math.inf, -math.inf], extra])
         rng.shuffle(keys)
-        got = simulate._count_below(a, keys)
+        got = simulate._count_below(a, keys, simulate._bucket_index(a))
         assert got.tobytes() == np.searchsorted(a, keys, side="left").astype(np.intp).tobytes()
 
     def test_nan_key_goes_left(self):
         # bisection sends NaN left (``v(mid) < nan`` is false), and so does the descent
         a = np.arange(7.0)
-        assert simulate._count_below(a, np.array([math.nan, 3.5])).tolist() == [0, 4]
+        assert simulate._count_below(a, np.array([math.nan, 3.5]), simulate._bucket_index(a)).tolist() == [0, 4]
 
 
 class TestBucketedBracket:
