@@ -296,22 +296,39 @@ def surface_measure(
     return estimate_from_values(values, seed)
 
 
-def surface_measure_exact(A, sigma: IntensityMeasure) -> float:
-    """Closed-form surface measure for count-threshold events.
+def _threshold_form(A, sigma: IntensityMeasure) -> tuple[int, float, bool] | None:
+    """A count event as ``(k, region mass, complemented)``: the event is
+    {count in region <= k}, or its complement when ``complemented``.
 
-    Adding a point inside the region crosses {count <= k} exactly on
-    {count = k}, so the surface equals region_mass * P(count = k).  For
-    m >= 1, {count >= m} is the complement of {count <= m - 1} and has its
-    surface; {count >= 0} is the whole space, with surface 0.
+    For m >= 1, {count >= m} is the complement of {count <= m - 1};
+    {count >= 0} is the whole space, returned as None.  The region mass is
+    integrated here, once per event.
     """
-    if isinstance(A, CountAtLeastEvent):
+    complemented = isinstance(A, CountAtLeastEvent)
+    if complemented:
         if A.m == 0:
-            return 0.0
+            return None
         A = CountThresholdEvent(A.m - 1, A.region)
     if not isinstance(A, CountThresholdEvent):
-        raise ValidationError("exact surface measure only for count-threshold events")
-    mass = _region_mass(sigma, A.region)
-    return mass * poisson_pmf(mass, A.k)
+        raise ValidationError("exact values only for count-threshold events")
+    return A.k, _region_mass(sigma, A.region), complemented
+
+
+def _threshold_surface(form: tuple[int, float, bool] | None) -> float:
+    """Surface of a :func:`_threshold_form`: adding a point inside the region
+    crosses {count <= k} exactly on {count = k}, so the surface equals
+    region_mass * P(count = k); an event and its complement share it, and
+    the whole space has none."""
+    if form is None:
+        return 0.0
+    k, mass, _ = form
+    return mass * poisson_pmf(mass, k)
+
+
+def surface_measure_exact(A, sigma: IntensityMeasure) -> float:
+    """Closed-form surface measure for count-threshold events
+    (:func:`_threshold_surface`)."""
+    return _threshold_surface(_threshold_form(A, sigma))
 
 
 def _poisson_lower(mass: float, k: int) -> float:
@@ -324,27 +341,27 @@ def _poisson_lower(mass: float, k: int) -> float:
     return min(s, 1.0)
 
 
-def _event_probability_pair(A, sigma: IntensityMeasure) -> tuple[float, float]:
-    """(P(A), 1 - P(A)) with the smaller side computed directly (no cancellation).
-
-    For m >= 1, {count >= m} is the complement of {count <= m - 1}, so its
-    pair is that event's, swapped.
-    """
-    if isinstance(A, CountAtLeastEvent):
-        if A.m == 0:
-            return 1.0, 0.0  # the whole space
-        q, p = _event_probability_pair(CountThresholdEvent(A.m - 1, A.region), sigma)
-        return p, q
-    if not isinstance(A, CountThresholdEvent):
-        raise ValidationError("exact probability only for count-threshold events")
-    mass = _region_mass(sigma, A.region)
+def _threshold_pair(form: tuple[int, float, bool] | None) -> tuple[float, float]:
+    """(P(A), 1 - P(A)) of a :func:`_threshold_form`, with the smaller side
+    computed directly (no cancellation); a complement swaps its event's pair."""
+    if form is None:
+        return 1.0, 0.0  # the whole space
+    k, mass, complemented = form
     if mass <= 0:
-        return 1.0, 0.0
-    q = poisson_tail_exact(mass, A.k + 1)  # P(not A)
-    if q < 0.5:
-        return 1.0 - q, q
-    p = _poisson_lower(mass, A.k)
-    return p, 1.0 - p
+        pair = 1.0, 0.0
+    else:
+        q = poisson_tail_exact(mass, k + 1)  # P(count > k)
+        if q < 0.5:
+            pair = 1.0 - q, q
+        else:
+            p = _poisson_lower(mass, k)
+            pair = p, 1.0 - p
+    return pair[::-1] if complemented else pair
+
+
+def _event_probability_pair(A, sigma: IntensityMeasure) -> tuple[float, float]:
+    """(P(A), 1 - P(A)) of a count event (:func:`_threshold_pair`)."""
+    return _threshold_pair(_threshold_form(A, sigma))
 
 
 def event_probability_exact(A, sigma: IntensityMeasure) -> float:
@@ -366,10 +383,11 @@ def isoperimetric_ratio(
     propagation.  Degenerate events (estimated probability 0 or 1) raise.
     """
     if isinstance(A, (CountThresholdEvent, CountAtLeastEvent)):
-        p, q = _event_probability_pair(A, sigma)
+        form = _threshold_form(A, sigma)  # one region-mass integral for both
+        p, q = _threshold_pair(form)
         if not (p > 0.0 and q > 0.0):
             raise ValidationError(f"event probability {p} is degenerate")
-        s = surface_measure_exact(A, sigma)
+        s = _threshold_surface(form)
         return Estimate(mean=2.0 * s / (p * q), std_error=0.0, n_samples=1, seed=None)
     surf = surface_measure(A, sigma, n_samples, seed, inner_samples)
     configs = poisson_batch_with_rng(sigma, n_samples, seed.rng(7, 0))

@@ -537,8 +537,8 @@ class SuperpositionCoupling:
 # time-change coupling for the Wasserstein distance on the half-line
 # --------------------------------------------------------------------------
 
-_BRACKET = 1e-6  # v_inverse's bisection bracket, the square root of its tolerance 1e-12
-_TABLE_LEVELS = 16  # most bisection levels of v_inverse answered by its table
+_BRACKET = 1e-6  # v_inverse's Newton tolerance: the square root of its final tolerance 1e-12
+_TABLE_LEVELS = 16  # most halvings of [0, horizon] in v_inverse's bracket table
 _BUCKET_ENTRIES = 4  # table entries per bucket of _count_below's index, on average
 _BLOCK = 32768  # points of r per v_inverse block
 _CHECK_GRID = 4097  # points of the grid that TimeChangeSpec is validated on
@@ -553,7 +553,8 @@ class TimeChangeSpec:
 
     ``U`` is continuously differentiable with U(0) = 0 and derivative
     ``U_prime`` valued in (-1, +inf); both are validated on a dense grid.
-    The time change is v(t) = t + U(t), strictly increasing.
+    The time change is v(t) = t + U(t), strictly increasing; it must also
+    increase strictly over :attr:`_bisection_table`, which is built here.
     """
 
     U: Callable[[np.ndarray], np.ndarray]
@@ -573,6 +574,11 @@ class TimeChangeSpec:
         v = grid + np.asarray(self.U(grid), float)
         if np.any(np.diff(v) <= 0):
             raise ValidationError("time change v(t) = t + U(t) must be strictly increasing")
+        v_ends = self._bisection_table[1]
+        if not np.all(v_ends[1:] > v_ends[:-1]):  # also false on NaN
+            raise ValidationError(
+                "time change v(t) = t + U(t) must be strictly increasing on v_inverse's bracket table"
+            )
 
     def v(self, t):
         t = np.asarray(t, float)
@@ -583,87 +589,116 @@ class TimeChangeSpec:
         return float(self.v(np.array([self.horizon]))[0])
 
     @cached_property
-    def _bisection_table(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The first levels of :meth:`v_inverse`'s bisection, and how many
-        levels remain after them.
+    def _bisection_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coarse brackets of :meth:`v_inverse`: ``(ends, v(ends))``.
 
-        Bisection runs ``levels = ceil(log2(max(horizon / _BRACKET, 2))) + 1``
-        levels in all; the table holds the first K = min(levels,
-        ``_TABLE_LEVELS``) of them.  Returns ``(ends, vt, levels - K)``:
-        ``ends`` holds 0, the 2^K - 1 midpoints of those levels in increasing
-        order and the horizon, each built by the bisection's own
-        ``0.5 * (lo + hi)`` from its bracket, so they are the floats
-        bisection visits; ``vt`` is v at the midpoints.  When ``vt`` is not
-        nondecreasing, a bracket search on it would not repeat bisection's
-        decisions, so the table has K = 0 levels: ``ends = [0, horizon]``,
-        an empty ``vt``, and every level is left to run.
+        ``ends`` holds 0, the 2^K - 1 points of K rounds of halving [0,
+        horizon] in increasing order (each ``0.5 * (lo + hi)`` of its
+        bracket) and the horizon, so consecutive ends bound the K-th round's
+        brackets.  K = min(levels, ``_TABLE_LEVELS``), where ``levels =
+        ceil(log2(max(horizon / _BRACKET, 2))) + 1`` halvings bring [0,
+        horizon] below ``_BRACKET``: a finer table would not narrow what
+        Newton has to do.  The constructor rejects a time change whose
+        ``v(ends)`` is not strictly increasing, so every bracket has a
+        positive rise for :meth:`v_inverse`'s interpolated start.
         """
         levels = int(math.ceil(math.log2(max(self.horizon / _BRACKET, 2.0)))) + 1
-        tabled = min(levels, _TABLE_LEVELS)
-        whole = np.array([0.0, self.horizon])
-        ends = whole
-        for _ in range(tabled):
+        ends = np.array([0.0, self.horizon])
+        for _ in range(min(levels, _TABLE_LEVELS)):
             mids = 0.5 * (ends[:-1] + ends[1:])
             out = np.empty(2 * ends.size - 1)
             out[0::2] = ends
             out[1::2] = mids
             ends = out
-        vt = self.v(ends[1:-1])
-        if not np.all(vt[1:] >= vt[:-1]):
-            return whole, vt[:0], levels
-        return ends, vt, levels - tabled
+        return ends, self.v(ends)
 
     @cached_property
     def _bracket_index(self) -> "_BucketIndex":
-        """:func:`_bucket_index` of the table's ``vt``, built once."""
-        return _bucket_index(self._bisection_table[1])
+        """:func:`_bucket_index` of v at the table's inner ends, built once."""
+        return _bucket_index(self._bisection_table[1][1:-1])
 
     def v_inverse(self, r):
         """Invert v to absolute tolerance 1e-12 (vectorised).
 
-        Bisection brackets the root to width ``_BRACKET`` = 1e-6, then two
-        Newton steps polish it to the bracket width squared (v' = 1 + U' > 0
-        keeps Newton safe), so the identity time change inverts exactly.
+        Each key r first gets a coarse bracket [lo, hi] from the table
+        (:attr:`_bisection_table`): the number of inner ends whose v is
+        below r (:func:`_count_below`: a bucket lookup, then a branch-free
+        descent of at most 16 steps, with no sorting) picks the bracket
+        whose v values enclose r; keys below v(0) or above ``v_end`` get an
+        outer bracket, and a NaN key compares false throughout and gets the
+        first.  The key starts at the linear interpolation of v between its
+        bracket's ends, clamped into the bracket (NaN goes to ``lo``).
 
-        The table's bisection levels (:attr:`_bisection_table`, at most 16)
-        are looked up instead of run: because its ``vt`` is nondecreasing,
-        the number of its entries below ``r`` (:func:`_count_below`: a bucket
-        lookup, then a branch-free descent of at most 16 steps over the
-        bucket, with no sorting) gives the bracket that those decisions
-        ``v(mid) < r`` reach; a NaN key compares false throughout, so the
-        lookup and bisection both send it left.  A table of 0 levels gives
-        every key the bracket [0, horizon].  The remaining levels keep each
-        key's ``lo`` and ``hi`` side by side in one ``(B, 2)`` array and
-        store ``mid`` into the ``lo`` slot where ``v(mid) < r``, else into
-        the ``hi`` slot, in one indexed store: it copies the value, so it
-        cannot change it, and it has no per-element branch to mispredict.
-        Two Newton steps follow, so the result is bit-identical to plain
-        bisection.  ``r`` is processed in fixed blocks so that the
-        temporaries stay small; every operation is elementwise, so the
-        blocks change no value.
+        Safeguarded Newton (the bracketed hybrid ``rtsafe`` of Numerical
+        Recipes, §9.4) then runs on the keys that have not converged: each
+        evaluation moves ``lo`` or ``hi`` to the current point by the sign
+        of v(t) - r, so the root stays bracketed, and a Newton step that
+        would leave [lo, hi] or that is longer than half the key's previous
+        step bisects the bracket instead.  A key has converged once its
+        step is at most ``_BRACKET`` = 1e-6.  Bisections halve the bracket
+        and Newton steps at least halve the step, so every key converges
+        in finitely many rounds; on a smooth v one Newton step from the
+        interpolated start is usually enough.  Two more Newton steps polish
+        the result to about the square of that step (v' = 1 + U' > 0 keeps
+        Newton safe), and the identity time change inverts exactly.
+
+        Results are within 1e-12 absolute of the exact root, up to the
+        rounding of v itself (its error divided by v') and the spacing of
+        doubles near the root.  ``r`` is processed in fixed blocks so that
+        the temporaries stay small; every key's iteration depends on that
+        key alone, so the blocks change no value.
         """
         r = np.asarray(r, float)
         flat = r.reshape(-1)
         out = np.empty(flat.shape)
-        ends, vt, levels = self._bisection_table
-        index = self._bracket_index
-        hi_slots = np.arange(1, 2 * min(flat.size, _BLOCK), 2)  # flat index of each key's hi
         for start in range(0, flat.size, _BLOCK):
             rb = flat[start : start + _BLOCK]
-            s = _count_below(vt, rb, index)
-            lh = np.empty((rb.size, 2))  # each key's bracket [lo, hi]
-            lh[:, 0] = ends.take(s)
-            lh[:, 1] = ends[1:].take(s)
-            slots = hi_slots[: rb.size]
-            for _ in range(levels):
-                mid = 0.5 * (lh[:, 0] + lh[:, 1])
-                lh.reshape(-1)[slots - (self.v(mid) < rb)] = mid  # lo where the root is above mid
-            t = 0.5 * (lh[:, 0] + lh[:, 1])
+            t = self._newton(rb)
             for _ in range(2):
                 slope = 1.0 + np.asarray(self.U_prime(t), float)
                 t = np.clip(t - (self.v(t) - rb) / slope, 0.0, self.horizon)
             out[start : start + rb.size] = t
         return out.reshape(r.shape)[()]  # a numpy scalar for scalar r, as before
+
+    def _newton(self, keys):
+        """:meth:`v_inverse`'s coarse bracket, interpolated start and
+        safeguarded Newton for one block of keys: each key's first point
+        after a step of at most ``_BRACKET``.  Each round works on the keys
+        that have not converged, gathered into arrays of their own."""
+        ends, v_ends = self._bisection_table
+        s = _count_below(v_ends[1:-1], keys, self._bracket_index)
+        lo, hi = ends.take(s), ends[1:].take(s)
+        v_lo = v_ends.take(s)
+        t = keys - v_lo  # inf and NaN keys pass through without a warning
+        t *= hi - lo
+        t /= v_ends[1:].take(s) - v_lo  # positive, by the constructor's check
+        t += lo
+        del s, v_lo  # free before the rounds' own temporaries
+        np.fmax(t, lo, out=t)  # NaN -> lo
+        np.fmin(t, hi, out=t)
+        roots = at = None  # the results, and where the keys still going sit in them (None: all)
+        before = math.inf  # each key's previous step
+        while True:
+            f = self.v(t)
+            f -= keys
+            below = f < 0
+            np.copyto(lo, t, where=below)  # the root lies above t
+            np.copyto(hi, t, where=~below)  # at or below t, or f is NaN
+            f /= 1.0 + np.asarray(self.U_prime(t), float)
+            nxt = t - f
+            newton = (lo <= nxt) & (nxt <= hi)
+            newton &= np.abs(f) <= 0.5 * before  # NaN steps fail every test and bisect
+            np.copyto(nxt, 0.5 * (lo + hi), where=~newton)
+            step = np.abs(t - nxt, out=f)
+            if at is None:
+                roots = nxt
+            else:
+                roots[at] = nxt
+            going = step > _BRACKET
+            if not going.any():
+                return roots
+            at = np.flatnonzero(going) if at is None else at[going]
+            keys, t, lo, hi, before = keys[going], nxt[going], lo[going], hi[going], step[going]
 
 
 class _BucketIndex(NamedTuple):
@@ -684,6 +719,11 @@ class _BucketIndex(NamedTuple):
 
 def _bucket_index(a: np.ndarray) -> _BucketIndex:
     """The :class:`_BucketIndex` of a nondecreasing array of 2^K - 1 entries.
+
+    :meth:`TimeChangeSpec.v_inverse` builds it once on v at its table's
+    inner ends: a key's count of entries below it is the index of its
+    coarse bracket, the one whose v values enclose the key and in which its
+    Newton start is interpolated.
 
     The buckets split the range of ``a``'s finite entries into about
     ``a.size / _BUCKET_ENTRIES`` equal parts (one bucket when that range is

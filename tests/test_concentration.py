@@ -275,6 +275,19 @@ def test_at_least_events_equal_their_own_formulas_bit_for_bit():
 
 
 class TestIsoperimetry:
+    def test_exact_path_integrates_the_region_mass_once(self, lebesgue, seed, monkeypatch):
+        from ppt.concentration import _event_probability_pair
+
+        event = CountAtLeastEvent(m=1, region=Window([0.0], [0.5]))
+        p, q = _event_probability_pair(event, lebesgue)
+        want = 2.0 * surface_measure_exact(event, lebesgue) / (p * q)
+        calls = []
+        real = ppt.concentration.integrate
+        monkeypatch.setattr(ppt.concentration, "integrate", lambda *a, **k: calls.append(1) or real(*a, **k))
+        est = isoperimetric_ratio(event, lebesgue, 100, seed)
+        assert len(calls) == 1
+        assert np.float64(est.mean).tobytes() == np.float64(want).tobytes()
+
     def test_empty_event_exact_ratio(self, lebesgue, seed):
         est = isoperimetric_ratio(CountThresholdEvent(k=0), lebesgue, 100, seed)
         assert est.std_error == 0.0

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -588,25 +589,6 @@ class TestTimeChange:
         assert all(r == results[0] for r in results[1:])
 
 
-def bisection_v_inverse(tc, r):
-    """Reference: plain bisection over the whole bracket down to width 1e-6,
-    then two Newton steps."""
-    r = np.asarray(r, float)
-    lo = np.zeros_like(r)
-    hi = np.full_like(r, tc.horizon)
-    iters = int(math.ceil(math.log2(max(tc.horizon / 1e-6, 2.0)))) + 1
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = tc.v(mid) < r
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    t = 0.5 * (lo + hi)
-    for _ in range(2):
-        slope = 1.0 + np.asarray(tc.U_prime(t), float)
-        t = np.clip(t - (tc.v(t) - r) / slope, 0.0, tc.horizon)
-    return t
-
-
 class TestCountBelow:
     """``_count_below`` is ``searchsorted(a, keys, side="left")`` by a
     branch-free descent, on nondecreasing arrays of 2^K - 1 entries, K >= 0."""
@@ -633,7 +615,7 @@ class TestCountBelow:
         assert got.tobytes() == np.searchsorted(a, keys, side="left").astype(np.intp).tobytes()
 
     def test_nan_key_goes_left(self):
-        # bisection sends NaN left (``v(mid) < nan`` is false), and so does the descent
+        # ``a[s] < nan`` is false at every step, so a NaN key gets the first bracket
         a = np.arange(7.0)
         assert simulate._count_below(a, np.array([math.nan, 3.5]), simulate._bucket_index(a)).tolist() == [0, 4]
 
@@ -697,6 +679,8 @@ class TestBucketedBracket:
         self.check(a, np.linspace(-2.0, 2.0, 101))
 
 
+
+
 def steep_timechange(horizon=100.0):
     """v' = 1e-3 + 9.999 (t / horizon)^2: slopes from 1e-3 to 10 on [0, horizon]."""
     c = 9.999 / horizon**2
@@ -712,54 +696,164 @@ def steep_timechange(horizon=100.0):
     return TimeChangeSpec(U=U, U_prime=U_prime, horizon=horizon)
 
 
-def test_steep_time_change_equals_plain_bisection():
+def exact_rational(scale):
+    """v of :func:`rational_timechange` in exact arithmetic, for mpmath."""
+    s = mpmath.mpf(scale)
+    return lambda t: t + s * t / (1 + t**3)
+
+
+def exact_steep(horizon):
+    """v of :func:`steep_timechange` in exact arithmetic, on its float coefficients."""
+    a, c = mpmath.mpf(1e-3 - 1.0), mpmath.mpf(9.999 / horizon**2)
+    return lambda t: t + a * t + c * t**3 / 3
+
+
+def edge_keys(tc):
+    return np.array(
+        [0.0, -0.0, tc.v_end, -1.0, -1e-300, tc.v_end * (1 + 1e-15), 2.0 * tc.v_end,
+         math.inf, -math.inf, math.nan, 5e-324]
+    )
+
+
+def assert_within_tolerance(tc, v_exact, r):
+    """``tc.v_inverse(r)`` is within 1e-12 absolute of the root of ``v_exact(t) = r``
+    (found by mpmath to 40 digits) for keys in [v(0), v_end]; it is exactly 0
+    below v(0), the horizon above v_end, and NaN for NaN."""
+    r = np.asarray(r, float)
+    t = tc.v_inverse(r)
+    v0 = float(tc.v(np.array([0.0]))[0])
+    assert np.array_equal(np.isnan(t), np.isnan(r))
+    assert np.all(t[r < v0] == 0.0) and np.all(t[r > tc.v_end] == tc.horizon)
+    inside = (r >= v0) & (r <= tc.v_end)
+    with mpmath.workdps(40):
+        for key, got in zip(r[inside].tolist(), t[inside].tolist()):
+            root = mpmath.findroot(lambda x: v_exact(x) - key, mpmath.mpf(got))
+            root = min(max(root, 0), tc.horizon)
+            assert abs(root - got) <= 1e-12, (key, got, root)
+
+
+def assert_edges_exact(tc):
+    """The edge keys give 0 at and below 0, the horizon at and above ``v_end``
+    and NaN for NaN, as one batch, one at a time and as scalars; 5e-324 is
+    within 1e-12 of its root.  Infinite and NaN keys raise no warning."""
+    keys = edge_keys(tc)
+    h = tc.horizon
+    got = tc.v_inverse(keys)
+    assert got[:9].tobytes() == np.array([0.0, 0.0, h, 0.0, 0.0, h, h, h, 0.0]).tobytes()
+    assert math.isnan(got[9]) and 0.0 <= got[10] <= 1e-12
+    for key, value in zip(keys, got):
+        assert tc.v_inverse(np.array([key])).tobytes() == np.array([value]).tobytes()
+        assert np.asarray(tc.v_inverse(key)).tobytes() == np.asarray(value).tobytes()
+
+
+def test_steep_time_change_within_tolerance():
     # the flat start of v crowds thousands of table entries into the lowest buckets
     tc = steep_timechange()
-    _, vt, rest = tc._bisection_table
-    assert vt.size == 2**16 - 1 and rest == 12
+    ends, v_ends = tc._bisection_table
+    assert ends.size == 2**16 + 1
     assert tc._bracket_index.half.bit_length() > 4  # a long descent in the crowded buckets
+    vt = v_ends[1:-1]
     rng = np.random.default_rng(45)
     r = np.concatenate(
         [
-            rng.uniform(0.0, tc.v_end, 50_000),
-            rng.uniform(0.0, 1e-2, 20_000),  # where v' is about 1e-3
-            vt[::97],
-            np.nextafter(vt[::89], np.inf),
-            [0.0, -0.0, tc.v_end, math.inf, -math.inf, math.nan, 5e-324],
+            rng.uniform(0.0, tc.v_end, 300),
+            rng.uniform(0.0, 1e-2, 100),  # where v' is about 1e-3
+            vt[::997],
+            np.nextafter(vt[::991], np.inf),
+            edge_keys(tc),
         ]
     )
-    assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
+    assert_within_tolerance(tc, exact_steep(100.0), r)
+    assert_edges_exact(tc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(horizon=st.floats(1.0, 150.0), seed=st.integers(0, 2**32 - 1))
+def test_steep_family_within_tolerance(horizon, seed):
+    tc = steep_timechange(horizon)
+    r = np.random.default_rng(seed).uniform(0.0, tc.v_end, 20)
+    assert_within_tolerance(tc, exact_steep(horizon), np.concatenate([r, edge_keys(tc)]))
 
 
 class TestVInverseTable:
-    """``v_inverse`` looks up its first bisection levels in a table; every
-    result must keep the bytes of plain bisection."""
+    """``v_inverse`` takes each key's coarse bracket from a table, starts at
+    the interpolation of v across it and runs safeguarded Newton: every
+    result must be within 1e-12 of the exact root, and the edge keys exact."""
 
-    TC = rational_timechange(horizon=100.0)  # 28 bisection levels, 16 of them tabled
+    TC = rational_timechange(horizon=100.0)  # a 16-level table
 
-    def edge_inputs(self, tc):
-        _, vt, _ = tc._bisection_table
-        special = [0.0, -0.0, tc.v_end, -1.0, -1e-300, tc.v_end * (1 + 1e-15), 2.0 * tc.v_end,
-                   math.inf, -math.inf, math.nan, 5e-324]
-        return np.concatenate([special, vt, np.nextafter(vt, -np.inf), np.nextafter(vt, np.inf)])
-
-    def test_equals_plain_bisection(self):
+    def test_within_tolerance_of_the_exact_root(self):
         tc = self.TC
-        r = np.random.default_rng(41).uniform(0.0, tc.v_end, 100_000)
-        assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
-        edges = self.edge_inputs(tc)
-        assert tc.v_inverse(edges).tobytes() == bisection_v_inverse(tc, edges).tobytes()
-        for value in edges[:11]:  # one edge value alone, and as a scalar
-            assert tc.v_inverse(np.array([value])).tobytes() == bisection_v_inverse(tc, np.array([value])).tobytes()
-            assert np.asarray(tc.v_inverse(value)).tobytes() == bisection_v_inverse(tc, value).tobytes()
+        vt = tc._bisection_table[1][1:-1]
+        rng = np.random.default_rng(41)
+        r = np.concatenate(
+            [
+                rng.uniform(0.0, tc.v_end, 400),
+                vt[::613],  # keys on the table's entries and their neighbours
+                np.nextafter(vt[::619], -np.inf),
+                np.nextafter(vt[::617], np.inf),
+                edge_keys(tc),
+            ]
+        )
+        assert_within_tolerance(tc, exact_rational(1.0), r)
+        assert_edges_exact(tc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scale=st.floats(-0.9, 2.5), horizon=st.floats(1e-3, 200.0), seed=st.integers(0, 2**32 - 1))
+    def test_within_tolerance_over_scales_and_horizons(self, scale, horizon, seed):
+        # v' = 1 + U' stays at least 0.1 on these scales
+        tc = rational_timechange(scale, horizon)
+        r = np.random.default_rng(seed).uniform(0.0, tc.v_end, 20)
+        assert_within_tolerance(tc, exact_rational(scale), np.concatenate([r, edge_keys(tc)]))
+
+    def test_identity_time_change_inverts_exactly(self):
+        tc = TimeChangeSpec(
+            U=lambda t: np.zeros_like(np.asarray(t, float)),
+            U_prime=lambda t: np.zeros_like(np.asarray(t, float)),
+            horizon=100.0,
+        )
+        ends = tc._bisection_table[0]
+        r = np.concatenate(
+            [
+                np.random.default_rng(46).uniform(0.0, tc.horizon, 50_000),
+                ends,
+                np.nextafter(ends, -np.inf),
+                np.nextafter(ends, np.inf),
+                [5e-324, 2.2250738585072014e-308, 1e-300, 1e-12],
+            ]
+        )
+        assert np.array_equal(tc.v_inverse(r), np.clip(r, 0.0, tc.horizon))
+        assert_edges_exact(tc)
+
+    def test_oscillating_time_change_takes_many_rounds(self):
+        # v' = 1 + 0.9 cos(2e4 t) swings between 0.1 and 1.9 about five times
+        # per table bracket, so Newton steps leave their brackets or fail to
+        # halve, keys bisect, and the rounds gather ever fewer keys
+        a, w = 0.9, 2e4
+        calls = []
+
+        def U_prime(t):
+            calls.append(np.size(t))
+            return a * np.cos(w * np.asarray(t, float))
+
+        tc = TimeChangeSpec(U=lambda t: a * np.sin(w * np.asarray(t, float)) / w, U_prime=U_prime, horizon=100.0)
+        calls.clear()
+        r = np.random.default_rng(47).uniform(0.0, tc.v_end, 300)
+        def v_exact(t):
+            return t + mpmath.mpf(a) * mpmath.sin(mpmath.mpf(w) * t) / mpmath.mpf(w)
+
+        assert_within_tolerance(tc, v_exact, r)
+        rounds = calls[:-2]  # the last two are the polishing steps
+        assert len(rounds) >= 5 and rounds[0] == r.size and rounds[-1] < rounds[1] < r.size
 
     def test_repeated_and_descending_keys(self):
-        # the table descent sees keys in the given order: ties, runs and a
-        # descending sweep must reach bisection's bracket all the same
+        # the table descent and the Newton rounds see keys in the given order:
+        # runs of ties, scattered repeats and a descending sweep must give each
+        # key the result it gets in any other order
         tc = self.TC
         rng = np.random.default_rng(44)
         keys = rng.uniform(0.0, tc.v_end, 50)
-        edges = self.edge_inputs(tc)[:11]
+        edges = edge_keys(tc)
         cases = [
             np.repeat(keys, 400),  # runs of equal keys, across block boundaries
             rng.choice(np.concatenate([keys, [0.0, -0.0, tc.v_end]]), 20_000),  # scattered repeats
@@ -767,30 +861,37 @@ class TestVInverseTable:
             np.concatenate([np.sort(edges[np.isfinite(edges)])[::-1], np.sort(keys)[::-1]]),
         ]
         for r in cases:
-            assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
+            perm = rng.permutation(r.size)
+            shuffled = np.empty(r.size)
+            shuffled[perm] = tc.v_inverse(r[perm])
+            assert tc.v_inverse(r).tobytes() == shuffled.tobytes()
+        assert_within_tolerance(tc, exact_rational(1.0), np.concatenate([keys, edges]))
 
     def test_table_holds_the_bisection_midpoints(self):
         tc = self.TC
-        ends, vt, rest = tc._bisection_table
-        assert ends.size == 2**16 + 1 and vt.size == 2**16 - 1 and rest == 28 - 16
+        ends, v_ends = tc._bisection_table
+        assert ends.size == v_ends.size == 2**16 + 1
         assert ends[0] == 0.0 and ends[-1] == tc.horizon and ends[2**15] == 0.5 * (0.0 + tc.horizon)
-        assert np.all(np.diff(ends) > 0) and np.all(np.diff(vt) >= 0)
+        assert np.all(np.diff(ends) > 0) and np.all(np.diff(v_ends) > 0)
+        assert v_ends.tobytes() == tc.v(ends).tobytes()
 
     def test_short_horizon_tables_every_level_it_can(self):
-        # 17, 16, 15 and 2 bisection levels: the table takes at most 16 of them
-        for horizon, tabled, rest in [(0.033, 16, 1), (0.03, 16, 0), (0.01, 15, 0), (1e-7, 2, 0)]:
+        # 17, 16, 15 and 2 halvings bring [0, horizon] below 1e-6: the table takes at most 16 of them
+        for horizon, tabled in [(0.033, 16), (0.03, 16), (0.01, 15), (1e-7, 2)]:
             tc = rational_timechange(horizon=horizon)
-            ends, vt, left = tc._bisection_table
-            assert ends.size == 2**tabled + 1 and vt.size == 2**tabled - 1 and left == rest
-            edges = self.edge_inputs(tc)
-            r = np.concatenate([np.random.default_rng(42).uniform(0.0, tc.v_end, 5000), edges])
-            assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
-            for value in edges[:11]:
-                assert np.asarray(tc.v_inverse(value)).tobytes() == bisection_v_inverse(tc, value).tobytes()
+            ends, v_ends = tc._bisection_table
+            assert ends.size == v_ends.size == 2**tabled + 1
+            r = np.concatenate(
+                [np.random.default_rng(42).uniform(0.0, tc.v_end, 200), v_ends[1:-1][:: max(1, ends.size // 64)]]
+            )
+            assert_within_tolerance(tc, exact_rational(1.0), r)
+            assert_edges_exact(tc)
 
-    def test_non_monotone_table_falls_back(self):
+    def test_non_monotone_table_is_rejected(self):
         # v is t on the 4097-point validation grid (spacing 1/4096) and dips
-        # by 0.01 between its points, so it is not monotone on the finer table
+        # by 0.01 between its points, where U' reaches about -129, outside
+        # (-1, inf): v decreases on the finer table, which the constructor
+        # builds and checks
         h = 1.0
         f = math.pi * 4096 / h
 
@@ -802,11 +903,8 @@ class TestVInverseTable:
             t = np.asarray(t, float)
             return -0.01 * f * np.sin(2.0 * f * t)
 
-        tc = TimeChangeSpec(U=U, U_prime=U_prime, horizon=h)
-        ends, vt, rest = tc._bisection_table  # 0 levels: every key starts from [0, h]
-        assert ends.tolist() == [0.0, h] and vt.size == 0 and rest == 21
-        r = np.random.default_rng(43).uniform(0.0, tc.v_end, 20_000)
-        assert tc.v_inverse(r).tobytes() == bisection_v_inverse(tc, r).tobytes()
+        with pytest.raises(ValidationError, match="bracket table"):
+            TimeChangeSpec(U=U, U_prime=U_prime, horizon=h)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -824,7 +922,6 @@ class TestVInverseTable:
         whole = tc.v_inverse(r)
         parts = np.concatenate([tc.v_inverse(r[:k]), tc.v_inverse(r[k:])])
         assert whole.tobytes() == parts.tobytes()
-        assert whole.tobytes() == bisection_v_inverse(tc, r).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(
