@@ -469,7 +469,7 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
             mu = simulate.poisson_batch_with_rng(sigma, pairs, spec.seed.rng())
             nu = simulate.poisson_batch_with_rng(_tilted(sigma, pfn), pairs, spec.seed.rng(1))
         est = transport.estimate_rubinstein_empirical(mu, nu, metric)
-        diag = transport.doubling_diagnostic(mu, nu, metric) if pairs >= 4 else {}
+        diag = transport.doubling_diagnostic(mu, nu, metric, est.mean) if pairs >= 4 else {}
         return {
             "estimator": estimator,
             "coupled": coupled,
@@ -516,15 +516,15 @@ def _run_isoperimetry(spec: ExperimentSpec) -> dict:
         event = conc.CountAtLeastEvent(m=int(event_spec.get("m", 1)), region=region)
     else:
         raise SpecParseError("event type must be count_leq or count_geq", where="parameters.event.type")
-    ratio = conc.isoperimetric_ratio(event, sigma, spec.n_samples, spec.seed)
+    ratio, surface_exact, probability_exact = conc._threshold_exact(event, sigma)
     mc_surface = conc.surface_measure(event, sigma, spec.n_samples, spec.seed)
     lower, upper = conc.isoperimetric_bounds(sigma.total_mass)
     out = {
         "event": event_spec,
         "ratio": ratio.to_dict(),
-        "surface_exact": conc.surface_measure_exact(event, sigma),
+        "surface_exact": surface_exact,
         "surface_mc": mc_surface.to_dict(),
-        "probability_exact": conc.event_probability_exact(event, sigma),
+        "probability_exact": probability_exact,
         "bounds": {"lower": lower, "upper": upper},
     }
     if isinstance(event, conc.CountThresholdEvent) and event.k == 0 and region is None:

@@ -368,6 +368,18 @@ def event_probability_exact(A, sigma: IntensityMeasure) -> float:
     return _event_probability_pair(A, sigma)[0]
 
 
+def _threshold_exact(A, sigma: IntensityMeasure) -> tuple[Estimate, float, float]:
+    """(witness ratio, surface, P(A)) of a count event, all three from one
+    :func:`_threshold_form`, so the region mass is integrated once.  A
+    degenerate event (probability 0 or 1) raises."""
+    form = _threshold_form(A, sigma)
+    p, q = _threshold_pair(form)
+    if not (p > 0.0 and q > 0.0):
+        raise ValidationError(f"event probability {p} is degenerate")
+    s = _threshold_surface(form)
+    return Estimate(mean=2.0 * s / (p * q), std_error=0.0, n_samples=1, seed=None), s, p
+
+
 def isoperimetric_ratio(
     A: Callable[[Configuration], float],
     sigma: IntensityMeasure,
@@ -383,12 +395,7 @@ def isoperimetric_ratio(
     propagation.  Degenerate events (estimated probability 0 or 1) raise.
     """
     if isinstance(A, (CountThresholdEvent, CountAtLeastEvent)):
-        form = _threshold_form(A, sigma)  # one region-mass integral for both
-        p, q = _threshold_pair(form)
-        if not (p > 0.0 and q > 0.0):
-            raise ValidationError(f"event probability {p} is degenerate")
-        s = _threshold_surface(form)
-        return Estimate(mean=2.0 * s / (p * q), std_error=0.0, n_samples=1, seed=None)
+        return _threshold_exact(A, sigma)[0]
     surf = surface_measure(A, sigma, n_samples, seed, inner_samples)
     configs = poisson_batch_with_rng(sigma, n_samples, seed.rng(7, 0))
     ind = np.array([float(A(w)) for w in configs])

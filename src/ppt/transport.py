@@ -6,6 +6,13 @@
   precision.  Pricing is most-negative-reduced-cost, switching to Bland's
   rule after a run of degenerate pivots so the method cannot cycle;
   optimality is certified by a complementary-slackness residual check.
+  On all-finite costs the simplex starts from the least-cost basis: the
+  cells are visited by increasing cost (a stable sort, so ties go by row,
+  then column), and each cell whose row and column are both open takes
+  min(row left, column left) and closes one of the two: the row when it has
+  no more left than the column and is not the last open row, else the
+  column.  That gives n + m - 1 arcs forming a spanning tree.  Costs with
+  +inf entries start from big-M artificial arcs at the root instead.
   The spanning tree is oriented from the root once, for the initial basis;
   each pivot then re-orients only the subtree that the leaving arc cuts off
   (re-rooted at the entering arc's endpoint, after Bonneel et al. 2011), so
@@ -286,21 +293,38 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray, all_finite: boo
     arcs: list[tuple[int, int, float]] = []
     flows: list[float] = []
     if all_finite:
-        # northwest-corner rule: a genuine basic feasible solution on real arcs
-        i = j = 0
-        ra, rb = a.astype(float).copy(), b.astype(float).copy()
-        while True:
-            arcs.append((i, n + j, float(Cw[i, j])))
-            take = min(ra[i], rb[j])
-            flows.append(float(take))
-            ra[i] -= take
-            rb[j] -= take
-            if i == n - 1 and j == m - 1:
-                break
-            if (ra[i] <= rb[j] and i < n - 1) or j == m - 1:
-                i += 1
-            else:
-                j += 1
+        # least-cost rule: a genuine basic feasible solution on real arcs
+        ra, rb = a.tolist(), b.tolist()
+        row_open, col_open = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+        rows_left, cols_left = n, m
+        order = np.argsort(Cw, axis=None, kind="stable")  # row-major: ties by row, then column
+        start, step = 0, n + m
+        # a line is closed only while another of its kind stays open, so a
+        # cell with both open is always ahead; were the order used up, the
+        # short tree would fail rebuild's check rather than loop
+        while len(arcs) < n + m - 1 and start < order.size:
+            cells = order[start : start + step]
+            start, step = start + step, 2 * step
+            # only cells whose row and column are both open; each visit closes one
+            cells = cells[row_open[cells // m] & col_open[cells % m]]
+            for i, j in zip((cells // m).tolist(), (cells % m).tolist()):
+                if not (row_open[i] and col_open[j]):
+                    continue  # closed earlier in this slice
+                take = min(ra[i], rb[j])
+                arcs.append((i, n + j, float(Cw[i, j])))
+                flows.append(take)
+                ra[i] -= take
+                rb[j] -= take
+                if rows_left + cols_left == 2:
+                    break  # the last open row and column: the tree is complete
+                # the last open column holds every open row's remainder, so
+                # only rounding could make it the smaller side; it stays open
+                if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
+                    row_open[i] = False
+                    rows_left -= 1
+                else:
+                    col_open[j] = False
+                    cols_left -= 1
         arcs.append((n - 1, root, 0.0))  # zero-flow link making the tree span the root
         flows.append(0.0)
     else:
@@ -421,12 +445,19 @@ def _reprice(rc: np.ndarray, Cw: np.ndarray, pot: np.ndarray, moved: list[int]) 
     expression of the full pass, so every entry has the bits a full pass
     would give it.  When the nodes are more than a quarter of all rows and
     columns, gathering theirs costs more than the two full passes, which run
-    instead.
+    instead; a single node is written through a basic slice, with no gather.
     """
     n, m = rc.shape
     if 4 * len(moved) > n + m:
         np.subtract(Cw, pot[:n, None], out=rc)
         rc += pot[None, n : n + m]
+        return
+    if len(moved) == 1:
+        v = moved[0]
+        if v < n:
+            rc[v] = (Cw[v] - pot[v]) + pot[n : n + m]
+        else:
+            rc[:, v - n] = (Cw[:, v - n] - pot[:n]) + pot[v]
         return
     nodes = np.array(moved)
     rows, cols = nodes[nodes < n], nodes[nodes >= n] - n
@@ -865,21 +896,26 @@ def doubling_diagnostic(
     samples_mu: Sequence[Configuration],
     samples_nu: Sequence[Configuration],
     metric="rho1",
+    full_mean: float | None = None,
 ) -> dict:
     """Convergence diagnostic: estimate on half the samples versus all of them.
 
     The half lists are the prefixes of the full ones, and each estimate is
     the mean :func:`estimate_rubinstein_empirical` gives on its lists.  The
     two list pairs are solved on their own, each with its own interned
-    atoms or cost matrix, and without the dispersion solve.
+    atoms or cost matrix, and without the dispersion solve.  A caller that
+    already has the full lists' mean from that function passes it as
+    ``full_mean``, and the full pair is not solved again.
     """
     n, m = len(samples_mu), len(samples_nu)
     if n < 2 or m < 2:
         raise ValidationError("need at least two samples per side")
     half = _moments(samples_mu[: n // 2], samples_nu[: m // 2], metric, dispersion=False)
-    full = _moments(samples_mu, samples_nu, metric, dispersion=False)
     half_cost = half[0] if half else float("inf")
-    full_cost = full[0] if full else float("inf")
+    full_cost = full_mean
+    if full_cost is None:
+        full = _moments(samples_mu, samples_nu, metric, dispersion=False)
+        full_cost = full[0] if full else float("inf")
     gap = (
         abs(full_cost - half_cost)
         if math.isfinite(full_cost) and math.isfinite(half_cost)

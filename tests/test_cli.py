@@ -374,6 +374,30 @@ class TestPinnedReportBytes:
         report = run_experiment(_spec("sample", parameters, 2025, 10_000))
         assert self.digest(report.canonical_bytes()) == "c81a9646032f3074"
 
+    def test_rubinstein_solves_the_full_pair_once(self, monkeypatch):
+        # the CI's rho2 spec: the estimate's full-list mean is the doubling
+        # diagnostic's estimate_full, so only the half pair is solved again
+        from ppt import transport
+
+        shapes = []
+        real = transport._dense_moments
+        monkeypatch.setattr(transport, "_dense_moments", lambda C, *a, **k: shapes.append(C.shape) or real(C, *a, **k))
+        parameters = {"estimator": "rubinstein", "p": "const:1", "window": [0, 1], "metric": "rho2", "pairs": 20}
+        spec = ExperimentSpec.from_dict({"kind": "estimate", "parameters": parameters, "seed": {"seed": 2025, "stream_id": 0}})
+        report = run_experiment(spec)
+        assert shapes.count((20, 20)) == 1 and shapes.count((10, 10)) == 1
+        assert self.digest(report.canonical_bytes()) == "d6d976a40bf21e87"
+
+    def test_isoperimetry_integrates_the_region_mass_once(self, monkeypatch):
+        calls = []
+        real = ppt.concentration.integrate
+        monkeypatch.setattr(ppt.concentration, "integrate", lambda *a, **k: calls.append(1) or real(*a, **k))
+        event = {"type": "count_geq", "m": 1, "region": [0, 0.5]}
+        parameters = {"event": event, "density": "const:1", "window": [0, 1]}
+        report = run_experiment(_spec("isoperimetry", parameters, 2025, 400))
+        assert len(calls) == 1
+        assert self.digest(report.canonical_bytes()) == "2327532ef5f95c57"
+
 
 class TestMainEntry:
     def test_verify_exit_zero_and_files(self, tmp_path):

@@ -364,6 +364,64 @@ def _seeded_emd_instances():
         yield a, b, C
 
 
+@st.composite
+def finite_start_instances(draw):
+    """All-finite costs on 1-8 rows and 1-8 columns, tied small integers or
+    reals, with marginals that may hold zero entries."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(0.0, 10.0)
+    C = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m)), float).reshape(n, m)
+    weight = st.one_of(st.just(0.0), st.integers(1, 5).map(float), st.floats(1e-3, 1.0))
+    a = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(weight, min_size=m, max_size=m)))
+    a[draw(st.integers(0, n - 1))] += 1.0  # some mass on each side
+    b[draw(st.integers(0, m - 1))] += 1.0
+    return a / a.sum(), b / b.sum(), C
+
+
+class TestLeastCostStart:
+    @settings(max_examples=400, deadline=None)
+    @given(finite_start_instances())
+    def test_start_is_a_spanning_tree_that_carries_both_marginals(self, instance):
+        a, b, C = instance
+        n, m = C.shape
+        basis = transport._initial_basis(a, b, C, True, math.nan)  # the big M goes unused
+        assert len(basis.arcs) == n + m
+        assert len(basis.moved) == n + m + 1  # rebuild reached every node from the root
+        assert basis.arcs[-1] == (n - 1, n + m, 0.0) and basis.flows[-1] == 0.0
+        rows = np.zeros(n)
+        cols = np.zeros(m)
+        for (f, t, c), x in zip(basis.arcs[:-1], basis.flows[:-1]):
+            assert 0 <= f < n <= t < n + m and c == C[f, t - n]
+            assert x >= 0.0
+            rows[f] += x
+            cols[t - n] += x
+        assert np.max(np.abs(rows - a)) <= 1e-12
+        assert np.max(np.abs(cols - b)) <= 1e-12
+
+    def test_cheapest_cells_first_ties_by_row_then_column(self):
+        # the four zeros are visited in row-major order, (0, 1) first, and
+        # the costly corner (0, 0) is never taken
+        C = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        basis = transport._initial_basis(np.array([0.5, 0.5]), np.array([0.25, 0.5, 0.25]), C, True, math.nan)
+        assert basis.arcs == [(0, 3, 0.0), (1, 2, 0.0), (1, 3, 0.0), (1, 4, 1.0), (1, 5, 0.0)]
+        assert basis.flows == [0.5, 0.25, 0.0, 0.25, 0.0]
+
+    def test_oracle_lps_take_no_pivot(self, monkeypatch):
+        # the two LPs of the benchmark's oracle operation (324^2 and 361^2
+        # cells): the start is already optimal, and the optima agree to
+        # 1e-14 with those reached by pivoting
+        replace_arc = transport._TreeBasis.replace_arc
+        pivots = []
+        monkeypatch.setattr(
+            transport._TreeBasis, "replace_arc", lambda basis, *args: pivots.append(1) or replace_arc(basis, *args)
+        )
+        cases = (([0.5, 0.5], [1.0, 1.0], 17, 1.0000000000000018), ([1.0, 0.5], [2.0, 1.5], 18, 1.9999999999888403))
+        for mu, nu, truncation, want in cases:
+            assert abs(exact_oracle_discrete(mu, nu, truncation) - want) <= 1e-14
+        assert pivots == []
+
+
 class TestNetworkSimplexTree:
     def test_plans_and_costs_match_the_pinned_hash(self):
         # SHA-256 of every plan's bytes and cost, computed with the solver
@@ -373,7 +431,7 @@ class TestNetworkSimplexTree:
             plan = emd(a, b, C)
             h.update(plan.weights.tobytes())
             h.update(struct.pack("<d", plan.cost))
-        assert h.hexdigest() == "ad7a9608cc411a2ee1b7b8e7aeb208d1a8ad9aa8086ad062d75b492234300c72"
+        assert h.hexdigest() == "6693dd54f616ed6ad7aff18e42bdc4f35e7ae895a99c4d1d02f8892a58ede766"
 
     def test_incremental_tree_equals_a_rebuilt_tree_after_every_pivot(self, monkeypatch):
         replace_arc = transport._TreeBasis.replace_arc
@@ -395,7 +453,8 @@ class TestNetworkSimplexTree:
 
     def test_maintained_reduced_costs_equal_a_full_pass_after_every_pivot(self, monkeypatch):
         reprice = transport._reprice
-        branches = {"rows and columns": 0, "full pass": 0}
+        branches = {"single node": 0, "rows and columns": 0, "full pass": 0}
+        sides = set()
 
         def checked(rc, Cw, pot, moved):
             reprice(rc, Cw, pot, moved)
@@ -403,7 +462,13 @@ class TestNetworkSimplexTree:
             want = (Cw - pot[:n, None]) + pot[None, n : n + m]
             assert rc.tobytes() == want.tobytes()
             if len(moved) <= n + m:  # a pivot's subtree never holds the root
-                branches["full pass" if 4 * len(moved) > n + m else "rows and columns"] += 1
+                if 4 * len(moved) > n + m:
+                    branches["full pass"] += 1
+                elif len(moved) == 1:
+                    branches["single node"] += 1
+                    sides.add("row" if moved[0] < n else "column")
+                else:
+                    branches["rows and columns"] += 1
 
         monkeypatch.setattr(transport, "_reprice", checked)
         for k, (a, b, C) in enumerate(_seeded_emd_instances()):
@@ -413,6 +478,7 @@ class TestNetworkSimplexTree:
         band = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
         emd(np.full(n, 1.0 / n), np.full(n, 1.0 / n), np.where(band.T, 1.0, math.inf))
         assert min(branches.values()) > 50, branches
+        assert sides == {"row", "column"}
 
     def test_memory_layout_does_not_change_the_plan(self):
         # a column-major cost matrix (for instance a transposed mask) must
