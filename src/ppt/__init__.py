@@ -84,6 +84,7 @@ from .concentration import (
     CountThresholdEvent,
     TailQuery,
     coarea_check,
+    count_event_exact,
     event_probability_exact,
     isoperimetric_bounds,
     isoperimetric_ratio,

@@ -469,7 +469,7 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
             mu = simulate.poisson_batch_with_rng(sigma, pairs, spec.seed.rng())
             nu = simulate.poisson_batch_with_rng(_tilted(sigma, pfn), pairs, spec.seed.rng(1))
         est = transport.estimate_rubinstein_empirical(mu, nu, metric)
-        diag = transport.doubling_diagnostic(mu, nu, metric, est.mean) if pairs >= 4 else {}
+        diag = transport.doubling_diagnostic(mu, nu, metric, full_mean=est.mean) if pairs >= 4 else {}
         return {
             "estimator": estimator,
             "coupled": coupled,
@@ -516,7 +516,7 @@ def _run_isoperimetry(spec: ExperimentSpec) -> dict:
         event = conc.CountAtLeastEvent(m=int(event_spec.get("m", 1)), region=region)
     else:
         raise SpecParseError("event type must be count_leq or count_geq", where="parameters.event.type")
-    ratio, surface_exact, probability_exact = conc._threshold_exact(event, sigma)
+    ratio, surface_exact, probability_exact = conc.count_event_exact(event, sigma)
     mc_surface = conc.surface_measure(event, sigma, spec.n_samples, spec.seed)
     lower, upper = conc.isoperimetric_bounds(sigma.total_mass)
     out = {

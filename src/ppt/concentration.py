@@ -48,6 +48,7 @@ __all__ = [
     "surface_measure",
     "surface_measure_exact",
     "event_probability_exact",
+    "count_event_exact",
     "isoperimetric_ratio",
     "poincare_l1_check",
     "coarea_check",
@@ -368,10 +369,12 @@ def event_probability_exact(A, sigma: IntensityMeasure) -> float:
     return _event_probability_pair(A, sigma)[0]
 
 
-def _threshold_exact(A, sigma: IntensityMeasure) -> tuple[Estimate, float, float]:
-    """(witness ratio, surface, P(A)) of a count event, all three from one
-    :func:`_threshold_form`, so the region mass is integrated once.  A
-    degenerate event (probability 0 or 1) raises."""
+def count_event_exact(A, sigma: IntensityMeasure) -> tuple[Estimate, float, float]:
+    """Exact (witness ratio, surface measure, P(A)) of a count-threshold
+    event, the values of :func:`isoperimetric_ratio`,
+    :func:`surface_measure_exact` and :func:`event_probability_exact`, all
+    three from one :func:`_threshold_form`, so the region mass is integrated
+    once.  A degenerate event (probability 0 or 1) raises."""
     form = _threshold_form(A, sigma)
     p, q = _threshold_pair(form)
     if not (p > 0.0 and q > 0.0):
@@ -395,7 +398,7 @@ def isoperimetric_ratio(
     propagation.  Degenerate events (estimated probability 0 or 1) raise.
     """
     if isinstance(A, (CountThresholdEvent, CountAtLeastEvent)):
-        return _threshold_exact(A, sigma)[0]
+        return count_event_exact(A, sigma)[0]
     surf = surface_measure(A, sigma, n_samples, seed, inner_samples)
     configs = poisson_batch_with_rng(sigma, n_samples, seed.rng(7, 0))
     ind = np.array([float(A(w)) for w in configs])

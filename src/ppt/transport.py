@@ -445,19 +445,12 @@ def _reprice(rc: np.ndarray, Cw: np.ndarray, pot: np.ndarray, moved: list[int]) 
     expression of the full pass, so every entry has the bits a full pass
     would give it.  When the nodes are more than a quarter of all rows and
     columns, gathering theirs costs more than the two full passes, which run
-    instead; a single node is written through a basic slice, with no gather.
+    instead.
     """
     n, m = rc.shape
     if 4 * len(moved) > n + m:
         np.subtract(Cw, pot[:n, None], out=rc)
         rc += pot[None, n : n + m]
-        return
-    if len(moved) == 1:
-        v = moved[0]
-        if v < n:
-            rc[v] = (Cw[v] - pot[v]) + pot[n : n + m]
-        else:
-            rc[:, v - n] = (Cw[:, v - n] - pot[:n]) + pot[v]
         return
     nodes = np.array(moved)
     rows, cols = nodes[nodes < n], nodes[nodes >= n] - n
@@ -896,6 +889,7 @@ def doubling_diagnostic(
     samples_mu: Sequence[Configuration],
     samples_nu: Sequence[Configuration],
     metric="rho1",
+    *,
     full_mean: float | None = None,
 ) -> dict:
     """Convergence diagnostic: estimate on half the samples versus all of them.
@@ -903,9 +897,12 @@ def doubling_diagnostic(
     The half lists are the prefixes of the full ones, and each estimate is
     the mean :func:`estimate_rubinstein_empirical` gives on its lists.  The
     two list pairs are solved on their own, each with its own interned
-    atoms or cost matrix, and without the dispersion solve.  A caller that
-    already has the full lists' mean from that function passes it as
-    ``full_mean``, and the full pair is not solved again.
+    atoms or cost matrix, and without the dispersion solve.
+
+    ``full_mean``, when given, is taken as the full lists' estimate without
+    a check, and the full pair is not solved.  It must be the ``mean`` of
+    ``estimate_rubinstein_empirical(samples_mu, samples_nu, metric)`` on
+    these very lists and metric; any other value gives a wrong ``gap``.
     """
     n, m = len(samples_mu), len(samples_nu)
     if n < 2 or m < 2:

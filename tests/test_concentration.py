@@ -288,6 +288,16 @@ class TestIsoperimetry:
         assert len(calls) == 1
         assert np.float64(est.mean).tobytes() == np.float64(want).tobytes()
 
+    def test_count_event_exact_equals_its_three_public_values(self, lebesgue, seed):
+        half = Window([0.0], [0.5])
+        for event in (CountThresholdEvent(k=0), CountThresholdEvent(k=2, region=half), CountAtLeastEvent(m=1, region=half)):
+            ratio, surface, probability = ppt.count_event_exact(event, lebesgue)
+            assert ratio == isoperimetric_ratio(event, lebesgue, 100, seed)
+            assert np.float64(surface).tobytes() == np.float64(surface_measure_exact(event, lebesgue)).tobytes()
+            assert np.float64(probability).tobytes() == np.float64(event_probability_exact(event, lebesgue)).tobytes()
+        with pytest.raises(ValidationError, match="degenerate"):
+            ppt.count_event_exact(CountAtLeastEvent(m=0), lebesgue)
+
     def test_empty_event_exact_ratio(self, lebesgue, seed):
         est = isoperimetric_ratio(CountThresholdEvent(k=0), lebesgue, 100, seed)
         assert est.std_error == 0.0

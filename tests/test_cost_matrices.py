@@ -231,6 +231,8 @@ def assert_doubling_equals_two_estimates(mu, nu, metric):
     half = ppt.estimate_rubinstein_empirical(mu[: n // 2], nu[: m // 2], metric).mean
     full = ppt.estimate_rubinstein_empirical(mu, nu, metric).mean
     assert (diag["estimate_half"], diag["estimate_full"]) == (half, full)
+    # the estimate's mean, passed in, stands for the full pair's solve
+    assert ppt.doubling_diagnostic(mu, nu, metric, full_mean=full) == diag
 
 
 def test_doubling_diagnostic_equals_separate_half_and_full_solves():
