@@ -254,10 +254,7 @@ class SeedSpec:
             raise ValidationError("stream_id must be nonnegative")
 
     def rng(self, *path: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream_id), *map(int, path))
-        )
-        return np.random.Generator(np.random.PCG64(ss))
+        return _stream_rng(int(self.seed), (int(self.stream_id), *map(int, path)))
 
     def child(self, index: int) -> "SeedSpec":
         """Replicate stream: same seed, stream_id shifted by the replicate index."""
@@ -265,6 +262,14 @@ class SeedSpec:
 
     def to_dict(self) -> dict:
         return {"seed": int(self.seed), "stream_id": int(self.stream_id)}
+
+
+def _stream_rng(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    """The generator of stream ``spawn_key`` under ``seed``: what
+    ``SeedSpec(seed, spawn_key[0]).rng(*spawn_key[1:])`` returns, for
+    callers that make many streams without a ``SeedSpec`` each."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,12 @@ from .core import (
     SeedSpec,
     Window,
     _checked_atoms,
+    _stream_rng,
     estimate_from_values,
 )
 from .errors import InternalConsistencyError, SamplerHardnessError, ValidationError
 from .quadrature import eval_points, integrate
+from .transport import _rho1_per_pair
 
 __all__ = [
     "CoupledPair",
@@ -124,10 +126,15 @@ def _rejection_rounds(
     empty_rounds = [0] * len(todo)
     while active:
         sizes = [int(todo[k] / rate * 1.2) + 16 for k in active]
-        # each generator draws its proposals, then its thresholds; lo + width * random()
-        # is Generator.uniform(lo, hi)'s own formula, without its array-bounds checks
-        proposals = _joined([lo + width * rngs[k].random((m, d)) for k, m in zip(active, sizes)])
-        thresholds = _joined([rngs[k].uniform(0.0, sup, size=m) for k, m in zip(active, sizes)])
+        # each generator draws its raw proposals, then its raw thresholds, and the
+        # scaling runs once on the joined arrays.  Generator.uniform(low, high)
+        # computes low + (high - low) * random() elementwise, so lo + width * u
+        # and sup * u (= 0.0 + sup * u) are its values bit for bit.
+        proposals = _joined([rngs[k].random((m, d)) for k, m in zip(active, sizes)])
+        thresholds = _joined([rngs[k].random(m) for k, m in zip(active, sizes)])
+        proposals *= width
+        proposals += lo
+        thresholds *= sup
         keep = thresholds < sigma.density_at(proposals)
         accepted = proposals[keep]
         short, start, first = [], 0, 0
@@ -481,38 +488,40 @@ class SuperpositionCoupling:
         drawn for all pairs at once by :func:`_rejection_rounds`; every atom
         is checked against the window in one array, and each configuration
         is a row slice of it.  Each pair's cost hint, its number of extra
-        atoms, is checked against ``metrics.rho1``.
+        atoms, must equal its rho1 (shared atoms cancel exactly, extras never
+        collide almost surely); every pair is checked, by one rho1 over the
+        whole batch that gives ``metrics.rho1``'s integers.
         """
         if n < 1:
             raise ValidationError("batch size must be positive")
-        shared, lefts, rights = self._layer_points(n, seed)
+        shared, extra_l, extra_r = self._layer_points(n, seed)
         window = self.sigma.window
         # pair i's rows: its left atoms (shared, left extras), then its right ones
-        rows = [x for s, l, r in zip(shared, lefts, rights) for x in (s, l, s, r)]
+        rows = [x for s, l, r in zip(shared, extra_l, extra_r) for x in (s, l, s, r)]
         atoms = _checked_atoms(np.concatenate(rows), window)
-        pairs, start = [], 0
-        for common, extra_l, extra_r in zip(shared, lefts, rights):
-            mid = start + len(common) + len(extra_l)
-            end = mid + len(common) + len(extra_r)
-            left = Configuration._trusted(atoms[start:mid], window)
-            right = Configuration._trusted(atoms[mid:end], window)
-            start = end
-            cost = float(len(extra_l) + len(extra_r))
-            realised = metrics.rho1(left, right)
-            if realised != cost:  # shared atoms cancel exactly; extras never collide a.s.
-                raise InternalConsistencyError(
-                    f"superposition cost hint {cost} disagrees with rho1 {realised}"
-                )
-            pairs.append(CoupledPair(left=left, right=right, cost_hint=cost))
-        return pairs
+        ends = [0, *accumulate(len(x) for x in rows)][::2]  # every other row end closes a side
+        sides = [Configuration._trusted(atoms[a:b], window) for a, b in zip(ends, ends[1:])]
+        lefts, rights = sides[::2], sides[1::2]
+        costs = [float(len(l) + len(r)) for l, r in zip(extra_l, extra_r)]
+        realised = _rho1_per_pair(lefts, rights)
+        bad = np.flatnonzero(realised != costs)
+        if bad.size:
+            i = int(bad[0])
+            raise InternalConsistencyError(
+                f"superposition cost hint {costs[i]} disagrees with rho1 {int(realised[i])}"
+            )
+        return [CoupledPair(left=l, right=r, cost_hint=c) for l, r, c in zip(lefts, rights, costs)]
 
     def _layer_points(self, n: int, seed: SeedSpec) -> list[list[np.ndarray]]:
         """Each pair's points of the shared, left-extra and right-extra layers.
 
-        The pairs' generators live only in this call, so that the memory
-        they hold is free again before the configurations are built.
+        Pair i's generator is stream ``seed.stream_id + i``, what
+        ``seed.child(i).rng()`` returns.  The generators live only in this
+        call, so that the memory they hold is free again before the
+        configurations are built.
         """
-        rngs = [seed.child(i).rng() for i in range(n)]
+        entropy, first = int(seed.seed), int(seed.stream_id)
+        rngs = [_stream_rng(entropy, (first + i,)) for i in range(n)]
         layers = []
         for layer in (self.shared, self.left_extra, self.right_extra):
             mass = _count_mean(layer)

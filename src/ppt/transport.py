@@ -467,21 +467,18 @@ def _recompute_tree_flows(basis: _TreeBasis, a: np.ndarray, b: np.ndarray) -> No
     signed partial sums of marginal entries removes any rounding accumulated
     over pivots; the plan then reproduces its marginals to machine precision.
     """
-    n, m = basis.n, basis.m
-    supply = np.zeros(basis.nodes)
-    supply[:n] = a
-    supply[n : n + m] = -b
-    order = np.argsort(basis.depth)[::-1]  # deepest first
-    for node in order:
-        arc_idx = int(basis.parent_arc[node])
+    supply = [*a.tolist(), *(-b).tolist(), 0.0]  # rows, columns, root
+    floor = -1e-9 * max(float(np.sum(a)), 1.0)
+    arcs, parent, parent_arc, flows = basis.arcs, basis.parent, basis.parent_arc, basis.flows
+    for node in np.argsort(basis.depth)[::-1].tolist():  # deepest first
+        arc_idx = parent_arc[node]
         if arc_idx < 0:
             continue  # root
-        f, _t, _c = basis.arcs[arc_idx]
-        flow = float(supply[node] if f == node else -supply[node])
-        if flow < -1e-9 * max(float(np.sum(a)), 1.0):
+        flow = supply[node] if arcs[arc_idx][0] == node else -supply[node]
+        if flow < floor:
             raise InternalConsistencyError("negative basic flow after leaf elimination")
-        basis.flows[arc_idx] = max(0.0, flow)
-        supply[basis.parent[node]] += supply[node]
+        flows[arc_idx] = max(0.0, flow)
+        supply[parent[node]] += supply[node]
 
 
 def _feasible_on_finite(a: np.ndarray, b: np.ndarray, finite: np.ndarray) -> bool:
@@ -653,6 +650,25 @@ def _interned_atoms(configs) -> tuple[np.ndarray, np.ndarray]:
     value = value.reshape(-1)
     order = np.lexsort((value, owner))
     return owner[order], value[order]
+
+
+def _rho1_per_pair(lefts, rights) -> np.ndarray:
+    """``metrics.rho1(lefts[i], rights[i])`` for every i, as one int64 array.
+
+    Atoms are interned (:func:`_interned_atoms`), so values are compared as
+    ``Configuration.multiset`` compares them.  A left atom counts +1 and a
+    right atom -1 towards its (pair, value) key; a pair's rho1 is the sum of
+    |net count| over its keys.  The sums are of integers far below 2^53, so
+    the float arithmetic is exact.
+    """
+    owner, value = _interned_atoms([c for pair in zip(lefts, rights) for c in pair])
+    if owner.size == 0:
+        return np.zeros(len(lefts), dtype=np.int64)
+    stride = int(value.max()) + 1
+    keys, which = np.unique((owner >> 1) * stride + value, return_inverse=True)
+    net = np.bincount(which, weights=1 - 2 * (owner & 1))  # left +1, right -1
+    rho = np.bincount(keys // stride, weights=np.abs(net), minlength=len(lefts))
+    return rho.astype(np.int64)
 
 
 def _shared_atom_pairs(samples_mu, samples_nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
 """Configuration cost matrices against the per-pair metric loop.
 
-rho1 comes from counts of shared interned atoms (``transport._rho1_matrix``),
-rho0 from groups of equal multisets (``transport._multiset_groups``), and
+rho1 comes from counts of shared interned atoms (``transport._rho1_matrix``,
+and ``transport._rho1_per_pair`` for the pairs of a coupled batch), rho0
+from groups of equal multisets (``transport._multiset_groups``), and
 ``transport._cost_matrix`` screens rho2 entries by atom count; every entry
 must equal what the per-pair ``metrics`` call gives, bit for bit.  The rho2
 estimates skip the matrix when the count classes admit no finite plan, with
@@ -132,6 +133,31 @@ def test_interned_rho0_rho1_equal_the_per_pair_loop(lists):
 def configs_2d(*rows):
     window = Window([-1.0, -1.0], [1.0, 1.0])
     return [Configuration(np.array(r, float).reshape(-1, 2), window) for r in rows]
+
+
+@st.composite
+def paired_lists(draw):
+    """Equal-length lists of left and right configurations, a batch of 1-6
+    pairs; sides may be empty."""
+    mu, nu = draw(sample_lists())
+    k = min(len(mu), len(nu))
+    return mu[:k], nu[:k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(paired_lists())
+@example((configs_2d([]), configs_2d([])))  # a batch of one pair of empty sides
+@example(  # shared atoms with multiplicity, -0.0 against 0.0, one empty side
+    (
+        configs_2d([(0.0, 0.5), (-0.0, 0.5), (0.5, 1.0)], [], [(1.0, 1.0)]),
+        configs_2d([(0.0, 0.5), (0.5, 1.0), (0.5, 1.0)], [(1.0, -0.0)], [(1.0, 1.0), (1.0, 1.0)]),
+    )
+)
+def test_batched_rho1_equals_metrics_rho1_per_pair(lists):
+    lefts, rights = lists
+    got = transport._rho1_per_pair(lefts, rights)
+    assert got.dtype == np.int64
+    assert got.tolist() == [metrics.rho1(x, y) for x, y in zip(lefts, rights)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -344,9 +344,26 @@ class TestSuperposition:
 
     def test_cost_hint_mismatch_is_internal_error(self, lebesgue, monkeypatch):
         sc = SuperpositionCoupling(lebesgue, parse_density_expr("const:2"), p_sup=2.0)
-        monkeypatch.setattr(ppt.simulate.metrics, "rho1", lambda a, b: -1)
+        monkeypatch.setattr(ppt.simulate, "_rho1_per_pair", lambda lefts, rights: np.full(len(lefts), -1))
         with pytest.raises(InternalConsistencyError):
             sc.sample(SeedSpec(11))
+
+    def test_first_disagreeing_pair_is_named(self, lebesgue, monkeypatch):
+        # the batch check raises for the first pair whose rho1 is off, with its values
+        sc = SuperpositionCoupling(lebesgue, parse_density_expr("const:2"), p_sup=2.0)
+        pairs = sc.sample_batch(6, SeedSpec(11))
+        real = ppt.simulate._rho1_per_pair
+
+        def off_at_2_and_4(lefts, rights):
+            rho = real(lefts, rights)
+            rho[[2, 4]] += 1
+            return rho
+
+        monkeypatch.setattr(ppt.simulate, "_rho1_per_pair", off_at_2_and_4)
+        cost = pairs[2].cost_hint
+        with pytest.raises(InternalConsistencyError) as err:
+            sc.sample_batch(6, SeedSpec(11))
+        assert str(err.value) == f"superposition cost hint {cost} disagrees with rho1 {int(cost) + 1}"
 
     def test_chi_square_goodness_of_fit_on_boxes(self, lebesgue):
         # atoms of the left margin across 4 disjoint boxes are uniform
