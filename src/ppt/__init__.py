@@ -63,10 +63,8 @@ from .bounds import (
     bound_tv_poisson,
     bound_w2_halfline,
     bound_w2_timechange,
-    bound_w2_timechange_family,
     gibbs_count_law_rho1,
     gibbs_density,
-    gibbs_normalization_mc,
     gibbs_normalization_series,
     poisson_density,
 )
@@ -85,7 +83,6 @@ from .concentration import (
     TailQuery,
     coarea_check,
     count_event_exact,
-    event_probability_exact,
     isoperimetric_bounds,
     isoperimetric_ratio,
     laplace_bound_lipschitz,
@@ -94,11 +91,9 @@ from .concentration import (
     rho_eta_tail_exact,
     stirling_bounds,
     surface_measure,
-    surface_measure_exact,
     tail_bound_count_sharp,
     tail_bound_lipschitz,
     tail_bound_rho_eta,
     tail_grid,
     upper_int_part,
-    verify_disjoint_support,
 )

@@ -12,13 +12,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     Configuration,
-    Estimate,
     IntensityMeasure,
     SeedSpec,
     _checked_atoms,
@@ -42,11 +41,9 @@ __all__ = [
     "bound_w2_halfline",
     "bound_tv_general",
     "bound_w2_timechange",
-    "bound_w2_timechange_family",
     "poisson_density",
     "gibbs_density",
     "gibbs_normalization_series",
-    "gibbs_normalization_mc",
     "gibbs_count_law_rho1",
     "nested_gradient_mc",
 ]
@@ -231,31 +228,6 @@ def bound_w2_timechange(
             "inverse_form": float(expr_inverse),
             "mark_mass": float(mark_mass),
         },
-    )
-
-
-def bound_w2_timechange_family(
-    families: Sequence[tuple[TimeChangeSpec, float]]
-) -> BoundResult:
-    """Finitely many mark classes, each with its own time change and weight:
-    the squared bounds add with their weights."""
-    if not families:
-        raise ValidationError("need at least one (time change, weight) pair")
-    total_sq = 0.0
-    details = []
-    for tc, weight in families:
-        if weight < 0:
-            raise ValidationError("mark weights must be nonnegative")
-        one = bound_w2_timechange(tc)
-        total_sq += weight * one.value**2
-        details.append({"weight": float(weight), "bound": one.value})
-    return BoundResult(
-        value=math.sqrt(total_sq),
-        method="quadrature",
-        inputs_digest=_digest(
-            "bound_w2_timechange_family", n=len(families), weights=[w for _, w in families]
-        ),
-        details={"members": details},
     )
 
 
@@ -475,18 +447,6 @@ def gibbs_count_law_rho1(c: float, mass: float) -> float:
     return float(np.abs(poisson - gibbs).sum())
 
 
-def gibbs_normalization_mc(
-    phi: Callable,
-    sigma: IntensityMeasure,
-    n_samples: int,
-    seed: SeedSpec,
-) -> Estimate:
-    """Monte Carlo estimate of E exp(-V) under Poisson(sigma)."""
-    configs = poisson_batch_with_rng(sigma, n_samples, seed.rng())
-    vals = np.array([math.exp(-interaction_energy(phi, w)) for w in configs])
-    return estimate_from_values(vals, seed)
-
-
 def gibbs_density(
     phi: Callable,
     sigma: IntensityMeasure,
@@ -494,8 +454,8 @@ def gibbs_density(
 ) -> Callable[[Configuration], float]:
     """Normalised Gibbs density exp(-V)/normalization with respect to Poisson(sigma).
 
-    ``normalization`` is E exp(-V); use :func:`gibbs_normalization_series` for
-    constant potentials or :func:`gibbs_normalization_mc` otherwise.
+    ``normalization`` is E exp(-V) under Poisson(sigma); for a constant
+    potential phi it is :func:`gibbs_normalization_series`.
     """
     if not normalization > 0:
         raise ValidationError("normalization must be positive")

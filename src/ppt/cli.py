@@ -140,6 +140,19 @@ def parse_density_expr(expr: str):
     return fn
 
 
+def _number(params, key, path: str, default=None, kind=float):
+    """``kind`` (float or int) of the spec field ``params[key]``, or of
+    ``default`` when absent (required when None); a missing or non-numeric
+    field raises :class:`SpecParseError` at its dotted path."""
+    value = _require(params, key, path) if default is None else params.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        where = f"{path}.{key}" if path else key
+        noun = "an integer" if kind is int else "a number"
+        raise SpecParseError(f"{where} must be {noun}, got {value!r}", where=where) from None
+
+
 def _window_from_param(value, path: str) -> Window:
     try:
         arr = np.asarray(value, float)
@@ -189,21 +202,21 @@ def _mixer_from_params(params, path: str):
     _check_keys(params, {"family", "shape", "scale", "mu", "sigma_log", "lo", "hi", "p_lo", "value"}, path)
     family = params.get("family")
     if family == "gamma":
-        return simulate.GammaMixer(shape=float(params["shape"]), scale=float(params.get("scale", 1.0)))
+        return simulate.GammaMixer(shape=_number(params, "shape", path), scale=_number(params, "scale", path, 1.0))
     if family == "lognormal":
-        return simulate.LognormalMixer(mu=float(params["mu"]), sigma_log=float(params["sigma_log"]))
+        return simulate.LognormalMixer(mu=_number(params, "mu", path), sigma_log=_number(params, "sigma_log", path))
     if family == "two_point":
         return simulate.TwoPointMixer(
-            lo=float(params["lo"]), hi=float(params["hi"]), p_lo=float(params.get("p_lo", 0.5))
+            lo=_number(params, "lo", path), hi=_number(params, "hi", path), p_lo=_number(params, "p_lo", path, 0.5)
         )
     if family == "constant":
-        return simulate.ConstantMixer(value=float(params["value"]))
+        return simulate.ConstantMixer(value=_number(params, "value", path))
     raise SpecParseError(f"unknown mixer family {family!r}", where=f"{path}.family")
 
 
 def _timechange_from_params(params: dict, path: str) -> simulate.TimeChangeSpec:
-    horizon = float(params.get("horizon", 100.0))
-    scale = float(params.get("scale", 1.0))
+    horizon = _number(params, "horizon", path, 100.0)
+    scale = _number(params, "scale", path, 1.0)
 
     # t^3 is t * t * t: two products cost about a third of np.power's t**3
     # and differ from it by at most a few ULP
@@ -280,8 +293,8 @@ class ExperimentSpec:
         return cls(
             kind=kind,
             parameters=data.get("parameters", {}),
-            seed=SeedSpec(int(seed_obj.get("seed", 0)), int(seed_obj.get("stream_id", 0))),
-            n_samples=int(data.get("n_samples", 10_000)),
+            seed=SeedSpec(_number(seed_obj, "seed", "seed", 0, int), _number(seed_obj, "stream_id", "seed", 0, int)),
+            n_samples=_number(data, "n_samples", "", 10_000, int),
             output_path=data.get("output_path"),
         )
 
@@ -376,7 +389,7 @@ def _run_sample(spec: ExperimentSpec) -> dict:
     p = spec.parameters
     sigma = _intensity_from_params(p, "parameters")
     family = p.get("family", "poisson")
-    n_configs = int(p.get("n_configs", 1))
+    n_configs = _number(p, "n_configs", "parameters", 1, int)
     if n_configs < 1:
         raise SpecParseError("n_configs must be positive", where="parameters.n_configs")
     hex_floats = bool(p.get("hex_floats", False))
@@ -425,7 +438,7 @@ def _run_bound(spec: ExperimentSpec) -> dict:
         tc = _timechange_from_params(p, "parameters")
         marks = None
         if "marks_mass" in p:
-            marks = IntensityMeasure.uniform(Window([0.0], [1.0]), float(p["marks_mass"]))
+            marks = IntensityMeasure.uniform(Window([0.0], [1.0]), _number(p, "marks_mass", "parameters"))
         result = bounds_mod.bound_w2_timechange(tc, marks)
     else:
         raise SpecParseError(f"unknown bound family {family!r}", where="parameters.family")
@@ -457,7 +470,7 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
     if estimator == "rubinstein":
         sigma = _intensity_from_params(p, "parameters")
         pfn = parse_density_expr(_require(p, "p"))
-        pairs = int(p.get("pairs", 200))
+        pairs = _number(p, "pairs", "parameters", 200, int)
         metric = p.get("metric", "rho1")
         coupled = bool(p.get("coupled", True))
         if coupled:
@@ -479,16 +492,25 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
     raise SpecParseError(f"unknown estimator {estimator!r}", where="parameters.estimator")
 
 
+def _tail_axes(p: dict) -> list[list[float]]:
+    """The masses and levels r of a tail grid, read as ``parameters.<key>.<index>``."""
+    axes = []
+    for key, default in (("masses", [0.5, 1.0, 2.0, 5.0]), ("rs", [0.5, 1.0, 2.0, 5.0, 10.0])):
+        values, path = p.get(key, default), f"parameters.{key}"
+        if not isinstance(values, (list, tuple)):
+            raise SpecParseError(f"{path} must be a list of numbers, got {values!r}", where=path)
+        axes.append([_number(dict(enumerate(values)), i, path) for i in range(len(values))])
+    return axes
+
+
 def _run_tail(spec: ExperimentSpec) -> dict:
     p = spec.parameters
     if "masses" in p or "rs" in p:
-        masses = [float(v) for v in p.get("masses", [0.5, 1.0, 2.0, 5.0])]
-        rs = [float(v) for v in p.get("rs", [0.5, 1.0, 2.0, 5.0, 10.0])]
-        return {"grid": conc.tail_grid(masses, rs)}
-    mass = float(_require(p, "mass"))
-    r = float(_require(p, "r"))
+        return {"grid": conc.tail_grid(*_tail_axes(p))}
+    mass = _number(p, "mass", "parameters")
+    r = _number(p, "r", "parameters")
     q = conc.TailQuery(mass=mass, r=r)
-    results = {
+    return {
         "mass": mass,
         "r": r,
         "exact_count_tail": conc.poisson_tail_exact(mass, conc.upper_int_part(mass + r)),
@@ -497,7 +519,6 @@ def _run_tail(spec: ExperimentSpec) -> dict:
         "bound_rho_eta": conc.tail_bound_rho_eta(mass, r),
         "rho_eta_tail_exact": conc.rho_eta_tail_exact(mass, r),
     }
-    return results
 
 
 def _run_isoperimetry(spec: ExperimentSpec) -> dict:
@@ -511,9 +532,9 @@ def _run_isoperimetry(spec: ExperimentSpec) -> dict:
         else None
     )
     if event_spec.get("type") == "count_leq":
-        event = conc.CountThresholdEvent(k=int(event_spec.get("k", 0)), region=region)
+        event = conc.CountThresholdEvent(k=_number(event_spec, "k", "parameters.event", 0, int), region=region)
     elif event_spec.get("type") == "count_geq":
-        event = conc.CountAtLeastEvent(m=int(event_spec.get("m", 1)), region=region)
+        event = conc.CountAtLeastEvent(m=_number(event_spec, "m", "parameters.event", 1, int), region=region)
     else:
         raise SpecParseError("event type must be count_leq or count_geq", where="parameters.event.type")
     ratio, surface_exact, probability_exact = conc.count_event_exact(event, sigma)
@@ -561,7 +582,7 @@ def _scenario_poisson_tightness(spec: ExperimentSpec) -> dict:
     p = spec.parameters
     sigma = _intensity_from_params({"window": p.get("window", [0.0, 1.0])}, "parameters")
     pfn = parse_density_expr(p.get("p", "const:2"))
-    pairs = int(p.get("pairs", 200))
+    pairs = _number(p, "pairs", "parameters", 200, int)
     n = spec.n_samples
 
     bound = bounds_mod.bound_tv_poisson(pfn, sigma)
@@ -616,7 +637,7 @@ def _scenario_gibbs_bound(spec: ExperimentSpec) -> dict:
     sigma = _intensity_from_params({"window": p.get("window", [0.0, 1.0])}, "parameters")
     phi_expr = p.get("phi", "const:0.05")
     phi = parse_density_expr(phi_expr)
-    pairs = int(p.get("pairs", 200))
+    pairs = _number(p, "pairs", "parameters", 200, int)
     bound = bounds_mod.bound_tv_gibbs(phi, sigma)
     proposals, accepted, acc = simulate.sample_gibbs_coupled(phi, sigma, pairs, spec.seed)
     # -n is 1-Lipschitz for rho1, so its mean gap lower-bounds W_rho1
@@ -686,9 +707,7 @@ def _scenario_halfline(spec: ExperimentSpec) -> dict:
 
 def _scenario_tail_grid(spec: ExperimentSpec) -> dict:
     p = spec.parameters
-    masses = [float(v) for v in p.get("masses", [0.5, 1.0, 2.0, 5.0])]
-    rs = [float(v) for v in p.get("rs", [0.5, 1.0, 2.0, 5.0, 10.0])]
-    rows = conc.tail_grid(masses, rs)
+    rows = conc.tail_grid(*_tail_axes(p))
     dominated = all(r["exact"] <= r["bound_sharp"] and r["exact"] <= r["bound_lipschitz"] for r in rows)
     sharp_wins = all(
         r["bound_sharp"] < r["bound_lipschitz"] for r in rows if r["r"] >= 3 * r["mass"]
@@ -702,7 +721,7 @@ def _scenario_tail_grid(spec: ExperimentSpec) -> dict:
 
 def _scenario_isoperimetry(spec: ExperimentSpec) -> dict:
     p = spec.parameters
-    mass = float(p.get("mass", 1.0))
+    mass = _number(p, "mass", "parameters", 1.0)
     window = _window_from_param(p.get("window", [0.0, 1.0]), "parameters.window")
     sigma = IntensityMeasure.uniform(window, mass / window.volume)
     empty_event = conc.CountThresholdEvent(k=0)

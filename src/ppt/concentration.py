@@ -26,7 +26,7 @@ from .core import (
     Window,
     estimate_from_values,
 )
-from .errors import InternalConsistencyError, ValidationError
+from .errors import ValidationError
 from .quadrature import integrate
 from .simulate import poisson_batch_with_rng
 
@@ -40,14 +40,11 @@ __all__ = [
     "tail_bound_count_sharp",
     "tail_bound_rho_eta",
     "rho_eta_tail_exact",
-    "verify_disjoint_support",
     "stirling_bounds",
     "tail_grid",
     "CountThresholdEvent",
     "CountAtLeastEvent",
     "surface_measure",
-    "surface_measure_exact",
-    "event_probability_exact",
     "count_event_exact",
     "isoperimetric_ratio",
     "poincare_l1_check",
@@ -171,27 +168,6 @@ def rho_eta_tail_exact(total_mass: float, r: float) -> float:
     return poisson_tail_exact(total_mass, upper_int_part(total_mass + r))
 
 
-def verify_disjoint_support(
-    sigma: IntensityMeasure, eta: Configuration, n_draws: int, seed: SeedSpec
-) -> int:
-    """Empirically assert the a.s. disjointness behind :func:`rho_eta_tail_exact`.
-
-    Draws ``n_draws`` Poisson configurations and raises if any sampled atom
-    coincides exactly with an atom of ``eta``.  Returns the number of atoms
-    inspected.
-    """
-    targets = {tuple(row) for row in eta.atoms}
-    configs = poisson_batch_with_rng(sigma, n_draws, seed.rng())
-    inspected = 0
-    for w in configs:
-        inspected += w.n
-        if targets and any(tuple(row) in targets for row in w.atoms):
-            raise InternalConsistencyError(
-                "sampled atom coincides with a fixed atom; diffuse-support identity fails"
-            )
-    return inspected
-
-
 def stirling_bounds(N: int) -> tuple[float, float]:
     """Two-sided factorial sandwich:
     sqrt(2 pi) N^{N+1/2} e^{-N}  <=  N!  <=  same * e^{1/(12N)}."""
@@ -297,41 +273,6 @@ def surface_measure(
     return estimate_from_values(values, seed)
 
 
-def _threshold_form(A, sigma: IntensityMeasure) -> tuple[int, float, bool] | None:
-    """A count event as ``(k, region mass, complemented)``: the event is
-    {count in region <= k}, or its complement when ``complemented``.
-
-    For m >= 1, {count >= m} is the complement of {count <= m - 1};
-    {count >= 0} is the whole space, returned as None.  The region mass is
-    integrated here, once per event.
-    """
-    complemented = isinstance(A, CountAtLeastEvent)
-    if complemented:
-        if A.m == 0:
-            return None
-        A = CountThresholdEvent(A.m - 1, A.region)
-    if not isinstance(A, CountThresholdEvent):
-        raise ValidationError("exact values only for count-threshold events")
-    return A.k, _region_mass(sigma, A.region), complemented
-
-
-def _threshold_surface(form: tuple[int, float, bool] | None) -> float:
-    """Surface of a :func:`_threshold_form`: adding a point inside the region
-    crosses {count <= k} exactly on {count = k}, so the surface equals
-    region_mass * P(count = k); an event and its complement share it, and
-    the whole space has none."""
-    if form is None:
-        return 0.0
-    k, mass, _ = form
-    return mass * poisson_pmf(mass, k)
-
-
-def surface_measure_exact(A, sigma: IntensityMeasure) -> float:
-    """Closed-form surface measure for count-threshold events
-    (:func:`_threshold_surface`)."""
-    return _threshold_surface(_threshold_form(A, sigma))
-
-
 def _poisson_lower(mass: float, k: int) -> float:
     """P(N <= k), summed from pmf(k) downward (stable for k below the mean)."""
     t = poisson_pmf(mass, k)
@@ -342,44 +283,38 @@ def _poisson_lower(mass: float, k: int) -> float:
     return min(s, 1.0)
 
 
-def _threshold_pair(form: tuple[int, float, bool] | None) -> tuple[float, float]:
-    """(P(A), 1 - P(A)) of a :func:`_threshold_form`, with the smaller side
-    computed directly (no cancellation); a complement swaps its event's pair."""
-    if form is None:
-        return 1.0, 0.0  # the whole space
-    k, mass, complemented = form
-    if mass <= 0:
-        pair = 1.0, 0.0
-    else:
-        q = poisson_tail_exact(mass, k + 1)  # P(count > k)
-        if q < 0.5:
-            pair = 1.0 - q, q
-        else:
-            p = _poisson_lower(mass, k)
-            pair = p, 1.0 - p
-    return pair[::-1] if complemented else pair
-
-
-def _event_probability_pair(A, sigma: IntensityMeasure) -> tuple[float, float]:
-    """(P(A), 1 - P(A)) of a count event (:func:`_threshold_pair`)."""
-    return _threshold_pair(_threshold_form(A, sigma))
-
-
-def event_probability_exact(A, sigma: IntensityMeasure) -> float:
-    return _event_probability_pair(A, sigma)[0]
-
-
 def count_event_exact(A, sigma: IntensityMeasure) -> tuple[Estimate, float, float]:
     """Exact (witness ratio, surface measure, P(A)) of a count-threshold
-    event, the values of :func:`isoperimetric_ratio`,
-    :func:`surface_measure_exact` and :func:`event_probability_exact`, all
-    three from one :func:`_threshold_form`, so the region mass is integrated
-    once.  A degenerate event (probability 0 or 1) raises."""
-    form = _threshold_form(A, sigma)
-    p, q = _threshold_pair(form)
+    event; the ratio is the value of :func:`isoperimetric_ratio`.
+
+    {count >= m} is the complement of {count <= m - 1}.  Adding a point
+    inside the region crosses {count <= k} exactly on {count = k}, so the
+    surface equals region_mass * P(count = k), shared by an event and its
+    complement.  The smaller of P(A) and 1 - P(A) is computed directly (no
+    cancellation), and the region mass is integrated once.  A degenerate
+    event (probability 0 or 1, such as {count >= 0}) raises.
+    """
+    complemented = isinstance(A, CountAtLeastEvent)
+    if complemented:
+        if A.m == 0:
+            raise ValidationError("event probability 1.0 is degenerate")
+        k = A.m - 1
+    elif isinstance(A, CountThresholdEvent):
+        k = A.k
+    else:
+        raise ValidationError("exact values only for count-threshold events")
+    mass = _region_mass(sigma, A.region)
+    q = poisson_tail_exact(mass, k + 1) if mass > 0 else 0.0  # P(count > k)
+    if q < 0.5:
+        p = 1.0 - q
+    else:
+        p = _poisson_lower(mass, k)
+        q = 1.0 - p
+    if complemented:
+        p, q = q, p
     if not (p > 0.0 and q > 0.0):
         raise ValidationError(f"event probability {p} is degenerate")
-    s = _threshold_surface(form)
+    s = mass * poisson_pmf(mass, k)
     return Estimate(mean=2.0 * s / (p * q), std_error=0.0, n_samples=1, seed=None), s, p
 
 

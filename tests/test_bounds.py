@@ -18,7 +18,6 @@ from ppt import (
     bound_tv_poisson,
     bound_w2_halfline,
     bound_w2_timechange,
-    bound_w2_timechange_family,
     gibbs_density,
     gibbs_normalization_series,
     poisson_density,
@@ -141,6 +140,7 @@ class TestGibbsBound:
     def test_normalization_series_raises_rather_than_truncate(self):
         # c = 0 means V = 0, so E exp(-V) = 1 whenever the series holds the mass
         assert gibbs_normalization_series(0.0, 200.0) == pytest.approx(1.0, abs=1e-12)
+        assert gibbs_normalization_series(0.05, 1.0) == pytest.approx(0.95728, abs=5e-6)
         # a hard core (c = inf) accepts exactly the configurations of at most one atom
         assert gibbs_normalization_series(math.inf, 1.0) == pytest.approx(2.0 / math.e, rel=1e-15)
         for mass in (350.0, 1000.0):  # the first 400 counts miss 0.5% and all of the mass
@@ -149,13 +149,6 @@ class TestGibbsBound:
         for c, mass in ((math.nan, 1.0), (0.05, math.nan)):
             with pytest.raises(ValidationError):
                 gibbs_normalization_series(c, mass)
-
-    def test_normalization_mc_agrees_with_the_series(self, lebesgue):
-        series = gibbs_normalization_series(0.05, 1.0)
-        assert series == pytest.approx(0.95728, abs=5e-6)
-        got = ppt.gibbs_normalization_mc(parse_density_expr("const:0.05"), lebesgue, 4000, SeedSpec(0))
-        assert got.n_samples == 4000
-        assert abs(got.mean - series) <= 3.0 * got.std_error
 
 
 class TestHalflineBound:
@@ -537,21 +530,6 @@ class TestTimechangeBound:
                 got.details["energy_form"], 1e-300
             )
             assert rel_gap <= 1e-6
-
-    def test_family_combination(self):
-        tc1 = rational_timechange(scale=1.0)
-        tc2 = rational_timechange(scale=0.5)
-        single = bound_w2_timechange_family([(tc1, 1.0)])
-        assert single.value == pytest.approx(bound_w2_timechange(tc1).value, rel=1e-12)
-        combo = bound_w2_timechange_family([(tc1, 2.0), (tc2, 0.5)])
-        expected = math.sqrt(
-            2.0 * bound_w2_timechange(tc1).value ** 2 + 0.5 * bound_w2_timechange(tc2).value ** 2
-        )
-        assert combo.value == pytest.approx(expected, rel=1e-12)
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValidationError):
-            bound_w2_timechange_family([])
 
 
 class TestBoundResultContract:

@@ -81,6 +81,42 @@ class TestSpecParsing:
         spec_path.write_text(json.dumps({"kind": kind, "parameters": parameters}))
         assert main([kind, "--spec", str(spec_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "spec, where",
+        [
+            ({"kind": "verify", "parameters": {"scenario": "tail-grid"}, "n_samples": "ten"}, "n_samples"),
+            ({"kind": "verify", "parameters": {"scenario": "tail-grid"}, "n_samples": math.inf}, "n_samples"),
+            ({"kind": "tail", "parameters": {"mass": 2.0, "r": 1.0}, "seed": {"seed": "abc"}}, "seed.seed"),
+            ({"kind": "tail", "parameters": {"mass": 2.0, "r": 1.0}, "seed": {"stream_id": None}}, "seed.stream_id"),
+            ({"kind": "verify", "parameters": {"scenario": "poisson-tightness", "pairs": "many"}}, "parameters.pairs"),
+            ({"kind": "verify", "parameters": {"scenario": "halfline-timechange", "horizon": "long"}}, "parameters.horizon"),
+            ({"kind": "verify", "parameters": {"scenario": "tail-grid", "masses": [1, "a"]}}, "parameters.masses.1"),
+            ({"kind": "tail", "parameters": {"rs": "many"}}, "parameters.rs"),
+            ({"kind": "tail", "parameters": {"mass": [2.0], "r": 1.0}}, "parameters.mass"),
+            ({"kind": "isoperimetry", "parameters": {"event": {"type": "count_leq", "k": "two"}, "window": [0, 1]}}, "parameters.event.k"),
+            ({"kind": "sample", "parameters": {"window": [0, 1], "n_configs": "5"}, "n_samples": {}}, "n_samples"),
+            ({"kind": "sample", "parameters": {"family": "cox", "window": [0, 1], "mixer": {"family": "gamma", "shape": "x"}}}, "parameters.mixer.shape"),
+            ({"kind": "sample", "parameters": {"family": "cox", "window": [0, 1], "mixer": {"family": "gamma"}}}, "parameters.mixer.shape"),
+            ({"kind": "bound", "parameters": {"family": "timechange", "marks_mass": "heavy"}}, "parameters.marks_mass"),
+        ],
+    )
+    def test_mistyped_numeric_field_is_a_spec_error(self, spec, where, tmp_path):
+        # a traceback would exit 1, which for verify reads as a failed assertion
+        with pytest.raises(SpecParseError) as err:
+            run_experiment(ExperimentSpec.from_dict(spec))
+        assert err.value.where == where
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main([spec["kind"], "--spec", str(spec_path)]) == 2
+
+    def test_numeric_fields_keep_their_casts(self):
+        # a numeric string and a float count parse as before: int("2"), int(3.0)
+        spec = ExperimentSpec.from_dict(
+            {"kind": "sample", "parameters": {"window": [0, 1], "n_configs": "2"}, "seed": {"seed": "7"}, "n_samples": 3.0}
+        )
+        assert (spec.seed.seed, spec.n_samples) == (7, 3)
+        assert len(run_experiment(spec).results["configurations"]) == 2
+
     def test_kind_mismatch(self):
         with pytest.raises(SpecParseError):
             ExperimentSpec.from_dict({"kind": "tail", "parameters": {}}, kind_override="bound")
@@ -362,6 +398,19 @@ class TestPinnedReportBytes:
         report = run_experiment(_spec("verify", {"scenario": "halfline-timechange"}, 2025, 20_000))
         assert report.all_assertions_passed()
         assert self.digest(report.canonical_bytes()) == "fba62da0fd775361"
+
+    @pytest.mark.parametrize(
+        "scenario, want",
+        [
+            ("isoperimetry", "836542af35ee3d91"),
+            ("tail-grid", "62f563301b610695"),
+            ("semicontinuity", "209ca53659608329"),
+        ],
+    )
+    def test_verify_concentration_scenarios(self, scenario, want):
+        report = run_experiment(_spec("verify", {"scenario": scenario}, 2025, 10_000))
+        assert report.all_assertions_passed()
+        assert self.digest(report.canonical_bytes()) == want
 
     def test_sample_gibbs(self):
         parameters = {

@@ -13,6 +13,7 @@ from ppt import (
     TailQuery,
     Window,
     coarea_check,
+    count_event_exact,
     isoperimetric_bounds,
     isoperimetric_ratio,
     laplace_bound_lipschitz,
@@ -21,16 +22,15 @@ from ppt import (
     rho_eta_tail_exact,
     stirling_bounds,
     surface_measure,
-    surface_measure_exact,
     tail_bound_count_sharp,
     tail_bound_lipschitz,
     tail_bound_rho_eta,
     tail_grid,
     upper_int_part,
-    verify_disjoint_support,
 )
-from ppt.concentration import event_probability_exact, poisson_pmf
+from ppt.concentration import poisson_pmf
 from ppt.errors import ValidationError
+from ppt.simulate import poisson_batch_with_rng
 
 from conftest import config
 
@@ -167,8 +167,10 @@ class TestRhoEtaTail:
         # the exact count-tail path rests on sampled atoms never hitting the
         # fixed configuration; asserted empirically over 1e5 draws
         eta = config([[0.25], [0.75]], unit_window)
-        inspected = verify_disjoint_support(lebesgue, eta, 100_000, SeedSpec(31))
-        assert inspected > 0
+        targets = {tuple(row) for row in eta.atoms}
+        configs = poisson_batch_with_rng(lebesgue, 100_000, SeedSpec(31).rng())
+        assert sum(w.n for w in configs) > 0
+        assert not any(tuple(row) in targets for w in configs for row in w.atoms)
 
 
 class TestStirling:
@@ -197,21 +199,21 @@ class TestSurfaceMeasure:
 
     def test_empty_event_exact_and_mc(self, lebesgue):
         event = CountThresholdEvent(k=0)
-        exact = surface_measure_exact(event, lebesgue)
+        exact = count_event_exact(event, lebesgue)[1]
         assert exact == pytest.approx(math.exp(-1.0), rel=1e-10)
         est = surface_measure(event, lebesgue, 3000, SeedSpec(32), inner_samples=32)
         assert abs(est.mean - exact) <= 3.0 * est.std_error
 
     def test_count_le_two_exact(self, lebesgue):
         event = CountThresholdEvent(k=2)
-        assert surface_measure_exact(event, lebesgue) == pytest.approx(
+        assert count_event_exact(event, lebesgue)[1] == pytest.approx(
             math.exp(-1.0) / 2.0, rel=1e-10
         )
 
     def test_subregion_event(self, lebesgue):
         event = CountAtLeastEvent(m=1, region=Window([0.0], [0.5]))
         # boundary crossed while the half-window is empty: 0.5 * e^{-0.5}
-        assert surface_measure_exact(event, lebesgue) == pytest.approx(
+        assert count_event_exact(event, lebesgue)[1] == pytest.approx(
             0.5 * math.exp(-0.5), rel=1e-8
         )
         est = surface_measure(event, lebesgue, 3000, SeedSpec(33), inner_samples=32)
@@ -232,10 +234,10 @@ class TestSurfaceMeasure:
                     event(ppt.Configuration(atoms[0], window))
 
     def test_probability_exact(self, lebesgue):
-        assert event_probability_exact(CountThresholdEvent(k=0), lebesgue) == pytest.approx(
+        assert count_event_exact(CountThresholdEvent(k=0), lebesgue)[2] == pytest.approx(
             math.exp(-1.0), rel=1e-12
         )
-        assert event_probability_exact(CountAtLeastEvent(m=1), lebesgue) == pytest.approx(
+        assert count_event_exact(CountAtLeastEvent(m=1), lebesgue)[2] == pytest.approx(
             1.0 - math.exp(-1.0), rel=1e-12
         )
 
@@ -260,27 +262,36 @@ def at_least_by_its_own_formulas(event, sigma):
 
 
 def test_at_least_events_equal_their_own_formulas_bit_for_bit():
-    from ppt.concentration import _event_probability_pair
-
+    # count_event_exact maps {count >= m} to the complement of {count <= m - 1};
+    # its surface, probability and ratio keep the bits of the direct formulas,
+    # and the degenerate cases (m = 0, zero mass) raise
     unit = Window([0.0], [1.0])
     masses = (0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 5.0, 10.0, 20.0, 37.5, 50.0, 100.0, 200.0)
+    exact = degenerate = 0
     for mass in masses:
         sigma = IntensityMeasure.uniform(unit, mass)
         for region in (None, Window([0.0], [0.5])):
             for m in range(40):
                 event = CountAtLeastEvent(m=m, region=region)
-                pair, surface = at_least_by_its_own_formulas(event, sigma)
-                got = np.array([*_event_probability_pair(event, sigma), surface_measure_exact(event, sigma)])
-                assert got.tobytes() == np.array([*pair, surface]).tobytes(), (mass, region, m)
+                (p, q), surface = at_least_by_its_own_formulas(event, sigma)
+                if not (p > 0.0 and q > 0.0):
+                    degenerate += 1
+                    with pytest.raises(ValidationError, match="degenerate"):
+                        count_event_exact(event, sigma)
+                    continue
+                exact += 1
+                ratio, got_surface, got_p = count_event_exact(event, sigma)
+                got = np.array([got_p, got_surface, ratio.mean])
+                want = np.array([p, surface, 2.0 * surface / (p * q)])
+                assert got.tobytes() == want.tobytes(), (mass, region, m)
+    assert exact > 0 and degenerate > 0
 
 
 class TestIsoperimetry:
     def test_exact_path_integrates_the_region_mass_once(self, lebesgue, seed, monkeypatch):
-        from ppt.concentration import _event_probability_pair
-
         event = CountAtLeastEvent(m=1, region=Window([0.0], [0.5]))
-        p, q = _event_probability_pair(event, lebesgue)
-        want = 2.0 * surface_measure_exact(event, lebesgue) / (p * q)
+        (p, q), surface = at_least_by_its_own_formulas(event, lebesgue)
+        want = 2.0 * surface / (p * q)
         calls = []
         real = ppt.concentration.integrate
         monkeypatch.setattr(ppt.concentration, "integrate", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -289,12 +300,20 @@ class TestIsoperimetry:
         assert np.float64(est.mean).tobytes() == np.float64(want).tobytes()
 
     def test_count_event_exact_equals_its_three_public_values(self, lebesgue, seed):
+        # the ratio isoperimetric_ratio returns, the surface region_mass * P(count = k)
+        # of {count <= k} (shared with its complement) and P(A)
         half = Window([0.0], [0.5])
-        for event in (CountThresholdEvent(k=0), CountThresholdEvent(k=2, region=half), CountAtLeastEvent(m=1, region=half)):
+        cases = [  # event, region mass, k of {count <= k}, complemented
+            (CountThresholdEvent(k=0), 1.0, 0, False),
+            (CountThresholdEvent(k=2, region=half), 0.5, 2, False),
+            (CountAtLeastEvent(m=1, region=half), 0.5, 0, True),
+        ]
+        for event, mass, k, complemented in cases:
             ratio, surface, probability = ppt.count_event_exact(event, lebesgue)
             assert ratio == isoperimetric_ratio(event, lebesgue, 100, seed)
-            assert np.float64(surface).tobytes() == np.float64(surface_measure_exact(event, lebesgue)).tobytes()
-            assert np.float64(probability).tobytes() == np.float64(event_probability_exact(event, lebesgue)).tobytes()
+            assert surface == pytest.approx(mass * scipy.stats.poisson.pmf(k, mass), rel=1e-10)
+            below = scipy.stats.poisson.cdf(k, mass)
+            assert probability == pytest.approx(1.0 - below if complemented else below, rel=1e-10)
         with pytest.raises(ValidationError, match="degenerate"):
             ppt.count_event_exact(CountAtLeastEvent(m=0), lebesgue)
 
