@@ -143,14 +143,28 @@ def parse_density_expr(expr: str):
 def _number(params, key, path: str, default=None, kind=float):
     """``kind`` (float or int) of the spec field ``params[key]``, or of
     ``default`` when absent (required when None); a missing or non-numeric
-    field raises :class:`SpecParseError` at its dotted path."""
+    field, or a fractional one read as an integer, raises
+    :class:`SpecParseError` at its dotted path."""
     value = _require(params, key, path) if default is None else params.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
+        if kind is int and isinstance(value, float) and number != value:
+            raise ValueError  # int() would truncate it
+        return number
     except (TypeError, ValueError, OverflowError):
         where = f"{path}.{key}" if path else key
         noun = "an integer" if kind is int else "a number"
         raise SpecParseError(f"{where} must be {noun}, got {value!r}", where=where) from None
+
+
+def _flag(params, key, path: str, default: bool) -> bool:
+    """The boolean spec field ``params[key]``, or ``default`` when absent;
+    anything but JSON ``true`` or ``false`` raises :class:`SpecParseError`."""
+    value = params.get(key, default)
+    if not isinstance(value, bool):
+        where = f"{path}.{key}"
+        raise SpecParseError(f"{where} must be true or false, got {value!r}", where=where)
+    return value
 
 
 def _window_from_param(value, path: str) -> Window:
@@ -392,7 +406,7 @@ def _run_sample(spec: ExperimentSpec) -> dict:
     n_configs = _number(p, "n_configs", "parameters", 1, int)
     if n_configs < 1:
         raise SpecParseError("n_configs must be positive", where="parameters.n_configs")
-    hex_floats = bool(p.get("hex_floats", False))
+    hex_floats = _flag(p, "hex_floats", "parameters", False)
     out: dict = {"family": family, "configurations": []}
     if family == "poisson":
         configs = simulate.poisson_batch_with_rng(sigma, n_configs, spec.seed.rng())
@@ -472,7 +486,7 @@ def _run_estimate(spec: ExperimentSpec) -> dict:
         pfn = parse_density_expr(_require(p, "p"))
         pairs = _number(p, "pairs", "parameters", 200, int)
         metric = p.get("metric", "rho1")
-        coupled = bool(p.get("coupled", True))
+        coupled = _flag(p, "coupled", "parameters", True)
         if coupled:
             coupling = simulate.SuperpositionCoupling(sigma, pfn)
             sampled = coupling.sample_batch(pairs, spec.seed)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -234,9 +234,6 @@ class GammaMixer:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.shape, self.scale, size=size)
 
-    def mean(self) -> float:
-        return self.shape * self.scale
-
 
 @dataclass(frozen=True)
 class LognormalMixer:
@@ -245,9 +242,6 @@ class LognormalMixer:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.lognormal(self.mu, self.sigma_log, size=size)
-
-    def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma_log**2)
 
 
 @dataclass(frozen=True)
@@ -266,9 +260,6 @@ class TwoPointMixer:
             self.lo if u < self.p_lo else self.hi
         )
 
-    def mean(self) -> float:
-        return self.p_lo * self.lo + (1 - self.p_lo) * self.hi
-
 
 @dataclass(frozen=True)
 class ConstantMixer:
@@ -276,9 +267,6 @@ class ConstantMixer:
 
     def sample(self, rng: np.random.Generator, size=None):
         return np.full(size, self.value) if size else self.value
-
-    def mean(self) -> float:
-        return self.value
 
 
 def sample_cox(base: IntensityMeasure, mixer, seed: SeedSpec) -> Configuration:
@@ -547,10 +535,9 @@ class SuperpositionCoupling:
 # --------------------------------------------------------------------------
 
 _BRACKET = 1e-6  # v_inverse's Newton tolerance: the square root of its final tolerance 1e-12
-_TABLE_LEVELS = 16  # most halvings of [0, horizon] in v_inverse's bracket table
-_BUCKET_ENTRIES = 4  # table entries per bucket of _count_below's index, on average
+_TABLE_STEPS = 2**14  # equal steps of v between the entries of v_inverse's table
 _BLOCK = 32768  # points of r per v_inverse block
-_CHECK_GRID = 4097  # points of the grid that TimeChangeSpec is validated on
+_CHECK_GRID = 4097  # points of the grid that TimeChangeSpec validates U' on
 # atoms per chunk of TimeChangeCoupling.estimate_mean_cost: two v_inverse blocks,
 # so its temporaries stay that small however many draws it averages
 _CHUNK_ATOMS = 2 * _BLOCK
@@ -561,9 +548,10 @@ class TimeChangeSpec:
     """Deterministic time change on [0, horizon].
 
     ``U`` is continuously differentiable with U(0) = 0 and derivative
-    ``U_prime`` valued in (-1, +inf); both are validated on a dense grid.
-    The time change is v(t) = t + U(t), strictly increasing; it must also
-    increase strictly over :attr:`_bisection_table`, which is built here.
+    ``U_prime`` valued in (-1, +inf).  U' is validated on a grid of 4097
+    points, and the time change v(t) = t + U(t) must increase strictly on a
+    grid of 2^16 equal steps of [0, horizon].  :meth:`v_inverse` builds its
+    table (:attr:`_table`) on first use.
     """
 
     U: Callable[[np.ndarray], np.ndarray]
@@ -573,20 +561,16 @@ class TimeChangeSpec:
     def __post_init__(self):
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValidationError("horizon must be a positive finite real")
-        grid = np.linspace(0.0, self.horizon, _CHECK_GRID)
         u0 = float(np.asarray(self.U(np.array([0.0])), float).reshape(-1)[0])
         if abs(u0) > 1e-9:
             raise ValidationError(f"U(0) must vanish, got {u0}")
-        du = np.asarray(self.U_prime(grid), float)
+        du = np.asarray(self.U_prime(np.linspace(0.0, self.horizon, _CHECK_GRID)), float)
         if np.any(~np.isfinite(du)) or np.any(du <= -1.0):
             raise ValidationError("U' must be finite and valued in (-1, +inf) on [0, horizon]")
-        v = grid + np.asarray(self.U(grid), float)
-        if np.any(np.diff(v) <= 0):
-            raise ValidationError("time change v(t) = t + U(t) must be strictly increasing")
-        v_ends = self._bisection_table[1]
-        if not np.all(v_ends[1:] > v_ends[:-1]):  # also false on NaN
+        v = self.v(np.linspace(0.0, self.horizon, 2**16 + 1))
+        if not np.all(v[1:] > v[:-1]):  # also false on NaN
             raise ValidationError(
-                "time change v(t) = t + U(t) must be strictly increasing on v_inverse's bracket table"
+                "time change v(t) = t + U(t) must be strictly increasing on a grid of 2^16 steps"
             )
 
     def v(self, t):
@@ -598,45 +582,33 @@ class TimeChangeSpec:
         return float(self.v(np.array([self.horizon]))[0])
 
     @cached_property
-    def _bisection_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The coarse brackets of :meth:`v_inverse`: ``(ends, v(ends))``.
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The brackets of :meth:`v_inverse`: ``(ts, v(ts))``, built once.
 
-        ``ends`` holds 0, the 2^K - 1 points of K rounds of halving [0,
-        horizon] in increasing order (each ``0.5 * (lo + hi)`` of its
-        bracket) and the horizon, so consecutive ends bound the K-th round's
-        brackets.  K = min(levels, ``_TABLE_LEVELS``), where ``levels =
-        ceil(log2(max(horizon / _BRACKET, 2))) + 1`` halvings bring [0,
-        horizon] below ``_BRACKET``: a finer table would not narrow what
-        Newton has to do.  The constructor rejects a time change whose
-        ``v(ends)`` is not strictly increasing, so every bracket has a
-        positive rise for :meth:`v_inverse`'s interpolated start.
+        ``ts[k]`` is v^{-1}(v(0) + k * dv), where dv = (``v_end`` - v(0)) /
+        ``_TABLE_STEPS``, so ``ts[0]`` = 0 and ``ts[-1]`` = horizon.  The
+        inner entries are solved by :meth:`_newton` as keys of their own,
+        each from the bracket [0, horizon] and the linear start k * horizon /
+        ``_TABLE_STEPS``.  Equal steps of v make a key's bracket one
+        division and a floor.
         """
-        levels = int(math.ceil(math.log2(max(self.horizon / _BRACKET, 2.0)))) + 1
-        ends = np.array([0.0, self.horizon])
-        for _ in range(min(levels, _TABLE_LEVELS)):
-            mids = 0.5 * (ends[:-1] + ends[1:])
-            out = np.empty(2 * ends.size - 1)
-            out[0::2] = ends
-            out[1::2] = mids
-            ends = out
-        return ends, self.v(ends)
-
-    @cached_property
-    def _bracket_index(self) -> "_BucketIndex":
-        """:func:`_bucket_index` of v at the table's inner ends, built once."""
-        return _bucket_index(self._bisection_table[1][1:-1])
+        ts = np.linspace(0.0, self.horizon, _TABLE_STEPS + 1)
+        v0, v_end = self.v(ts[[0, -1]])
+        keys = v0 + (v_end - v0) / _TABLE_STEPS * np.arange(1, _TABLE_STEPS)
+        n = keys.size
+        ts[1:-1] = self._newton(keys, np.zeros(n), np.full(n, self.horizon), ts[1:-1].copy())
+        return ts, self.v(ts)
 
     def v_inverse(self, r):
         """Invert v to absolute tolerance 1e-12 (vectorised).
 
-        Each key r first gets a coarse bracket [lo, hi] from the table
-        (:attr:`_bisection_table`): the number of inner ends whose v is
-        below r (:func:`_count_below`: a bucket lookup, then a branch-free
-        descent of at most 16 steps, with no sorting) picks the bracket
-        whose v values enclose r; keys below v(0) or above ``v_end`` get an
-        outer bracket, and a NaN key compares false throughout and gets the
-        first.  The key starts at the linear interpolation of v between its
-        bracket's ends, clamped into the bracket (NaN goes to ``lo``).
+        The table (:attr:`_table`) splits [v(0), ``v_end``] into
+        ``_TABLE_STEPS`` equal steps dv, so a key r gets the bracket [lo, hi]
+        = ``ts[b : b + 2]`` with b = floor((r - v(0)) / dv), clipped to the
+        table; keys below v(0) or above ``v_end`` get an end bracket, and a
+        NaN key the first.  The key starts at the linear interpolation of v
+        between its bracket's ends, clamped into the bracket (NaN goes to
+        ``lo``, as does a bracket with no rise of v).
 
         Safeguarded Newton (the bracketed hybrid ``rtsafe`` of Numerical
         Recipes, §9.4) then runs on the keys that have not converged: each
@@ -647,9 +619,11 @@ class TimeChangeSpec:
         step is at most ``_BRACKET`` = 1e-6.  Bisections halve the bracket
         and Newton steps at least halve the step, so every key converges
         in finitely many rounds; on a smooth v one Newton step from the
-        interpolated start is usually enough.  Two more Newton steps polish
-        the result to about the square of that step (v' = 1 + U' > 0 keeps
-        Newton safe), and the identity time change inverts exactly.
+        interpolated start is usually enough.  Two more Newton steps,
+        clipped to [0, horizon] alone, polish the result to about the
+        square of that step (v' = 1 + U' > 0 keeps Newton safe); they also
+        reach a root that the table's rounding left just outside its
+        bracket.  The identity time change inverts exactly.
 
         Results are within 1e-12 absolute of the exact root, up to the
         rounding of v itself (its error divided by v') and the spacing of
@@ -660,36 +634,38 @@ class TimeChangeSpec:
         r = np.asarray(r, float)
         flat = r.reshape(-1)
         out = np.empty(flat.shape)
+        ts, vs = self._table
+        dv = (vs[-1] - vs[0]) / _TABLE_STEPS
         for start in range(0, flat.size, _BLOCK):
-            rb = flat[start : start + _BLOCK]
-            t = self._newton(rb)
-            for _ in range(2):
-                slope = 1.0 + np.asarray(self.U_prime(t), float)
-                t = np.clip(t - (self.v(t) - rb) / slope, 0.0, self.horizon)
-            out[start : start + rb.size] = t
+            keys = flat[start : start + _BLOCK]
+            b = keys - vs[0]
+            b /= dv
+            np.fmax(b, 0.0, out=b)  # NaN -> 0
+            np.fmin(b, _TABLE_STEPS - 1, out=b)
+            b = b.astype(np.intp)  # the floor, as b >= 0
+            lo, hi, v_lo = ts.take(b), ts[1:].take(b), vs.take(b)
+            t = keys - v_lo
+            with np.errstate(divide="ignore", invalid="ignore"):  # inf keys, and brackets with no rise
+                t *= hi - lo
+                t /= vs[1:].take(b) - v_lo
+            t += lo
+            del b, v_lo  # free before the rounds' own temporaries
+            np.fmax(t, lo, out=t)  # NaN -> lo
+            np.fmin(t, hi, out=t)
+            out[start : start + keys.size] = self._newton(keys, lo, hi, t)
         return out.reshape(r.shape)[()]  # a numpy scalar for scalar r, as before
 
-    def _newton(self, keys):
-        """:meth:`v_inverse`'s coarse bracket, interpolated start and
-        safeguarded Newton for one block of keys: each key's first point
-        after a step of at most ``_BRACKET``.  Each round works on the keys
-        that have not converged, gathered into arrays of their own."""
-        ends, v_ends = self._bisection_table
-        s = _count_below(v_ends[1:-1], keys, self._bracket_index)
-        lo, hi = ends.take(s), ends[1:].take(s)
-        v_lo = v_ends.take(s)
-        t = keys - v_lo  # inf and NaN keys pass through without a warning
-        t *= hi - lo
-        t /= v_ends[1:].take(s) - v_lo  # positive, by the constructor's check
-        t += lo
-        del s, v_lo  # free before the rounds' own temporaries
-        np.fmax(t, lo, out=t)  # NaN -> lo
-        np.fmin(t, hi, out=t)
+    def _newton(self, keys, lo, hi, t):
+        """Each key's root of v = key, by :meth:`v_inverse`'s safeguarded
+        Newton from the start ``t`` in the bracket [``lo``, ``hi``] (both
+        overwritten), then its two polishing steps.  Each round works on the
+        keys that have not converged, gathered into arrays of their own."""
+        going = keys
         roots = at = None  # the results, and where the keys still going sit in them (None: all)
         before = math.inf  # each key's previous step
         while True:
             f = self.v(t)
-            f -= keys
+            f -= going
             below = f < 0
             np.copyto(lo, t, where=below)  # the root lies above t
             np.copyto(hi, t, where=~below)  # at or below t, or f is NaN
@@ -703,88 +679,15 @@ class TimeChangeSpec:
                 roots = nxt
             else:
                 roots[at] = nxt
-            going = step > _BRACKET
-            if not going.any():
-                return roots
-            at = np.flatnonzero(going) if at is None else at[going]
-            keys, t, lo, hi, before = keys[going], nxt[going], lo[going], hi[going], step[going]
-
-
-class _BucketIndex(NamedTuple):
-    """Where :func:`_count_below` starts its descent for each key.
-
-    A key goes to bucket ``int(_bucket_coordinate(key, lo, hi, scale))``,
-    a nondecreasing map of the key with values in [0, first.size - 1] that
-    sends NaN to bucket 0.  ``first[b]`` is where the descent starts for
-    bucket b, and ``half`` is its first step.
-    """
-
-    lo: float
-    hi: float
-    scale: float
-    first: np.ndarray
-    half: int
-
-
-def _bucket_index(a: np.ndarray) -> _BucketIndex:
-    """The :class:`_BucketIndex` of a nondecreasing array of 2^K - 1 entries.
-
-    :meth:`TimeChangeSpec.v_inverse` builds it once on v at its table's
-    inner ends: a key's count of entries below it is the index of its
-    coarse bracket, the one whose v values enclose the key and in which its
-    Newton start is interpolated.
-
-    The buckets split the range of ``a``'s finite entries into about
-    ``a.size / _BUCKET_ENTRIES`` equal parts (one bucket when that range is
-    empty or wider than the largest double).  The entries of ``a`` in a
-    bucket b are a run ``a[start_b : start_b + span_b]``, where start_b is
-    the number of entries in lower buckets: a key in bucket b exceeds
-    every entry in lower buckets and no entry in higher ones, so its count
-    of entries below lies in [start_b, start_b + span_b].  A descent of
-    ``steps`` = bit length of the largest span covers 2^steps - 1 >= span_b
-    entries from any start; since a is sorted, it stays exact on any window
-    that holds the count, so ``first[b]`` moves the window left where it
-    would run past the end of ``a``.  steps <= K, as no span exceeds a.size.
-    """
-    i, j = a.searchsorted(-math.inf, "right"), a.searchsorted(math.inf, "left")  # a[i:j] is finite
-    lo, hi = (float(a[i]), float(a[j - 1])) if i < j else (0.0, 0.0)
-    buckets = max(a.size // _BUCKET_ENTRIES, 1)
-    width = hi - lo
-    scale = (buckets - 1) / width if 0 < width < math.inf else 0.0
-    if not 0 < scale < math.inf:  # one bucket, with no arithmetic that could overflow
-        lo = hi = scale = 0.0
-    # start_b counts the entries whose coordinate is below b, which are those in lower buckets
-    start = _bucket_coordinate(a, lo, hi, scale).searchsorted(np.arange(buckets), "left")
-    steps = int(np.diff(start, append=a.size).max()).bit_length()
-    first = np.minimum(start, a.size - (2**steps - 1), out=start)
-    return _BucketIndex(lo, hi, scale, first, 2**steps // 2)
-
-
-def _bucket_coordinate(keys: np.ndarray, lo: float, hi: float, scale: float) -> np.ndarray:
-    """Each key's bucket coordinate, a float whose integer part is its bucket."""
-    c = np.fmax(keys, lo)  # NaN -> lo
-    np.fmin(c, hi, out=c)  # no inf or NaN left
-    c -= lo
-    c *= scale
-    return c
-
-
-def _count_below(a: np.ndarray, keys: np.ndarray, index: _BucketIndex) -> np.ndarray:
-    """For each key, the number of entries of ``a`` below it.
-
-    ``a`` is nondecreasing with 2^K - 1 entries, K >= 0; for keys that are
-    not NaN this is ``searchsorted(a, keys, side="left")``, and a NaN key
-    gets 0.  ``index`` is ``_bucket_index(a)``.
-    The key's bucket gives the start ``s`` of a branch-free descent,
-    ``s += half * (a[s + half - 1] < key)`` for half = ``index.half``, ...,
-    1, vectorised over the keys, with no sorting.
-    """
-    s = index.first.take(_bucket_coordinate(keys, index.lo, index.hi, index.scale).astype(np.intp))
-    half = index.half
-    while half:
-        s += half * (a[half - 1 :].take(s) < keys)  # a[s + half - 1], gathered through a view
-        half //= 2
-    return s
+            more = step > _BRACKET
+            if not more.any():
+                break
+            at = np.flatnonzero(more) if at is None else at[more]
+            going, t, lo, hi, before = going[more], nxt[more], lo[more], hi[more], step[more]
+        for _ in range(2):
+            slope = 1.0 + np.asarray(self.U_prime(roots), float)
+            roots = np.clip(roots - (self.v(roots) - keys) / slope, 0.0, self.horizon)
+        return roots
 
 
 class TimeChangeCoupling:

@@ -109,6 +109,41 @@ class TestSpecParsing:
         spec_path.write_text(json.dumps(spec))
         assert main([spec["kind"], "--spec", str(spec_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "spec, where",
+        [
+            ({"kind": "estimate", "parameters": {"estimator": "rubinstein", "p": "const:2", "window": [0, 1], "pairs": 8, "coupled": "false"}}, "parameters.coupled"),
+            ({"kind": "estimate", "parameters": {"estimator": "rubinstein", "p": "const:2", "window": [0, 1], "pairs": 8, "coupled": 0}}, "parameters.coupled"),
+            ({"kind": "estimate", "parameters": {"estimator": "rubinstein", "p": "const:2", "window": [0, 1], "pairs": 8, "coupled": None}}, "parameters.coupled"),
+            ({"kind": "sample", "parameters": {"window": [0, 1], "hex_floats": "true"}}, "parameters.hex_floats"),
+            ({"kind": "sample", "parameters": {"window": [0, 1], "hex_floats": 1}}, "parameters.hex_floats"),
+            ({"kind": "isoperimetry", "parameters": {"event": {"type": "count_leq", "k": 1.5}, "window": [0, 1]}}, "parameters.event.k"),
+            ({"kind": "isoperimetry", "parameters": {"event": {"type": "count_geq", "m": 1.5}, "window": [0, 1]}}, "parameters.event.m"),
+            ({"kind": "verify", "parameters": {"scenario": "tail-grid"}, "n_samples": 2.9}, "n_samples"),
+            ({"kind": "sample", "parameters": {"window": [0, 1], "n_configs": 2.5}}, "parameters.n_configs"),
+            ({"kind": "verify", "parameters": {"scenario": "poisson-tightness", "pairs": 8.5}}, "parameters.pairs"),
+            ({"kind": "tail", "parameters": {"mass": 2.0, "r": 1.0}, "seed": {"seed": 7.5}}, "seed.seed"),
+            ({"kind": "tail", "parameters": {"mass": 2.0, "r": 1.0}, "seed": {"stream_id": -0.5}}, "seed.stream_id"),
+        ],
+    )
+    def test_non_boolean_flag_or_fractional_count_is_a_spec_error(self, spec, where, tmp_path):
+        # "false" is a true string and int(1.5) is 1: neither may run as if it parsed
+        with pytest.raises(SpecParseError) as err:
+            run_experiment(ExperimentSpec.from_dict(spec))
+        assert err.value.where == where
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main([spec["kind"], "--spec", str(spec_path)]) == 2
+
+    def test_boolean_flags_accept_json_booleans(self):
+        base = {"estimator": "rubinstein", "p": "const:2", "window": [0, 1], "pairs": 4}
+        for coupled in (True, False):
+            report = run_experiment(_spec("estimate", {**base, "coupled": coupled}, 3, 10))
+            assert report.results["coupled"] is coupled
+        report = run_experiment(_spec("sample", {"window": [0, 1], "density": "const:5", "hex_floats": True}, 3, 10))
+        coords = [x for config in report.results["configurations"] for atom in config for x in atom]
+        assert coords and all(isinstance(x, str) for x in coords)
+
     def test_numeric_fields_keep_their_casts(self):
         # a numeric string and a float count parse as before: int("2"), int(3.0)
         spec = ExperimentSpec.from_dict(

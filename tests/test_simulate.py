@@ -606,98 +606,6 @@ class TestTimeChange:
         assert all(r == results[0] for r in results[1:])
 
 
-class TestCountBelow:
-    """``_count_below`` is ``searchsorted(a, keys, side="left")`` by a
-    branch-free descent, on nondecreasing arrays of 2^K - 1 entries, K >= 0."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        levels=st.integers(0, 9),
-        pool=st.lists(
-            st.sampled_from([-math.inf, -2.5, -1.0, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 3.0, math.inf]),
-            min_size=1,
-        ),
-        seed=st.integers(0, 2**32 - 1),
-        extra=st.lists(st.floats(allow_nan=False), max_size=20),
-    )
-    def test_equals_searchsorted(self, levels, pool, seed, extra):
-        rng = np.random.default_rng(seed)
-        a = np.sort(rng.choice(np.array(pool + extra), 2**levels - 1))  # runs of ties
-        finite = a[np.isfinite(a)]
-        with np.errstate(over="ignore"):  # nextafter of the largest double is inf
-            neighbours = [np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)]
-        keys = np.concatenate([a, *neighbours, [0.0, -0.0, math.inf, -math.inf], extra])
-        rng.shuffle(keys)
-        got = simulate._count_below(a, keys, simulate._bucket_index(a))
-        assert got.tobytes() == np.searchsorted(a, keys, side="left").astype(np.intp).tobytes()
-
-    def test_nan_key_goes_left(self):
-        # ``a[s] < nan`` is false at every step, so a NaN key gets the first bracket
-        a = np.arange(7.0)
-        assert simulate._count_below(a, np.array([math.nan, 3.5]), simulate._bucket_index(a)).tolist() == [0, 4]
-
-
-class TestBucketedBracket:
-    """The bucket index sends each key to a start of ``_count_below``'s
-    descent; the count must still be ``searchsorted(a, keys, side="left")``,
-    in at most K steps on 2^K - 1 entries."""
-
-    @staticmethod
-    def check(a, extra_keys=()):
-        index = simulate._bucket_index(a)
-        levels = (a.size + 1).bit_length() - 1
-        assert index.half.bit_length() <= levels <= 16  # descent steps
-        finite = a[np.isfinite(a)]
-        with np.errstate(over="ignore"):  # nextafter of the largest double is inf
-            neighbours = [np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)]
-        keys = np.concatenate(
-            [a, *neighbours, [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf], np.asarray(extra_keys, float)]
-        )
-        keys = np.concatenate([keys, keys[::-1]])  # ascending and descending runs
-        got = simulate._count_below(a, keys, index)
-        assert got.tobytes() == np.searchsorted(a, keys, side="left").astype(np.intp).tobytes()
-        nan_keys = np.array([math.nan, -math.nan, 1.0, math.nan])
-        assert simulate._count_below(a, nan_keys, index)[[0, 1, 3]].tolist() == [0, 0, 0]
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        levels=st.integers(0, 12),
-        pool=st.lists(
-            st.sampled_from([-math.inf, -2.5, -1.0, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52, 3.0, 1e300, math.inf]),
-            min_size=1,
-        ),
-        extra=st.lists(st.floats(allow_nan=False), max_size=20),
-        run=st.tuples(st.floats(allow_nan=False), st.floats(0.0, 1.0)),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_equals_searchsorted(self, levels, pool, extra, run, seed):
-        # ties, signed zeros, infinite entries, extreme finite values, and a
-        # flat run of one value over up to the whole table
-        rng = np.random.default_rng(seed)
-        size = 2**levels - 1
-        value, share = run
-        flat = np.full(int(share * size), value)
-        a = np.sort(np.concatenate([rng.choice(np.array(pool + extra), size - flat.size), flat]))
-        self.check(a, extra + [value, rng.uniform(-4.0, 4.0)])
-
-    @pytest.mark.parametrize(
-        "a",
-        [
-            np.zeros(2**16 - 1),  # zero-width range: one bucket, every step
-            np.full(2**16 - 1, math.inf),  # no finite entry
-            np.concatenate([np.zeros(2**16 - 2), [1.0]]),  # a flat run of all entries but one
-            np.concatenate([[-1.0], np.zeros(2**16 - 2)]),
-            np.geomspace(1e-300, 1e300, 2**16 - 1),  # steep: most entries in the first bucket
-            np.concatenate([[-1.7e308], np.linspace(0.0, 1.0, 2**16 - 3), [1.7e308]]),  # range overflows
-            np.empty(0),
-        ],
-    )
-    def test_worst_tables(self, a):
-        self.check(a, np.linspace(-2.0, 2.0, 101))
-
-
-
-
 def steep_timechange(horizon=100.0):
     """v' = 1e-3 + 9.999 (t / horizon)^2: slopes from 1e-3 to 10 on [0, horizon]."""
     c = 9.999 / horizon**2
@@ -763,20 +671,33 @@ def assert_edges_exact(tc):
         assert np.asarray(tc.v_inverse(key)).tobytes() == np.asarray(value).tobytes()
 
 
+def assert_table_structure(tc):
+    """The table runs from 0 to the horizon, increases strictly and holds v at its entries."""
+    ts, vs = tc._table
+    assert ts.size == vs.size == 2**14 + 1
+    assert ts[0] == 0.0 and ts[-1] == tc.horizon and np.all(np.diff(ts) > 0)
+    assert vs.tobytes() == tc.v(ts).tobytes()
+
+
+def table_keys(tc, every):
+    """Keys on every ``every``-th inner v value of the table, and on both their neighbours."""
+    vt = tc._table[1][1:-1][::every]
+    return np.concatenate([vt, np.nextafter(vt, -np.inf), np.nextafter(vt, np.inf)])
+
+
 def test_steep_time_change_within_tolerance():
-    # the flat start of v crowds thousands of table entries into the lowest buckets
+    # v' runs from 1e-3 to 10, so the table's equal steps of v are steps of t
+    # that shrink from about 3.7 at the flat start to 0.002 at the horizon
     tc = steep_timechange()
-    ends, v_ends = tc._bisection_table
-    assert ends.size == 2**16 + 1
-    assert tc._bracket_index.half.bit_length() > 4  # a long descent in the crowded buckets
-    vt = v_ends[1:-1]
+    assert_table_structure(tc)
+    ts = tc._table[0]
+    assert ts[1] - ts[0] > 1000.0 * (ts[-1] - ts[-2])
     rng = np.random.default_rng(45)
     r = np.concatenate(
         [
             rng.uniform(0.0, tc.v_end, 300),
             rng.uniform(0.0, 1e-2, 100),  # where v' is about 1e-3
-            vt[::997],
-            np.nextafter(vt[::991], np.inf),
+            table_keys(tc, 991),
             edge_keys(tc),
         ]
     )
@@ -797,21 +718,12 @@ class TestVInverseTable:
     the interpolation of v across it and runs safeguarded Newton: every
     result must be within 1e-12 of the exact root, and the edge keys exact."""
 
-    TC = rational_timechange(horizon=100.0)  # a 16-level table
+    TC = rational_timechange(horizon=100.0)
 
     def test_within_tolerance_of_the_exact_root(self):
         tc = self.TC
-        vt = tc._bisection_table[1][1:-1]
         rng = np.random.default_rng(41)
-        r = np.concatenate(
-            [
-                rng.uniform(0.0, tc.v_end, 400),
-                vt[::613],  # keys on the table's entries and their neighbours
-                np.nextafter(vt[::619], -np.inf),
-                np.nextafter(vt[::617], np.inf),
-                edge_keys(tc),
-            ]
-        )
+        r = np.concatenate([rng.uniform(0.0, tc.v_end, 400), table_keys(tc, 157), edge_keys(tc)])
         assert_within_tolerance(tc, exact_rational(1.0), r)
         assert_edges_exact(tc)
 
@@ -829,13 +741,14 @@ class TestVInverseTable:
             U_prime=lambda t: np.zeros_like(np.asarray(t, float)),
             horizon=100.0,
         )
-        ends = tc._bisection_table[0]
+        ts = tc._table[0]
+        assert ts.tobytes() == tc._table[1].tobytes()  # v is the identity on the table too
         r = np.concatenate(
             [
                 np.random.default_rng(46).uniform(0.0, tc.horizon, 50_000),
-                ends,
-                np.nextafter(ends, -np.inf),
-                np.nextafter(ends, np.inf),
+                ts,
+                np.nextafter(ts, -np.inf),
+                np.nextafter(ts, np.inf),
                 [5e-324, 2.2250738585072014e-308, 1e-300, 1e-12],
             ]
         )
@@ -843,9 +756,9 @@ class TestVInverseTable:
         assert_edges_exact(tc)
 
     def test_oscillating_time_change_takes_many_rounds(self):
-        # v' = 1 + 0.9 cos(2e4 t) swings between 0.1 and 1.9 about five times
-        # per table bracket, so Newton steps leave their brackets or fail to
-        # halve, keys bisect, and the rounds gather ever fewer keys
+        # v' = 1 + 0.9 cos(2e4 t) swings between 0.1 and 1.9 about twenty
+        # times per table bracket, so Newton steps leave their brackets or
+        # fail to halve, keys bisect, and the rounds gather ever fewer keys
         a, w = 0.9, 2e4
         calls = []
 
@@ -854,6 +767,7 @@ class TestVInverseTable:
             return a * np.cos(w * np.asarray(t, float))
 
         tc = TimeChangeSpec(U=lambda t: a * np.sin(w * np.asarray(t, float)) / w, U_prime=U_prime, horizon=100.0)
+        assert_table_structure(tc)  # built here, so that only the keys' rounds are counted below
         calls.clear()
         r = np.random.default_rng(47).uniform(0.0, tc.v_end, 300)
         def v_exact(t):
@@ -864,7 +778,7 @@ class TestVInverseTable:
         assert len(rounds) >= 5 and rounds[0] == r.size and rounds[-1] < rounds[1] < r.size
 
     def test_repeated_and_descending_keys(self):
-        # the table descent and the Newton rounds see keys in the given order:
+        # the table lookup and the Newton rounds see keys in the given order:
         # runs of ties, scattered repeats and a descending sweep must give each
         # key the result it gets in any other order
         tc = self.TC
@@ -884,31 +798,54 @@ class TestVInverseTable:
             assert tc.v_inverse(r).tobytes() == shuffled.tobytes()
         assert_within_tolerance(tc, exact_rational(1.0), np.concatenate([keys, edges]))
 
-    def test_table_holds_the_bisection_midpoints(self):
+    def test_table_holds_equal_steps_of_v(self):
         tc = self.TC
-        ends, v_ends = tc._bisection_table
-        assert ends.size == v_ends.size == 2**16 + 1
-        assert ends[0] == 0.0 and ends[-1] == tc.horizon and ends[2**15] == 0.5 * (0.0 + tc.horizon)
-        assert np.all(np.diff(ends) > 0) and np.all(np.diff(v_ends) > 0)
-        assert v_ends.tobytes() == tc.v(ends).tobytes()
+        assert_table_structure(tc)
+        vs = tc._table[1]
+        # v at each entry is v(0) + k dv to within 1e-12 of dv's scale
+        steps = vs[0] + (vs[-1] - vs[0]) / 2**14 * np.arange(2**14 + 1)
+        assert np.max(np.abs(vs - steps)) <= 1e-12 * tc.v_end
 
-    def test_short_horizon_tables_every_level_it_can(self):
-        # 17, 16, 15 and 2 halvings bring [0, horizon] below 1e-6: the table takes at most 16 of them
-        for horizon, tabled in [(0.033, 16), (0.03, 16), (0.01, 15), (1e-7, 2)]:
+    def test_short_horizons_within_tolerance(self):
+        # the table's 2^14 steps split even a horizon of 1e-7 into distinct doubles
+        for horizon in (0.033, 0.03, 0.01, 1e-7):
             tc = rational_timechange(horizon=horizon)
-            ends, v_ends = tc._bisection_table
-            assert ends.size == v_ends.size == 2**tabled + 1
-            r = np.concatenate(
-                [np.random.default_rng(42).uniform(0.0, tc.v_end, 200), v_ends[1:-1][:: max(1, ends.size // 64)]]
-            )
+            assert_table_structure(tc)
+            r = np.concatenate([np.random.default_rng(42).uniform(0.0, tc.v_end, 200), table_keys(tc, 257)])
             assert_within_tolerance(tc, exact_rational(1.0), r)
             assert_edges_exact(tc)
 
+    def test_brackets_with_no_rise(self):
+        # equal consecutive table entries, which rounding could give where v
+        # is very steep, make a bracket of no width and no rise of v: keys
+        # there start at lo with no RuntimeWarning (the suite makes those
+        # errors), infinite and NaN keys too, and still invert
+        starts = []
+
+        def U(t):
+            starts.append(np.array(t, float))
+            return np.zeros_like(np.asarray(t, float))
+
+        tc = TimeChangeSpec(U=U, U_prime=lambda t: np.zeros_like(np.asarray(t, float)), horizon=100.0)
+        ts = tc._table[0].copy()
+        dv = tc._table[1][-1] / 2**14
+        flat = [0, 5000, 2**14 - 1]  # the first bracket, an inner one and the last
+        ts[1], ts[5001], ts[-2] = ts[0], ts[5000], ts[-1]
+        tc.__dict__["_table"] = (ts, tc.v(ts))
+        rng = np.random.default_rng(49)
+        r = np.concatenate([(b + rng.uniform(0.0, 1.0, 20)) * dv for b in flat] + [edge_keys(tc)])
+        bracket = np.clip(np.nan_to_num(r / dv, nan=0.0), 0, 2**14 - 1).astype(int)
+        assert np.all(np.isin(bracket, flat))
+        starts.clear()
+        got = tc.v_inverse(r)
+        assert starts[0].tobytes() == ts[bracket].tobytes()  # the first v evaluation is at the starts
+        np.testing.assert_array_equal(got, np.clip(r, 0.0, tc.horizon))  # -0.0 gives 0.0
+
     def test_non_monotone_table_is_rejected(self):
-        # v is t on the 4097-point validation grid (spacing 1/4096) and dips
-        # by 0.01 between its points, where U' reaches about -129, outside
-        # (-1, inf): v decreases on the finer table, which the constructor
-        # builds and checks
+        # v is t on the 4097-point grid that U' is validated on (spacing
+        # 1/4096) and dips by 0.01 between its points, where U' reaches
+        # about -129, outside (-1, inf): v decreases on the constructor's
+        # finer grid of 2^16 steps
         h = 1.0
         f = math.pi * 4096 / h
 
@@ -920,7 +857,7 @@ class TestVInverseTable:
             t = np.asarray(t, float)
             return -0.01 * f * np.sin(2.0 * f * t)
 
-        with pytest.raises(ValidationError, match="bracket table"):
+        with pytest.raises(ValidationError, match="strictly increasing on a grid of 2"):
             TimeChangeSpec(U=U, U_prime=U_prime, horizon=h)
 
     @settings(max_examples=25, deadline=None)
