@@ -31,9 +31,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import EnvelopeViolationError, ValidationError
 from .quadrature import eval_points, integrate
@@ -241,7 +243,14 @@ class SeedSpec:
 
     Identical ``(seed, stream_id)`` pairs give identical streams; distinct
     ``stream_id`` values give independent streams.  Operations derive internal
-    substreams deterministically through ``rng(*path)``.
+    substreams deterministically through ``rng(*path)``: a ``PCG64`` seeded
+    by ``np.random.SeedSequence(entropy=seed, spawn_key=(stream_id, *path))``.
+
+    Batch samplers derive the streams of ``child(i)`` for many i at once
+    (:func:`_stream_rngs`): they compute the same ``SeedSequence`` hash on
+    arrays, so each stream still equals ``child(i).rng()`` bit for bit.
+    numpy's stream-compatibility policy (NEP 19) keeps that hash fixed, and
+    the tests compare the two derivations.
     """
 
     seed: int
@@ -270,6 +279,74 @@ def _stream_rng(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     callers that make many streams without a ``SeedSpec`` each."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx), whose output NEP 19
+# keeps fixed, on uint32 words.  Its k-th ``hashmix`` call on a chain of hash
+# constants h_0 = init, h_(k+1) = h_k * mult xors a word with h_k, multiplies
+# it by h_(k+1) and xors the product with itself shifted right by 16;
+# ``mix(x, y)`` makes the same shift of MIX_L * x - MIX_R * y.
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_consts(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) constants of ``hashmix`` calls ``calls`` on the
+    chain that starts at ``init`` and steps by ``mult``."""
+    chain = np.array(list(accumulate(range(max(calls) + 1), lambda h, _: h * mult & 0xFFFFFFFF, initial=init)), np.uint32)
+    calls = np.array(calls)
+    return chain[calls], chain[calls + 1]
+
+
+# Calls 0-15 of the pool's chain mix in the seed's four words; a one-word
+# spawn key then enters each pool word 0-3 through calls 16-19.
+# generate_state(4, uint64) hashes the pool words 0-3, 0-3 into its 8 output
+# words through calls 0-7 of its own chain, so a pool is carried as 8 columns.
+_SPAWN_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, [16, 17, 18, 19] * 2)
+_OUT_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, range(8))
+
+
+def _hashmix(words: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``hashmix`` of each column of ``words`` by its own call's constants."""
+    xor, mult = consts
+    words = (words ^ xor) * mult
+    return words ^ words >> 16
+
+
+class _SeedState(ISeedSequence):
+    """One stream's PCG64 seed words, ``SeedSequence.generate_state(4,
+    np.uint64)`` computed by :func:`_stream_rngs`; ``PCG64`` takes them from
+    here without hashing again."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValidationError("a stream's seed state holds PCG64's 4 uint64 words only")
+        return self.state
+
+
+def _stream_rngs(seed: int, first: int, n: int) -> list[np.random.Generator]:
+    """The generators ``_stream_rng(seed, (first + i,))`` for i < n, the
+    streams of ``SeedSpec(seed, first).child(i)``, from one hash on arrays.
+
+    A spawn key only mixes more words into the pool that the seed's words
+    leave, so each stream starts from ``SeedSequence(seed).pool`` (``seed``
+    below 2^64, as in a ``SeedSpec``).  Its spawn word is then mixed in and
+    the pool hashed into the state, for all streams and pool words at once;
+    ``PCG64`` takes each state row through :class:`_SeedState`.  A stream id
+    of 2^32 or more is a spawn key of two or more words, so those streams
+    come from :func:`_stream_rng` one at a time.
+    """
+    short = min(n, max(2**32 - first, 0))  # the streams whose ids are one word
+    spawn = _hashmix(np.arange(first, first + short, dtype=np.uint32)[:, None], _SPAWN_HASH)
+    pool = np.random.SeedSequence(seed).pool
+    pool = np.concatenate((pool, pool)) * _MIX_L - spawn * _MIX_R
+    pool ^= pool >> 16
+    # generate_state's uint64 words are its uint32 words read little-endian
+    state = _hashmix(pool, _OUT_HASH).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    rngs = [np.random.Generator(np.random.PCG64(_SeedState(row))) for row in state]
+    return rngs + [_stream_rng(seed, (first + i,)) for i in range(short, n)]
 
 
 @dataclass(frozen=True)
@@ -345,11 +422,16 @@ class IntensityMeasure:
 
     def density_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the density on an (n, d) batch, enforcing the envelope."""
-        pts = np.atleast_2d(np.asarray(points, float))
+        pts = np.asarray(points, float)
+        if pts.ndim < 2:
+            pts = pts.reshape(1, -1)
         vals = eval_points(self.density, pts)
-        if np.any(vals < 0):
+        if not vals.size:
+            return vals
+        # fmin and fmax skip NaN, as the elementwise comparisons did
+        if np.fmin.reduce(vals, axis=None) < 0:
             raise ValidationError("density must be nonnegative on the window")
-        if np.any(vals > self.density_sup * (1 + 1e-9)):
+        if np.fmax.reduce(vals, axis=None) > self.density_sup * (1 + 1e-9):
             worst = float(vals.max())
             raise EnvelopeViolationError(
                 f"observed density {worst} exceeds declared density_sup {self.density_sup}"

@@ -29,7 +29,7 @@ from .core import (
     SeedSpec,
     Window,
     _checked_atoms,
-    _stream_rng,
+    _stream_rngs,
     estimate_from_values,
 )
 from .errors import InternalConsistencyError, SamplerHardnessError, ValidationError
@@ -469,10 +469,13 @@ class SuperpositionCoupling:
         """``n`` independent coupled pairs; pair i is drawn from its own stream.
 
         Pair i uses ``seed.child(i).rng()`` alone, so it is the same pair
-        whatever ``n`` is, and equals ``sample(seed.child(i))``.  Each stream
-        draws, in this order, the shared layer's count and points, then the
-        left extras' and the right extras' (a layer with zero mass draws the
-        count 0, which consumes nothing from the stream).  The layers are
+        whatever ``n`` is, and equals ``sample(seed.child(i))``.  The n
+        generators are derived together, from one array computation of the
+        hash that ``SeedSpec.rng`` runs per stream (see
+        :meth:`_layer_points`).  Each stream draws, in this order, the shared
+        layer's count and points, then the left extras' and the right
+        extras' (a layer with zero mass draws the count 0, which consumes
+        nothing from the stream).  The layers are
         drawn for all pairs at once by :func:`_rejection_rounds`; every atom
         is checked against the window in one array, and each configuration
         is a row slice of it.  Each pair's cost hint, its number of extra
@@ -503,13 +506,15 @@ class SuperpositionCoupling:
     def _layer_points(self, n: int, seed: SeedSpec) -> list[list[np.ndarray]]:
         """Each pair's points of the shared, left-extra and right-extra layers.
 
-        Pair i's generator is stream ``seed.stream_id + i``, what
-        ``seed.child(i).rng()`` returns.  The generators live only in this
+        Pair i's generator is stream ``seed.stream_id + i``.  All n come from
+        :func:`~ppt.core._stream_rngs`, which computes numpy's
+        ``SeedSequence`` hash for the whole batch on arrays, so each equals
+        ``seed.child(i).rng()`` bit for bit: NEP 19 keeps that hash fixed,
+        and the tests compare the two.  The generators live only in this
         call, so that the memory they hold is free again before the
         configurations are built.
         """
-        entropy, first = int(seed.seed), int(seed.stream_id)
-        rngs = [_stream_rng(entropy, (first + i,)) for i in range(n)]
+        rngs = _stream_rngs(int(seed.seed), int(seed.stream_id), n)
         layers = []
         for layer in (self.shared, self.left_extra, self.right_extra):
             mass = _count_mean(layer)
@@ -590,13 +595,16 @@ class TimeChangeSpec:
         inner entries are solved by :meth:`_newton` as keys of their own,
         each from the bracket [0, horizon] and the linear start k * horizon /
         ``_TABLE_STEPS``.  Equal steps of v make a key's bracket one
-        division and a floor.
+        division and a floor.  A running maximum keeps ``ts``
+        non-decreasing where v rises faster than the solves resolve; it
+        changes no entry of a table that already increases.
         """
         ts = np.linspace(0.0, self.horizon, _TABLE_STEPS + 1)
         v0, v_end = self.v(ts[[0, -1]])
         keys = v0 + (v_end - v0) / _TABLE_STEPS * np.arange(1, _TABLE_STEPS)
         n = keys.size
         ts[1:-1] = self._newton(keys, np.zeros(n), np.full(n, self.horizon), ts[1:-1].copy())
+        np.maximum.accumulate(ts, out=ts)
         return ts, self.v(ts)
 
     def v_inverse(self, r):
@@ -608,7 +616,10 @@ class TimeChangeSpec:
         table; keys below v(0) or above ``v_end`` get an end bracket, and a
         NaN key the first.  The key starts at the linear interpolation of v
         between its bracket's ends, clamped into the bracket (NaN goes to
-        ``lo``, as does a bracket with no rise of v).
+        ``lo``, as does a bracket with no rise of v).  A key that lies below
+        v(lo) or above v(hi), which the rounding of the table can cause, has
+        its root beyond that end: its bracket is widened there to 0 or the
+        horizon.
 
         Safeguarded Newton (the bracketed hybrid ``rtsafe`` of Numerical
         Recipes, §9.4) then runs on the keys that have not converged: each
@@ -621,9 +632,11 @@ class TimeChangeSpec:
         in finitely many rounds; on a smooth v one Newton step from the
         interpolated start is usually enough.  Two more Newton steps,
         clipped to [0, horizon] alone, polish the result to about the
-        square of that step (v' = 1 + U' > 0 keeps Newton safe); they also
-        reach a root that the table's rounding left just outside its
-        bracket.  The identity time change inverts exactly.
+        square of that step (v' = 1 + U' > 0 keeps Newton safe).  A
+        polishing step longer than ``_BRACKET`` is dropped: the safeguarded
+        result is already that close to the root, so such a step comes from
+        a v that bends on a finer scale than the step, such as a near jump,
+        and would leave the root.  The identity time change inverts exactly.
 
         Results are within 1e-12 absolute of the exact root, up to the
         rounding of v itself (its error divided by v') and the spacing of
@@ -643,15 +656,18 @@ class TimeChangeSpec:
             np.fmax(b, 0.0, out=b)  # NaN -> 0
             np.fmin(b, _TABLE_STEPS - 1, out=b)
             b = b.astype(np.intp)  # the floor, as b >= 0
-            lo, hi, v_lo = ts.take(b), ts[1:].take(b), vs.take(b)
+            lo, hi, v_lo, v_hi = ts.take(b), ts[1:].take(b), vs.take(b), vs[1:].take(b)
             t = keys - v_lo
             with np.errstate(divide="ignore", invalid="ignore"):  # inf keys, and brackets with no rise
                 t *= hi - lo
-                t /= vs[1:].take(b) - v_lo
+                t /= v_hi - v_lo
             t += lo
-            del b, v_lo  # free before the rounds' own temporaries
             np.fmax(t, lo, out=t)  # NaN -> lo
             np.fmin(t, hi, out=t)
+            # a key outside its bracket's rise of v has its root beyond that end
+            np.copyto(lo, 0.0, where=keys < v_lo)
+            np.copyto(hi, self.horizon, where=keys > v_hi)
+            del b, v_lo, v_hi  # free before the rounds' own temporaries
             out[start : start + keys.size] = self._newton(keys, lo, hi, t)
         return out.reshape(r.shape)[()]  # a numpy scalar for scalar r, as before
 
@@ -685,8 +701,11 @@ class TimeChangeSpec:
             at = np.flatnonzero(more) if at is None else at[more]
             going, t, lo, hi, before = going[more], nxt[more], lo[more], hi[more], step[more]
         for _ in range(2):
-            slope = 1.0 + np.asarray(self.U_prime(roots), float)
-            roots = np.clip(roots - (self.v(roots) - keys) / slope, 0.0, self.horizon)
+            step = self.v(roots)
+            step -= keys
+            step /= 1.0 + np.asarray(self.U_prime(roots), float)
+            np.copyto(step, 0.0, where=np.abs(step) > _BRACKET)  # NaN steps pass
+            roots = np.clip(roots - step, 0.0, self.horizon)
         return roots
 
 

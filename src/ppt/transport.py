@@ -645,9 +645,14 @@ def _interned_atoms(configs) -> tuple[np.ndarray, np.ndarray]:
     atoms = np.concatenate([c.atoms for c in configs])
     owner = np.repeat(np.arange(len(configs)), sizes)
     # adding 0.0 turns -0.0 into 0.0, so tuples equal by value are equal
-    # element for element
-    _, value = np.unique(atoms + 0.0, axis=0, return_inverse=True)
-    value = value.reshape(-1)
+    # element for element.  The keys number the distinct rows in
+    # lexicographic order, first coordinate first, as np.unique(axis=0)'s
+    # inverse does, without its sort of a structured view of the rows.
+    atoms = atoms + 0.0
+    by_row = np.lexsort(atoms.T[::-1])  # lexsort sorts by its last key first
+    ordered = atoms[by_row]
+    value = np.empty(len(atoms), dtype=np.int64)
+    value[by_row] = np.concatenate(([0], np.cumsum((ordered[1:] != ordered[:-1]).any(axis=1))))
     order = np.lexsort((value, owner))
     return owner[order], value[order]
 

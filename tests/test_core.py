@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ppt
@@ -16,7 +16,7 @@ from ppt import (
     grad_sharp,
     rademacher_check,
 )
-from ppt.core import config_from_coords, config_to_coords, estimate_from_values
+from ppt.core import _stream_rngs, config_from_coords, config_to_coords, estimate_from_values
 from ppt.errors import (
     EnvelopeViolationError,
     UnsupportedDimensionError,
@@ -208,6 +208,20 @@ class TestTotalMass:
         with pytest.raises(EnvelopeViolationError):
             sigma.density_at(np.array([[0.3]]))
 
+    def test_density_checks_skip_nan_values(self, unit_window):
+        # NaN passes both checks; a negative or too large value next to it
+        # still raises, the negative one first
+        values = {0: [], 1: [math.nan], 2: [math.nan, -1.0], 3: [math.nan, 5.0, 1.0], 4: [5.0, -1.0, 1.0, 1.0]}
+        sigma = IntensityMeasure(lambda x: np.array(values[x.shape[0]]), unit_window, density_sup=2.0)
+        assert math.isnan(sigma.density_at(np.array([0.3]))[0])  # one point, as a row
+        with pytest.raises(ValidationError, match="nonnegative"):
+            sigma.density_at(np.zeros((2, 1)))
+        with pytest.raises(EnvelopeViolationError):
+            sigma.density_at(np.zeros((3, 1)))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            sigma.density_at(np.zeros((4, 1)))
+        assert sigma.density_at(np.zeros((0, 1))).shape == (0,)
+
 
 class TestGradSharp:
     def test_constant_functional(self, unit_window):
@@ -303,6 +317,23 @@ class TestSeedSpec:
         a = ppt.sample_poisson(lebesgue, s)
         b = ppt.sample_poisson(lebesgue, s)
         assert np.array_equal(a.atoms, b.atoms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        first=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 6, 2**32)),
+        n=st.integers(1, 6),
+    )
+    @example(seed=0, first=0, n=3)
+    @example(seed=2**64 - 1, first=2**32 - 3, n=6)  # three ids of one word, three of two
+    def test_batch_streams_equal_numpy_seed_sequence(self, seed, first, n):
+        """``_stream_rngs`` hashes on arrays what ``SeedSequence`` hashes per
+        stream: the same PCG64 seed words, so the same draws as ``rng()``."""
+        for i, rng in enumerate(_stream_rngs(seed, first, n)):
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(first + i,)).generate_state(4, np.uint64)
+            assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64), want)
+            assert rng.bit_generator.state == SeedSpec(seed, first + i).rng().bit_generator.state
+            assert rng.integers(0, 2**63, 4).tolist() == SeedSpec(seed, first + i).rng().integers(0, 2**63, 4).tolist()
 
 
 class TestEstimate:

@@ -160,6 +160,36 @@ def test_batched_rho1_equals_metrics_rho1_per_pair(lists):
     assert got.tolist() == [metrics.rho1(x, y) for x, y in zip(lefts, rights)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(sample_lists())
+@example(  # d = 1: repeated atoms, -0.0 next to 0.0
+    (
+        [Configuration(np.array([[-0.0], [0.5], [0.0], [-0.5]]), Window([-1.0], [1.0]))],
+        [Configuration(np.array([[0.5], [0.0], [-0.0]]), Window([-1.0], [1.0]))],
+    )
+)
+@example(  # d = 3: rows that tie on their first coordinates, and on -0.0 against 0.0
+    (
+        [Configuration(np.array([[0.0, -0.0, 0.5], [-0.0, 0.0, 0.5], [0.0, 0.0, -0.5]]), Window([-1.0] * 3, [1.0] * 3))],
+        [Configuration(np.array([[0.0, 0.5, -1.0], [0.0, -0.0, 0.5]]), Window([-1.0] * 3, [1.0] * 3))],
+    )
+)
+def test_interned_keys_are_numpy_unique_rows(lists):
+    """``_interned_atoms`` numbers the distinct atoms as the inverse of
+    ``np.unique(atoms + 0.0, axis=0)`` does, in lexicographic row order."""
+    configs = [*lists[0], *lists[1]]
+    owner, value = transport._interned_atoms(configs)
+    sizes = [c.n for c in configs]
+    if sum(sizes) == 0:
+        assert owner.size == value.size == 0
+        return
+    _, inverse = np.unique(np.concatenate([c.atoms for c in configs]) + 0.0, axis=0, return_inverse=True)
+    want_owner, want_value = np.repeat(np.arange(len(configs)), sizes), inverse.reshape(-1)
+    order = np.lexsort((want_value, want_owner))
+    assert owner.tolist() == want_owner[order].tolist()
+    assert value.tolist() == want_value[order].tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(sample_lists(max_atoms=3))
 @example(  # old_rho2 in storage order differs from rho2 here in the last bit

@@ -437,25 +437,28 @@ def _coupling(sigma, p_expr):
 class TestBatchedSuperposition:
     """Every stream of a batch is drawn exactly as it was drawn alone."""
 
+    # (window, density, p, the batch's first stream id)
     CASES = {
-        "right extras only": (Window([0.0], [1.0]), "const:1", "const:2"),
-        "both extras": (Window([0.0], [1.0]), "const:1", "step:0.5,0.2,3"),
-        "left extras only": (Window([0.0], [1.0]), "const:1", "const:0.4"),
-        "2-d window": (Window([0.0, 0.0], [1.0, 2.0]), "const:2.5", "step:0.5,0.5,2"),
+        "right extras only": (Window([0.0], [1.0]), "const:1", "const:2", 7),
+        "both extras": (Window([0.0], [1.0]), "const:1", "step:0.5,0.2,3", 7),
+        "left extras only": (Window([0.0], [1.0]), "const:1", "const:0.4", 7),
+        "2-d window": (Window([0.0, 0.0], [1.0, 2.0]), "const:2.5", "step:0.5,0.5,2", 7),
         # x^8 against its envelope 1 accepts 1/9 of the proposals
-        "low acceptance": (Window([0.0], [1.0]), "poly:0,0,0,0,0,0,0,0,3", "poly:0,2"),
+        "low acceptance": (Window([0.0], [1.0]), "poly:0,0,0,0,0,0,0,0,3", "poly:0,2", 7),
+        # ids from 2^32 on are spawn keys of two words
+        "stream ids across 2^32": (Window([0.0], [1.0]), "const:1", "step:0.5,0.2,3", 2**32 - 3),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_batch_equals_per_pair_draws(self, case):
-        window, density, p_expr = self.CASES[case]
+        window, density, p_expr, first = self.CASES[case]
         fn = parse_density_expr(density)
         sc = _coupling(IntensityMeasure(fn, window, fn.sup_on(window)), p_expr)
-        seed = SeedSpec(2025, 7)
+        seed = SeedSpec(2025, first)
         pairs = sc.sample_batch(150, seed)
         rounds = []
         for i, pair in enumerate(pairs):
-            left, right, cost = per_pair_superposition(sc, SeedSpec(2025, 7 + i), rounds)
+            left, right, cost = per_pair_superposition(sc, SeedSpec(2025, first + i), rounds)
             assert pair.left.atoms.tobytes() == left.tobytes()
             assert pair.right.atoms.tobytes() == right.tobytes()
             assert pair.left.atoms.shape == left.shape and pair.right.atoms.shape == right.shape
@@ -859,6 +862,25 @@ class TestVInverseTable:
 
         with pytest.raises(ValidationError, match="strictly increasing on a grid of 2"):
             TimeChangeSpec(U=U, U_prime=U_prime, horizon=h)
+
+    def test_polishing_stays_at_a_jump(self):
+        # v rises by 2000 within about 1e-14 of t = 0.5, where U' reaches
+        # 1e17, and has slope 1 elsewhere.  Keys inside the rise have the
+        # root 0.5, yet a Newton step from within 1e-6 of it sees slope 1
+        # and lands up to the whole horizon away
+        s = 1e-14
+
+        def U(t):
+            return 1e3 * (np.tanh((np.asarray(t, float) - 0.5) / s) + np.tanh(0.5 / s))
+
+        def U_prime(t):
+            return 1e3 / s * (1.0 - np.tanh((np.asarray(t, float) - 0.5) / s) ** 2)
+
+        tc = TimeChangeSpec(U=U, U_prime=U_prime, horizon=1.0)
+        got = tc.v_inverse(np.array([0.85, 10.0, 1000.0]))
+        assert np.all(np.abs(got - 0.5) <= 1e-6), got
+        ts = tc._table[0]
+        assert ts[0] == 0.0 and ts[-1] == 1.0 and np.all(np.diff(ts) >= 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
