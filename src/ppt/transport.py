@@ -7,12 +7,14 @@
   rule after a run of degenerate pivots so the method cannot cycle;
   optimality is certified by a complementary-slackness residual check.
   On all-finite costs the simplex starts from the least-cost basis: the
-  cells are visited by increasing cost (a stable sort, so ties go by row,
-  then column), and each cell whose row and column are both open takes
-  min(row left, column left) and closes one of the two: the row when it has
-  no more left than the column and is not the last open row, else the
-  column.  That gives n + m - 1 arcs forming a spanning tree.  Costs with
-  +inf entries start from big-M artificial arcs at the root instead.
+  cells are visited by increasing cost, ties by row, then column (the order
+  of a stable sort, obtained from numpy's faster unstable sort by regrouping
+  each run of tied costs in flat-index order), and each cell whose row and
+  column are both open takes min(row left, column left) and closes one of
+  the two: the row when it has no more left than the column and is not the
+  last open row, else the column.  That gives n + m - 1 arcs forming a
+  spanning tree.  Costs with +inf entries start from big-M artificial arcs
+  at the root instead.
   The spanning tree is oriented from the root once, for the initial basis;
   each pivot then re-orients only the subtree that the leaving arc cuts off
   (re-rooted at the entering arc's endpoint, after Bonneel et al. 2011), so
@@ -74,6 +76,7 @@ __all__ = [
 _MARGINAL_TOL = 1e-12
 _CS_RESIDUAL_TOL = 1e-9
 _OPT_REL = 1e-11  # the simplex stops when no reduced cost is below -_OPT_REL * max C
+_ORACLE_MAX_CELLS = 1 << 22  # 32 MiB per dense float matrix of the oracle's LP
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +290,32 @@ class _TreeBasis:
         return left + right
 
 
+def _least_cost_order(C: np.ndarray) -> np.ndarray:
+    """The flat row-major indices of ``C`` by increasing cost, ties by row,
+    then column: ``np.argsort(C, axis=None, kind="stable")``, element for
+    element, without the stable sort.
+
+    numpy's default argsort orders the values, but not the cells within a
+    run of equal values.  The runs are numbered, and one sort of the keys
+    (run, flat index) puts each run in flat-index order; (value, flat index)
+    is a strict total order, so the result is the stable order.  -0.0 and
+    0.0 compare equal, so they share a run, as in the stable sort.
+    """
+    v = C.ravel()  # row-major whatever the layout of C
+    order = np.argsort(v)
+    s = v[order]
+    new_run = s[1:] != s[:-1]
+    shift = (v.size - 1).bit_length()  # a flat index fits below this bit
+    key = s.view(np.int64)  # the keys take the sorted values' buffer
+    key[0] = 0
+    np.multiply(new_run, 1 << shift, out=key[1:])
+    np.cumsum(key, out=key)  # run number, shifted
+    key |= order
+    key.sort()
+    key &= (1 << shift) - 1
+    return key
+
+
 def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray, all_finite: bool, big_m: float):
     n, m = Cw.shape
     root = n + m
@@ -297,7 +326,7 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray, all_finite: boo
         ra, rb = a.tolist(), b.tolist()
         row_open, col_open = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
         rows_left, cols_left = n, m
-        order = np.argsort(Cw, axis=None, kind="stable")  # row-major: ties by row, then column
+        order = _least_cost_order(Cw)
         start, step = 0, n + m
         # a line is closed only while another of its kind stays open, so a
         # cell with both open is always ahead; were the order used up, the
@@ -347,14 +376,17 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
     on the arcs where they are at most ``opt_eps``.
     """
     n, m = C.shape
-    finite = np.isfinite(C)
-    all_finite = bool(finite.all())
-    if not all_finite and not _feasible_on_finite(a, b, finite):
-        return np.zeros((n, m)), float("inf"), np.full((n, m), math.inf)
-    top = float(C[finite].max(initial=0.0))
+    top = float(C.max(initial=0.0))  # the costs are checked: no NaN
+    all_finite = top < math.inf
+    if not all_finite:
+        finite = np.isfinite(C)
+        if not _feasible_on_finite(a, b, finite):
+            return np.zeros((n, m)), float("inf"), np.full((n, m), math.inf)
+        top = float(C[finite].max(initial=0.0))
     scale = max(top, 1.0)
     big_m = 4.0 * scale * (n + m)
-    Cw = np.where(finite, C, big_m)
+    # read only below: on all-finite costs the caller's matrix is used as is
+    Cw = C if all_finite else np.where(finite, C, big_m)
 
     total = float(a.sum())
     flow_eps = 1e-14 * max(total, 1.0)
@@ -427,13 +459,16 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
         # the screen found a finite plan, so the simplex must have reached one
         raise InternalConsistencyError("simplex left mass on an artificial or infinite-cost arc")
 
-    rc = Cw - basis.pot[:n, None] + basis.pot[None, n : n + m]
+    # recomputed in full from the final potentials: the residual check does
+    # not rest on the values maintained by the pivots
+    np.subtract(Cw, basis.pot[:n, None], out=rc)
+    rc += basis.pot[None, n : n + m]
     residual = max(0.0, -float(rc.min())) if rc.size else 0.0
     if residual > _CS_RESIDUAL_TOL * scale:
         raise InternalConsistencyError(
             f"complementary slackness residual {residual:.3e} above tolerance"
         )
-    cost = float(np.sum(plan * np.where(finite, C, 0.0)))
+    cost = float(np.sum(plan * (C if all_finite else np.where(finite, C, 0.0))))
     return plan, cost, rc
 
 
@@ -571,7 +606,7 @@ def _emd_with_reduced_costs(a, b, cost) -> tuple[TransportPlan, np.ndarray]:
         raise ValidationError("marginals must be nonnegative numbers")
     if abs(a.sum() - 1.0) > _MARGINAL_TOL or abs(b.sum() - 1.0) > _MARGINAL_TOL:
         raise ValidationError("marginals must sum to 1 within 1e-12")
-    if np.any(np.isnan(C)) or np.any(C < 0):
+    if not (C >= 0).all():  # NaN fails too
         raise ValidationError("costs must be nonnegative (inf allowed)")
     plan, value, rc = _network_simplex(a, b, C)
     return TransportPlan(weights=plan, row_marginals=a, col_marginals=b, cost=value), rc
@@ -653,8 +688,11 @@ def _interned_atoms(configs) -> tuple[np.ndarray, np.ndarray]:
     ordered = atoms[by_row]
     value = np.empty(len(atoms), dtype=np.int64)
     value[by_row] = np.concatenate(([0], np.cumsum((ordered[1:] != ordered[:-1]).any(axis=1))))
-    order = np.lexsort((value, owner))
-    return owner[order], value[order]
+    # one sort of the keys (owner, value); equal keys are equal pairs
+    stride = int(value.max()) + 1
+    key = owner * stride + value
+    key.sort()
+    return key // stride, key % stride
 
 
 def _rho1_per_pair(lefts, rights) -> np.ndarray:
@@ -1012,7 +1050,10 @@ def exact_oracle_discrete(
     Count vectors are enumerated up to ``truncation`` per cell (at most two
     cells) and the full LP is solved.  The neglected Poisson mass must be
     below 1e-10 on each side; the truncated laws are renormalised, keeping the
-    result exact to well under 1e-8.
+    result exact to well under 1e-8.  Each side has (truncation + 1)^cells
+    count vectors, and the LP's cost matrix, their number squared, may hold
+    at most 2^22 entries; a larger LP raises ValidationError before
+    anything is built.
     """
     mu = [float(v) for v in cell_masses_mu]
     nu = [float(v) for v in cell_masses_nu]
@@ -1024,17 +1065,22 @@ def exact_oracle_discrete(
         raise ValidationError("cell masses must be nonnegative and finite")
     if truncation < 1:
         raise ValidationError("truncation must be >= 1")
+    vectors = (truncation + 1) ** len(mu)  # count vectors per side
+    if vectors * vectors > _ORACLE_MAX_CELLS:
+        raise ValidationError(
+            f"oracle LP on {vectors} x {vectors} count vectors exceeds {_ORACLE_MAX_CELLS} "
+            "cost cells; lower the truncation"
+        )
 
     def law(masses):
         vecs = [_poisson_pmf_vector(msv, truncation) for msv in masses]
+        counts = np.arange(truncation + 1, dtype=float)
         if len(vecs) == 1:
             probs = vecs[0]
-            states = np.arange(truncation + 1)[:, None]
+            states = counts[:, None]
         else:
             probs = np.outer(vecs[0], vecs[1]).ravel()
-            g0, g1 = np.meshgrid(
-                np.arange(truncation + 1), np.arange(truncation + 1), indexing="ij"
-            )
+            g0, g1 = np.meshgrid(counts, counts, indexing="ij")
             states = np.stack([g0.ravel(), g1.ravel()], axis=1)
         neglected = 1.0 - probs.sum()
         if neglected > 1e-10:
@@ -1045,6 +1091,10 @@ def exact_oracle_discrete(
 
     pa, sa = law(mu)
     pb, sb = law(nu)
-    C = np.abs(sa[:, None, :] - sb[None, :, :]).sum(axis=2).astype(float)
+    # L1 cost, one cell at a time: sums of small integers, exact in float64
+    C = np.zeros((len(pa), len(pb)))
+    for k in range(sa.shape[1]):
+        diff = np.subtract.outer(sa[:, k], sb[:, k])
+        C += np.abs(diff, out=diff)
     plan = emd(pa, pb, C)
     return plan.cost

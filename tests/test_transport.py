@@ -198,6 +198,55 @@ class TestEmd:
         with pytest.raises(ValidationError):
             emd([1.0], [1.0], np.array([[-1.0]]))
 
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            [[1.0, math.nan], [0.0, 1.0]],
+            [[math.nan, math.inf], [0.0, 1.0]],
+            [[0.0, -1e-300], [1.0, 0.0]],
+            [[-math.inf, 0.0], [0.0, 0.0]],
+        ],
+    )
+    def test_nan_and_negative_costs_raise(self, cost):
+        with pytest.raises(ValidationError, match=r"^costs must be nonnegative \(inf allowed\)$"):
+            emd([0.5, 0.5], [0.5, 0.5], np.array(cost))
+
+    def test_negative_zero_cost_is_accepted(self):
+        plan = emd([0.5, 0.5], [0.5, 0.5], np.array([[-0.0, 1.0], [1.0, -0.0]]))
+        assert plan.cost == 0.0
+        assert plan.weights.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+    @staticmethod
+    def _pivoting_instance():
+        # real costs on uniform marginals: the least-cost start is not
+        # optimal, so pivots reprice rows and columns of the cost matrix
+        C = np.random.default_rng(5).uniform(0.0, 3.0, size=(12, 9))
+        return np.full(12, 1.0 / 12), np.full(9, 1.0 / 9), C
+
+    def test_read_only_costs_are_never_written(self, monkeypatch):
+        replace_arc = transport._TreeBasis.replace_arc
+        pivots = []
+        monkeypatch.setattr(
+            transport._TreeBasis, "replace_arc", lambda basis, *args: pivots.append(1) or replace_arc(basis, *args)
+        )
+        a, b, C = self._pivoting_instance()
+        want = emd(a, b, C)
+        frozen = C.copy()
+        frozen.setflags(write=False)  # any write into it raises
+        got, rc = transport._emd_with_reduced_costs(a, b, frozen)
+        assert pivots and frozen.tobytes() == C.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes() and got.cost == want.cost
+        assert rc.flags.writeable and not np.shares_memory(rc, frozen)
+
+    def test_a_transposed_view_is_never_written(self):
+        a, b, C = self._pivoting_instance()
+        base = np.ascontiguousarray(C.T)
+        before = base.tobytes()
+        got = emd(a, b, base.T)  # a column-major view of base, not a copy
+        assert base.tobytes() == before
+        want = emd(a, b, C)
+        assert got.weights.tobytes() == want.weights.tobytes() and got.cost == want.cost
+
     @pytest.mark.parametrize("cost", [[[1.0, 2.0], [3.0, 4.0]], [[1.0, math.inf], [3.0, 4.0]]])
     @pytest.mark.parametrize("a", [[math.nan, 1.0], [math.nan, math.nan], [0.5, math.inf]])
     def test_non_finite_marginals_raise(self, a, cost):
@@ -379,7 +428,51 @@ def finite_start_instances(draw):
     return a / a.sum(), b / b.sum(), C
 
 
+# costs drawn from a few values, so that ties are common: -0.0 beside 0.0,
+# small integers, subnormals and doubles near the largest
+_TIED_COSTS = [
+    0.0, -0.0, 1.0, 2.0, 3.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, 1.7976931348623155e308
+]
+
+
+@st.composite
+def tied_cost_matrices(draw):
+    """1-9 rows and columns (1 x 1, 1 x m and n x 1 included) of costs
+    drawn from ``_TIED_COSTS`` or from all finite nonnegative doubles,
+    row-major or as a column-major (transposed) view."""
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pool = st.sampled_from(_TIED_COSTS[: draw(st.integers(2, len(_TIED_COSTS)))])
+    entry = draw(st.sampled_from([pool, st.floats(0.0, allow_infinity=False)]))
+    C = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m)), float).reshape(n, m)
+    return np.ascontiguousarray(C.T).T if draw(st.booleans()) else C
+
+
 class TestLeastCostStart:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_cost_matrices())
+    @example(np.zeros((1, 1)))
+    @example(np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]]))
+    @example(np.asfortranarray([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    def test_order_is_the_stable_argsort(self, C):
+        want = np.argsort(C, axis=None, kind="stable")
+        got = transport._least_cost_order(C)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            np.random.default_rng(1).integers(0, 4, size=(200, 150)).astype(float),  # long runs of ties
+            np.random.default_rng(2).uniform(size=(150, 200)).round(2).T,  # column-major, some ties
+            np.where(np.random.default_rng(3).uniform(size=(120, 90)) < 0.5, -0.0, 0.0),
+        ],
+        ids=["integers", "transposed-rounded", "signed-zeros"],
+    )
+    def test_order_is_the_stable_argsort_on_large_matrices(self, C):
+        # numpy's unstable sort scatters long runs of ties; the runs must be
+        # put back in flat-index order
+        want = np.argsort(C, axis=None, kind="stable")
+        assert transport._least_cost_order(C).tolist() == want.tolist()
+
     @settings(max_examples=400, deadline=None)
     @given(finite_start_instances())
     def test_start_is_a_spanning_tree_that_carries_both_marginals(self, instance):
@@ -620,3 +713,34 @@ class TestExactOracle:
     def test_cell_count_guard(self):
         with pytest.raises(ValidationError):
             exact_oracle_discrete([1.0] * 3, [1.0] * 3, 10)
+
+    @pytest.mark.parametrize(
+        "mu, nu, truncation", [([1.0], [2.0], 30), ([0.5, 0.5], [1.0, 1.0], 17), ([1.0, 0.5], [2.0, 1.5], 18)]
+    )
+    def test_cost_matrix_equals_the_integer_l1_matrix(self, monkeypatch, mu, nu, truncation):
+        seen = []
+        monkeypatch.setattr(transport, "emd", lambda a, b, C: seen.append(C) or emd(a, b, C))
+        exact_oracle_discrete(mu, nu, truncation)
+        grids = np.meshgrid(*[np.arange(truncation + 1)] * len(mu), indexing="ij")
+        states = np.stack([g.ravel() for g in grids], axis=1)
+        want = np.abs(states[:, None, :] - states[None, :, :]).sum(axis=2).astype(float)
+        assert len(seen) == 1 and seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
+
+    def test_an_oversized_lp_is_rejected_before_anything_is_built(self, monkeypatch):
+        # 151^2 = 22801 count vectors a side would need a 22801^2 cost matrix
+        # (over 4 GB), although the truncation keeps the neglected mass small
+        def never(*args):
+            raise AssertionError("the oracle started building its LP")
+
+        monkeypatch.setattr(transport, "_poisson_pmf_vector", never)
+        monkeypatch.setattr(transport, "emd", never)
+        with pytest.raises(ValidationError, match="22801 x 22801 count vectors"):
+            exact_oracle_discrete([50.0, 50.0], [50.0, 50.0], 150)
+        with pytest.raises(ValidationError, match="2049 x 2049 count vectors"):
+            exact_oracle_discrete([1.0], [2.0], 2048)
+
+    def test_size_limit_counts_cost_cells(self, monkeypatch):
+        monkeypatch.setattr(transport, "_ORACLE_MAX_CELLS", 19**4)  # the benchmark's larger LP
+        assert abs(exact_oracle_discrete([1.0, 0.5], [2.0, 1.5], 18) - 2.0) <= 1e-8
+        with pytest.raises(ValidationError, match="400 x 400"):
+            exact_oracle_discrete([1.0, 0.5], [2.0, 1.5], 19)
