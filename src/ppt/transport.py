@@ -6,16 +6,15 @@
   precision.  Pricing is most-negative-reduced-cost, switching to Bland's
   rule after a run of degenerate pivots so the method cannot cycle;
   optimality is certified by a complementary-slackness residual check.
-  On all-finite costs the simplex starts from the least-cost basis: the
-  cells are visited by increasing cost, ties by row, then column (the order
-  of a stable sort, obtained from numpy's faster unstable sort by regrouping
-  each run of tied costs in flat-index order), and each cell whose row and
-  column are both open takes min(row left, column left) and closes one of
-  the two: the row when it has no more left than the column and is not the
-  last open row, else the column.  That gives n + m - 1 arcs forming a
-  spanning tree.  Costs with +inf entries start from big-M artificial arcs
-  at the root instead.
-  The spanning tree is oriented from the root once, for the initial basis;
+  The simplex starts from the least-cost basis: the cells are visited by
+  increasing cost, ties by row, then column (the order of a stable sort,
+  obtained from numpy's faster unstable sort by regrouping each run of tied
+  costs in flat-index order), and each cell whose row and column are both
+  open takes min(row left, column left) and closes one of the two: the row
+  when it has no more left than the column and is not the last open row,
+  else the column.  That gives n + m - 1 arcs forming a spanning tree.  A
+  +inf cell is visited at a big-M cost, after every finite one.
+  The spanning tree is oriented from the root once, for the starting basis;
   each pivot then re-orients only the subtree that the leaving arc cuts off
   (re-rooted at the entering arc's endpoint, after Bonneel et al. 2011), so
   parents, depths and potentials are those a full rebuild would give.
@@ -34,7 +33,8 @@
   each configuration shares atoms with at most one of the other list (as
   coupled samples do), are solved in closed form from interned atoms in
   integer arithmetic, with no cost matrix and no LP.  Every other case is
-  solved densely, by two ``emd`` solves.  Dense matrices for the named
+  solved densely, by two ``emd`` solves, the second started from the
+  first one's optimal tree, re-costed.  Dense matrices for the named
   metrics are built without a metric call per pair: rho0/rho1 from the
   shared-atom pairs, rho2 only on pairs of equal atom count (+inf
   elsewhere).  Before any rho2 value is computed, a count screen decides
@@ -47,8 +47,8 @@
 Infinite costs are allowed in ``emd``: one breadth-first max-flow screen over
 the finite-cost arcs decides, for any marginals, whether a finite plan exists,
 and an infeasible instance yields cost ``+inf`` rather than an error.  Only
-the screen answers ``+inf``; mass left on an artificial or infinite-cost arc
-after the simplex raises ``InternalConsistencyError``.
+the screen answers ``+inf``; mass left on an infinite-cost arc after the
+simplex raises ``InternalConsistencyError``.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class _TreeBasis:
         self.rebuild()
 
     def rebuild(self) -> None:
-        """Orient the whole tree from the root (the initial basis only)."""
+        """Orient the whole tree from the root (a starting basis only)."""
         self.incident: list[set[int]] = [set() for _ in range(self.nodes)]
         for idx, (f, t, _) in enumerate(self.arcs):
             self.incident[f].add(idx)
@@ -316,64 +316,59 @@ def _least_cost_order(C: np.ndarray) -> np.ndarray:
     return key
 
 
-def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray, all_finite: bool, big_m: float):
+def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray) -> _TreeBasis:
+    """The least-cost basis of ``Cw`` (+inf already the big M; the rule is in
+    the module docstring), then a zero-flow link from the last row to the
+    root: its one child, so no pivot cycle passes through the root."""
     n, m = Cw.shape
-    root = n + m
     arcs: list[tuple[int, int, float]] = []
     flows: list[float] = []
-    if all_finite:
-        # least-cost rule: a genuine basic feasible solution on real arcs
-        ra, rb = a.tolist(), b.tolist()
-        row_open, col_open = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
-        rows_left, cols_left = n, m
-        order = _least_cost_order(Cw)
-        start, step = 0, n + m
-        # a line is closed only while another of its kind stays open, so a
-        # cell with both open is always ahead; were the order used up, the
-        # short tree would fail rebuild's check rather than loop
-        while len(arcs) < n + m - 1 and start < order.size:
-            cells = order[start : start + step]
-            start, step = start + step, 2 * step
-            # only cells whose row and column are both open; each visit closes one
-            cells = cells[row_open[cells // m] & col_open[cells % m]]
-            for i, j in zip((cells // m).tolist(), (cells % m).tolist()):
-                if not (row_open[i] and col_open[j]):
-                    continue  # closed earlier in this slice
-                take = min(ra[i], rb[j])
-                arcs.append((i, n + j, float(Cw[i, j])))
-                flows.append(take)
-                ra[i] -= take
-                rb[j] -= take
-                if rows_left + cols_left == 2:
-                    break  # the last open row and column: the tree is complete
-                # the last open column holds every open row's remainder, so
-                # only rounding could make it the smaller side; it stays open
-                if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
-                    row_open[i] = False
-                    rows_left -= 1
-                else:
-                    col_open[j] = False
-                    cols_left -= 1
-        arcs.append((n - 1, root, 0.0))  # zero-flow link making the tree span the root
-        flows.append(0.0)
-    else:
-        # artificial start: all mass on root arcs, driven out by pivots
-        for i in range(n):
-            arcs.append((i, root, big_m))
-            flows.append(float(a[i]))
-        for j in range(m):
-            arcs.append((root, n + j, big_m))
-            flows.append(float(b[j]))
-    return _TreeBasis(n, m, arcs, flows)
+    ra, rb = a.tolist(), b.tolist()
+    row_open, col_open = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    rows_left, cols_left = n, m
+    order = _least_cost_order(Cw)
+    start, step = 0, n + m
+    # a line is closed only while another of its kind stays open, so a cell
+    # with both open is always ahead; were the order used up, the short tree
+    # would fail rebuild's check rather than loop
+    while len(arcs) < n + m - 1 and start < order.size:
+        cells = order[start : start + step]
+        start, step = start + step, 2 * step
+        # only cells whose row and column are both open; each visit closes one
+        cells = cells[row_open[cells // m] & col_open[cells % m]]
+        for i, j in zip((cells // m).tolist(), (cells % m).tolist()):
+            if not (row_open[i] and col_open[j]):
+                continue  # closed earlier in this slice
+            take = min(ra[i], rb[j])
+            arcs.append((i, n + j, float(Cw[i, j])))
+            flows.append(take)
+            ra[i] -= take
+            rb[j] -= take
+            if rows_left + cols_left == 2:
+                break  # the last open row and column: the tree is complete
+            # the last open column holds every open row's remainder, so only
+            # rounding could make it the smaller side; it stays open
+            if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
+                row_open[i] = False
+                rows_left -= 1
+            else:
+                col_open[j] = False
+                cols_left -= 1
+    return _TreeBasis(n, m, [*arcs, (n - 1, n + m, 0.0)], [*flows, 0.0])
 
 
-def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def _network_simplex(
+    a: np.ndarray, b: np.ndarray, C: np.ndarray, start: _TreeBasis | None = None
+) -> tuple[np.ndarray, float, np.ndarray, _TreeBasis | None]:
     """Solve the dense transportation problem; +inf cost when the
     feasibility screen finds no finite plan.
 
-    Also returns the reduced costs under the final potentials (+inf when
-    there is no finite plan); the plan is optimal among the plans supported
-    on the arcs where they are at most ``opt_eps``.
+    +inf costs are worked as a big M.  The start is the least-cost basis, or
+    ``start``, the final tree of a solve with the same marginals, re-costed:
+    it is feasible when no arc of it with flow costs +inf here.  Also
+    returns the reduced costs under the final potentials and the final tree
+    (+inf and None without a finite plan); the plan is optimal among the
+    plans supported on the arcs where they are at most ``opt_eps``.
     """
     n, m = C.shape
     top = float(C.max(initial=0.0))  # the costs are checked: no NaN
@@ -381,10 +376,10 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
     if not all_finite:
         finite = np.isfinite(C)
         if not _feasible_on_finite(a, b, finite):
-            return np.zeros((n, m)), float("inf"), np.full((n, m), math.inf)
+            return np.zeros((n, m)), float("inf"), np.full((n, m), math.inf), None
         top = float(C[finite].max(initial=0.0))
     scale = max(top, 1.0)
-    big_m = 4.0 * scale * (n + m)
+    big_m = 4.0 * scale * (n + m)  # the working cost of a +inf cell
     # read only below: on all-finite costs the caller's matrix is used as is
     Cw = C if all_finite else np.where(finite, C, big_m)
 
@@ -392,7 +387,11 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
     flow_eps = 1e-14 * max(total, 1.0)
     opt_eps = _OPT_REL * top  # scaling C by 2^k scales it and every reduced cost alike
 
-    basis = _initial_basis(a, b, Cw, all_finite, big_m)
+    if start is None:
+        basis = _initial_basis(a, b, Cw)
+    else:  # the root link stays the last arc
+        arcs = [(f, t, float(Cw[f, t - n])) for f, t, _ in start.arcs[:-1]]
+        basis = _TreeBasis(n, m, [*arcs, start.arcs[-1]], list(start.flows))
     parent, flows = basis.parent, basis.flows
 
     rc = np.empty((n, m))  # reduced costs, kept up to date in place
@@ -447,17 +446,11 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
 
     _recompute_tree_flows(basis, a, b)
     plan = np.zeros((n, m))
-    root = n + m
-    stranded = 0.0  # largest flow left on a root arc
-    for (f, t, _), x in zip(basis.arcs, flows):
-        if f == root or t == root:
-            stranded = max(stranded, x)
-        else:
-            plan[f, t - n] = max(0.0, x)
-    leftover = 1e-9 * max(total, 1.0)
-    if stranded > leftover or (not all_finite and np.any(plan[~finite] > leftover)):
+    for (f, t, _), x in zip(basis.arcs[:-1], flows[:-1]):  # not the root link
+        plan[f, t - n] = max(0.0, x)
+    if not all_finite and np.any(plan[~finite] > 1e-9 * max(total, 1.0)):
         # the screen found a finite plan, so the simplex must have reached one
-        raise InternalConsistencyError("simplex left mass on an artificial or infinite-cost arc")
+        raise InternalConsistencyError("simplex left mass on an infinite-cost arc")
 
     # recomputed in full from the final potentials: the residual check does
     # not rest on the values maintained by the pivots
@@ -468,8 +461,9 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> tuple[np.nd
         raise InternalConsistencyError(
             f"complementary slackness residual {residual:.3e} above tolerance"
         )
-    cost = float(np.sum(plan * (C if all_finite else np.where(finite, C, 0.0))))
-    return plan, cost, rc
+    unit = 2.0 ** max(-1000, min(0, math.frexp(top)[1]))  # a power of two: tiny costs' products stay normal
+    cost = float(np.sum(plan * ((C if all_finite else np.where(finite, C, 0.0)) / unit))) * unit
+    return plan, cost, rc, basis
 
 
 def _reprice(rc: np.ndarray, Cw: np.ndarray, pot: np.ndarray, moved: list[int]) -> None:
@@ -594,9 +588,10 @@ def emd(a, b, cost: np.ndarray) -> TransportPlan:
     return _emd_with_reduced_costs(a, b, cost)[0]
 
 
-def _emd_with_reduced_costs(a, b, cost) -> tuple[TransportPlan, np.ndarray]:
+def _emd_with_reduced_costs(a, b, cost, start=None) -> tuple[TransportPlan, np.ndarray, _TreeBasis | None]:
     """:func:`emd`, plus the reduced costs under the optimal potentials that
-    the simplex ends with (see :func:`_network_simplex`)."""
+    the simplex ends with and its final tree, which may start a later solve
+    with the same marginals (see :func:`_network_simplex`)."""
     a = np.asarray(a, float).reshape(-1)
     b = np.asarray(b, float).reshape(-1)
     C = np.asarray(cost, float)
@@ -608,8 +603,8 @@ def _emd_with_reduced_costs(a, b, cost) -> tuple[TransportPlan, np.ndarray]:
         raise ValidationError("marginals must sum to 1 within 1e-12")
     if not (C >= 0).all():  # NaN fails too
         raise ValidationError("costs must be nonnegative (inf allowed)")
-    plan, value, rc = _network_simplex(a, b, C)
-    return TransportPlan(weights=plan, row_marginals=a, col_marginals=b, cost=value), rc
+    plan, value, rc, tree = _network_simplex(a, b, C, start)
+    return TransportPlan(weights=plan, row_marginals=a, col_marginals=b, cost=value), rc, tree
 
 
 # --------------------------------------------------------------------------
@@ -858,13 +853,15 @@ def _dense_moments(C: np.ndarray, dispersion: bool = True) -> tuple[float, float
     solve's potentials (for float costs: at most the simplex's own
     tolerance); a second solve on those arcs, with cost 1 - (C / max C)^2,
     finds one whose sum(w * C^2) is largest, and the dispersion is exact
-    over its arcs.  ``dispersion=False`` skips the second solve.
+    over its arcs.  It starts from the first solve's final tree, whose arcs
+    with flow all lie on those arcs, so it is feasible.  ``dispersion=False``
+    skips the second solve.
     """
     from fractions import Fraction  # deferred: it loads decimal, which only this path needs
 
     n, m = C.shape
     a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
-    plan, rc = _emd_with_reduced_costs(a, b, C)
+    plan, rc, tree = _emd_with_reduced_costs(a, b, C)
     if math.isinf(plan.cost):
         return None
     units, rows, cols = _plan_units(plan.weights)
@@ -875,7 +872,7 @@ def _dense_moments(C: np.ndarray, dispersion: bool = True) -> tuple[float, float
     face = finite & ((rc <= _OPT_REL * float(C[finite].max(initial=0.0))) | (plan.weights > 0))
     top = float(C[face].max())
     scaled = np.where(face, C, 0.0) / top if top > 0 else np.zeros_like(C)
-    widest = emd(a, b, np.where(face, 1.0 - scaled * scaled, math.inf))
+    widest = _emd_with_reduced_costs(a, b, np.where(face, 1.0 - scaled * scaled, math.inf), tree)[0]
     units, rows, cols = _plan_units(widest.weights)
     var = sum(k * (Fraction(x) - mean) ** 2 for k, x in zip(units, C[rows, cols].tolist())) / (n * m)
     return float(mean), float(var)
@@ -1063,8 +1060,10 @@ def exact_oracle_discrete(
         raise ValidationError("oracle supports at most 2 cells")
     if not all(0 <= v < math.inf for v in mu + nu):  # NaN fails too
         raise ValidationError("cell masses must be nonnegative and finite")
-    if truncation < 1:
-        raise ValidationError("truncation must be >= 1")
+    whole = int(truncation) if isinstance(truncation, float) and truncation.is_integer() else truncation
+    if not isinstance(whole, (int, np.integer)) or whole < 1:  # a NaN or inf float is not whole
+        raise ValidationError(f"truncation must be a whole number >= 1, got {truncation!r}")
+    truncation = whole
     vectors = (truncation + 1) ** len(mu)  # count vectors per side
     if vectors * vectors > _ORACLE_MAX_CELLS:
         raise ValidationError(

@@ -128,20 +128,30 @@ def test_non_matching_rho1_takes_the_dense_path():
     assert_matches_highs(est, per_pair(mu, nu, metrics.rho1))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
-        lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 1, 2, 3, math.inf]), min_size=n, max_size=n), min_size=n, max_size=n
+        )
     )
 )
 @example([[0, 1], [1, 0]])
 @example([[1, 1, 2], [1, 1, 2], [0, 3, 3]])
+@example([[math.inf, math.inf], [0, 0]])  # no finite plan
+@example([[0, math.inf, 1], [1, 0, math.inf], [math.inf, 1, 0]])
 def test_dense_moments_equal_the_widest_optimal_permutation(costs):
     # square uniform marginals: the optimal plans are the convex hull of the
-    # optimal permutations, so the widest dispersion is attained on one
+    # optimal permutations, so the widest dispersion is attained on one.  A
+    # permutation through a +inf cell is no plan, and without any plan the
+    # moments are None.  The dispersion solve starts from the mean solve's
+    # tree, whose arcs off the optimal face cost the big M there
     C = np.array(costs, float)
     n = C.shape[0]
-    perms = list(itertools.permutations(range(n)))
+    perms = [p for p in itertools.permutations(range(n)) if all(costs[i][p[i]] < math.inf for i in range(n))]
+    if not perms:
+        assert transport._dense_moments(C) is None
+        return
     totals = [sum(costs[i][p[i]] for i in range(n)) for p in perms]
     best = min(totals)
     mean = Fraction(best, n)
@@ -175,6 +185,37 @@ def counted_solves(monkeypatch):
 
     monkeypatch.setattr(transport, "_emd_with_reduced_costs", counted)
     return calls
+
+
+def test_only_the_dispersion_solve_starts_from_a_tree(monkeypatch):
+    # the mean solve's final tree starts the dispersion solve; every other
+    # solve starts from the least-cost basis.  A cold dispersion solve
+    # reaches the same moments
+    simplex, starts = transport._network_simplex, []
+
+    def spied(a, b, C, start=None):
+        result = simplex(a, b, C, start)
+        starts.append((start, result[3]))
+        return result
+
+    monkeypatch.setattr(transport, "_network_simplex", spied)
+    empty = lambda n: [Configuration(np.empty((0, 1)), UNIT) for _ in range(n)]
+    for seed, (n, m) in enumerate([(30, 30), (24, 16), (9, 40)]):
+        rng = np.random.default_rng(seed)
+        C = np.where(rng.uniform(size=(n, m)) < 0.2, math.inf, rng.integers(0, 3, size=(n, m)).astype(float))
+        C[np.arange(max(n, m)) % n, np.arange(max(n, m)) % m] = 1.0  # a finite plan
+        mu, nu = empty(n), empty(m)
+        metric = lambda x, y: C[mu.index(x), nu.index(y)]  # configurations compare by identity
+        starts.clear()
+        est = ppt.estimate_rubinstein_empirical(mu, nu, metric)
+        assert len(starts) == 2 and starts[0][0] is None and starts[1][0] is starts[0][1]
+        starts.clear()
+        ppt.doubling_diagnostic(mu, nu, metric)
+        transport.emd(np.full(n, 1.0 / n), np.full(m, 1.0 / m), C)
+        assert len(starts) == 3 and all(start is None for start, _ in starts)
+        monkeypatch.setattr(transport, "_network_simplex", lambda a, b, C, start=None: simplex(a, b, C))
+        assert estimate_bytes(ppt.estimate_rubinstein_empirical(mu, nu, metric)) == estimate_bytes(est)
+        monkeypatch.setattr(transport, "_network_simplex", spied)
 
 
 def test_coupled_samples_make_no_lp_solve(monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -135,9 +136,8 @@ class TestEmd:
 
     def test_feasibility_prescreen_on_long_augmenting_paths(self):
         # 1500 x 1500 bidiagonal finite masks: a recursive augmenting-path
-        # search exceeded Python's recursion limit on these.  The full emd
-        # call runs the network simplex for minutes, so the check stops at
-        # the pre-screen that emd runs first.
+        # search exceeded Python's recursion limit on these, and a simplex
+        # started from big-M artificial arcs took minutes on them
         from ppt.transport import _feasible_on_finite
 
         n = 1500
@@ -145,6 +145,8 @@ class TestEmd:
         w = np.full(n, 1.0 / n)
         assert _feasible_on_finite(w, w, band.T)
         assert _feasible_on_finite(w, w, band)
+        for mask in (band.T, band):  # every cell of the band costs 1
+            assert emd(w, w, np.where(mask, 1.0, math.inf)).cost == pytest.approx(1.0, abs=1e-12)
         # the last row moved to the first column: its augmenting path runs
         # through every other row, and fails at the end once the last column
         # is cut off
@@ -154,6 +156,7 @@ class TestEmd:
         assert _feasible_on_finite(w, w, shifted)
         shifted[n - 2, n - 1] = False
         assert not _feasible_on_finite(w, w, shifted)
+        assert emd(w, w, np.where(shifted, 1.0, math.inf)).cost == math.inf
 
     def test_perfect_matching_agrees_with_scipy(self, seed):
         from ppt.transport import _feasible_on_finite
@@ -183,13 +186,13 @@ class TestEmd:
             _, cost = assignment_solve(finiteC)
             assert plan.cost == pytest.approx(cost / n, abs=1e-9)
 
-    def test_mass_left_on_an_artificial_arc_raises(self, monkeypatch):
+    def test_mass_left_on_an_infinite_cost_arc_raises(self, monkeypatch):
         # only the feasibility screen may answer +inf: when it lets through
         # an instance without a finite plan, the simplex ends with mass on
-        # an artificial arc, which is a solver fault, not an infinite cost
+        # an infinite-cost arc, which is a solver fault, not an infinite cost
         monkeypatch.setattr(transport, "_feasible_on_finite", lambda a, b, finite: True)
         C = np.array([[1.0, math.inf], [2.0, math.inf]])
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(InternalConsistencyError, match="infinite-cost arc"):
             emd([0.5, 0.5], [0.5, 0.5], C)
 
     def test_marginal_validation(self):
@@ -233,7 +236,7 @@ class TestEmd:
         want = emd(a, b, C)
         frozen = C.copy()
         frozen.setflags(write=False)  # any write into it raises
-        got, rc = transport._emd_with_reduced_costs(a, b, frozen)
+        got, rc, _ = transport._emd_with_reduced_costs(a, b, frozen)
         assert pivots and frozen.tobytes() == C.tobytes()
         assert got.weights.tobytes() == want.weights.tobytes() and got.cost == want.cost
         assert rc.flags.writeable and not np.shares_memory(rc, frozen)
@@ -284,6 +287,7 @@ class TestEmdProperties:
     @settings(max_examples=300, deadline=None)
     @given(cost_matrices())
     @example(np.array([[0.0, 0.0], [0.0, 1e-11]]))  # an absolute tolerance gave 5e-12, not 0
+    @example(np.full((2, 2), 5e-324))  # each 0.5 * 5e-324 underflowed, and the cost read 0
     def test_uniform_marginals_equal_the_assignment_optimum(self, C):
         n = C.shape[0]
         plan = emd(np.full(n, 1.0 / n), np.full(n, 1.0 / n), C)
@@ -413,6 +417,14 @@ def _seeded_emd_instances():
         yield a, b, C
 
 
+def _bland_instance():
+    """120 x 120 uniform(0, 1) costs on uniform marginals, all finite: a
+    solve long enough (about 900 pivots) to reach runs of more than 50
+    degenerate pivots, which switch the pricing to Bland's rule."""
+    n = 120
+    return np.full(n, 1.0 / n), np.full(n, 1.0 / n), np.random.default_rng(2).uniform(0.0, 1.0, size=(n, n))
+
+
 @st.composite
 def finite_start_instances(draw):
     """All-finite costs on 1-8 rows and 1-8 columns, tied small integers or
@@ -478,7 +490,7 @@ class TestLeastCostStart:
     def test_start_is_a_spanning_tree_that_carries_both_marginals(self, instance):
         a, b, C = instance
         n, m = C.shape
-        basis = transport._initial_basis(a, b, C, True, math.nan)  # the big M goes unused
+        basis = transport._initial_basis(a, b, C)
         assert len(basis.arcs) == n + m
         assert len(basis.moved) == n + m + 1  # rebuild reached every node from the root
         assert basis.arcs[-1] == (n - 1, n + m, 0.0) and basis.flows[-1] == 0.0
@@ -492,11 +504,46 @@ class TestLeastCostStart:
         assert np.max(np.abs(rows - a)) <= 1e-12
         assert np.max(np.abs(cols - b)) <= 1e-12
 
+    def test_infinite_cells_take_the_big_m_and_the_root_no_flow(self, monkeypatch):
+        # with +inf entries the start is the least-cost basis of the working
+        # costs, +inf replaced by the big M; the root hangs from the last row
+        # by one zero-flow link, at the start and after the last pivot
+        initial_basis, starts = transport._initial_basis, []
+
+        def kept(a, b, Cw):
+            basis = initial_basis(a, b, Cw)
+            starts.append((Cw, list(basis.arcs), list(basis.flows), basis))
+            return basis
+
+        monkeypatch.setattr(transport, "_initial_basis", kept)
+        solved = 0
+        for a, b, C in _seeded_emd_instances():
+            finite = np.isfinite(C)
+            if finite.all():
+                continue
+            starts.clear()
+            plan = emd(a, b, C)
+            if plan.cost == math.inf:
+                assert starts == []  # the screen answered
+                continue
+            [(Cw, arcs, flows, final)] = starts
+            n, m = C.shape
+            big_m = 4.0 * max(C[finite].max(initial=0.0), 1.0) * (n + m)
+            assert Cw.tobytes() == np.where(finite, C, big_m).tobytes()
+            for tree_arcs in (arcs, final.arcs):
+                assert tree_arcs[-1] == (n - 1, n + m, 0.0)
+                assert all(t < n + m and c == Cw[f, t - n] for f, t, c in tree_arcs[:-1])
+            # the final flows are re-derived from the marginals, whose sums
+            # may differ by up to 2e-12: the link is left that difference
+            assert flows[-1] == 0.0 and abs(final.flows[-1]) <= 2 * transport._MARGINAL_TOL
+            solved += 1
+        assert solved > 50
+
     def test_cheapest_cells_first_ties_by_row_then_column(self):
         # the four zeros are visited in row-major order, (0, 1) first, and
         # the costly corner (0, 0) is never taken
         C = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        basis = transport._initial_basis(np.array([0.5, 0.5]), np.array([0.25, 0.5, 0.25]), C, True, math.nan)
+        basis = transport._initial_basis(np.array([0.5, 0.5]), np.array([0.25, 0.5, 0.25]), C)
         assert basis.arcs == [(0, 3, 0.0), (1, 2, 0.0), (1, 3, 0.0), (1, 4, 1.0), (1, 5, 0.0)]
         assert basis.flows == [0.5, 0.25, 0.0, 0.25, 0.0]
 
@@ -517,14 +564,20 @@ class TestLeastCostStart:
 
 class TestNetworkSimplexTree:
     def test_plans_and_costs_match_the_pinned_hash(self):
-        # SHA-256 of every plan's bytes and cost, computed with the solver
-        # that rebuilt its spanning tree from scratch after each pivot
-        h = hashlib.sha256()
+        # SHA-256 of every plan's bytes and cost, one for the 202 all-finite
+        # instances and one for the 98 with +inf entries.  The first was
+        # computed with the solver that rebuilt its spanning tree from
+        # scratch after each pivot; the second with the least-cost start on
+        # the big-M working costs, which replaced a start from big-M
+        # artificial arcs at the root
+        finite, partly_infinite = hashlib.sha256(), hashlib.sha256()
         for a, b, C in _seeded_emd_instances():
             plan = emd(a, b, C)
+            h = finite if np.isfinite(C).all() else partly_infinite
             h.update(plan.weights.tobytes())
             h.update(struct.pack("<d", plan.cost))
-        assert h.hexdigest() == "6693dd54f616ed6ad7aff18e42bdc4f35e7ae895a99c4d1d02f8892a58ede766"
+        assert finite.hexdigest() == "49885392aeeaff11959fab5223d00f5d3010460d93592cab08a750968fea1dc5"
+        assert partly_infinite.hexdigest() == "ca5c5043425a0af19bfbb7d1847a13cd3990b9fa21ba9eb4c0a97086c089ec5a"
 
     def test_incremental_tree_equals_a_rebuilt_tree_after_every_pivot(self, monkeypatch):
         replace_arc = transport._TreeBasis.replace_arc
@@ -542,6 +595,7 @@ class TestNetworkSimplexTree:
         for k, (a, b, C) in enumerate(_seeded_emd_instances()):
             if k % 5 == 0 or k >= 298:
                 emd(a, b, C)
+        emd(*_bland_instance())
         assert len(pivots) > 1000
 
     def test_maintained_reduced_costs_equal_a_full_pass_after_every_pivot(self, monkeypatch):
@@ -564,6 +618,36 @@ class TestNetworkSimplexTree:
         band = np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool)
         emd(np.full(n, 1.0 / n), np.full(n, 1.0 / n), np.where(band.T, 1.0, math.inf))
         assert min(branches.values()) > 50, branches
+
+    def test_long_degenerate_runs_switch_to_blands_rule(self, monkeypatch):
+        # the most negative reduced cost enters, except under Bland's rule,
+        # where the first negative one (beyond the tolerance) does; the
+        # solver's reduced costs are read where it reprices them
+        a, b, C = _bland_instance()
+        opt_eps = transport._OPT_REL * C.max()
+        reprice, cycle = transport._reprice, transport._TreeBasis.cycle
+        held, entering = [], {"most negative": 0, "first negative": 0}
+
+        def kept(rc, *args):
+            held[:] = [rc.ravel()]
+            reprice(rc, *args)
+
+        def priced(basis, fi, ti):
+            flat = held[0]
+            k = fi * basis.m + ti - basis.n
+            if flat[k] == flat.min():
+                entering["most negative"] += 1
+            else:
+                assert k == int(np.argmax(flat < -opt_eps))
+                entering["first negative"] += 1
+            return cycle(basis, fi, ti)
+
+        monkeypatch.setattr(transport, "_reprice", kept)
+        monkeypatch.setattr(transport._TreeBasis, "cycle", priced)
+        plan = emd(a, b, C)
+        assert entering["first negative"] > 100 and entering["most negative"] > 100, entering
+        rows, cols = scipy.optimize.linear_sum_assignment(C)
+        assert plan.cost == pytest.approx(C[rows, cols].sum() / C.shape[0], abs=1e-12)
 
     def test_memory_layout_does_not_change_the_plan(self):
         # a column-major cost matrix (for instance a transposed mask) must
@@ -702,6 +786,19 @@ class TestExactOracle:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             exact_oracle_discrete([1.0], [2.0], 3)
+
+    @pytest.mark.parametrize("truncation", [30.5, math.nan, math.inf, -math.inf, "30", 0, -2.0])
+    def test_a_truncation_that_is_not_a_whole_number_from_one_up_raises(self, truncation):
+        # 30.5 was solved as truncation 31, and NaN reached numpy's arange
+        message = f"truncation must be a whole number >= 1, got {truncation!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            exact_oracle_discrete([1.0], [2.0], truncation)
+
+    def test_a_whole_float_truncation_is_the_integer_one(self):
+        want = 1.0000000000000013
+        for truncation in (30, 30.0, np.float64(30.0), np.int64(30)):
+            assert struct.pack("<d", exact_oracle_discrete([1.0], [2.0], truncation)) == struct.pack("<d", want)
+        assert exact_oracle_discrete([0.0], [2.0], 30.0) == exact_oracle_discrete([0.0], [2.0], 30)
 
     @pytest.mark.parametrize(
         "mu, nu", [([math.nan], [1.0]), ([1.0], [math.inf]), ([1.0, math.inf], [1.0, 1.0]), ([1.0, 1.0], [math.nan, 1.0])]
