@@ -12,8 +12,9 @@
   costs in flat-index order), and each cell whose row and column are both
   open takes min(row left, column left) and closes one of the two: the row
   when it has no more left than the column and is not the last open row,
-  else the column.  That gives n + m - 1 arcs forming a spanning tree.  A
-  +inf cell is visited at a big-M cost, after every finite one.
+  else the column.  That gives n + m - 1 arcs forming a spanning tree of
+  the n + m rows and columns, rooted at the last row.  A +inf cell is
+  visited at a big-M cost, after every finite one.
   The spanning tree is oriented from the root once, for the starting basis;
   each pivot then re-orients only the subtree that the leaving arc cuts off
   (re-rooted at the entering arc's endpoint, after Bonneel et al. 2011), so
@@ -22,22 +23,24 @@
   full once, and after a pivot only the rows and columns of the re-oriented
   subtree are recomputed, with the same expression, so every reduced cost
   has the bits of a full pass; a subtree of more than a quarter of the
-  nodes is repriced with the full pass instead.
+  nodes is repriced with the full pass instead.  The final flows are
+  re-derived by leaf elimination in an order fixed by the tree alone.
 * ``estimate_rubinstein_empirical`` / ``dual_lower_bound``: primal and dual
   empirical estimates of the transport distance between point-process laws.
   ``dual_from_values`` is the dual's arithmetic on the witness values alone,
   for witnesses whose law can be drawn without the configurations.
-  The primal estimate does not depend on the optimal plan a solver returns:
-  its mean is the exact optimum, rounded once, and its std_error comes from
-  the largest cost dispersion over all optimal plans.  rho0, and rho1 when
-  each configuration shares atoms with at most one of the other list (as
-  coupled samples do), are solved in closed form from interned atoms in
-  integer arithmetic, with no cost matrix and no LP.  Every other case is
-  solved densely, by two ``emd`` solves, the second started from the
-  first one's optimal tree, re-costed.  Dense matrices for the named
-  metrics are built without a metric call per pair: rho0/rho1 from the
-  shared-atom pairs, rho2 only on pairs of equal atom count (+inf
-  elsewhere).  Before any rho2 value is computed, a count screen decides
+  rho0, and rho1 when each configuration shares atoms with at most one of
+  the other list (as coupled samples do), are solved in closed form from
+  interned atoms in integer arithmetic, with no cost matrix and no LP.
+  Every other case is solved densely, by two ``emd`` solves, the second
+  started from the first one's optimal tree, re-costed.  The mean is the
+  exact cost of the plan the simplex stops at (of the optimum itself in
+  closed form), rounded once; where costs tie in decimal but not in binary,
+  that plan's cost can exceed the optimum by about 1e-15 relative.  The
+  std_error comes from the largest cost dispersion over all optimal plans.
+  Dense matrices for the named metrics are built without a metric call per
+  pair: rho0/rho1 from the shared-atom pairs, rho2 only on pairs of equal
+  atom count (+inf elsewhere).  Before any rho2 value is computed, a count screen decides
   from the atom counts alone whether uniform marginals admit a finite plan;
   if not, the estimate is +inf and no matrix is built.  User-supplied
   metrics are called once per pair.
@@ -179,7 +182,8 @@ def assignment_solve(cost: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class _TreeBasis:
-    """Spanning-tree basis over nodes 0..n-1 (rows), n..n+m-1 (cols), root n+m.
+    """Spanning-tree basis over nodes 0..n-1 (rows) and n..n+m-1 (cols):
+    n + m - 1 arcs, rooted at the last row, n - 1.
 
     Arcs are (from_node, to_node, cost); potentials satisfy
     pot[from] - pot[to] = cost on every basic arc, pot[root] = 0.  A node's
@@ -192,7 +196,7 @@ class _TreeBasis:
 
     def __init__(self, n: int, m: int, arcs: list, flows: list):
         self.n, self.m = n, m
-        self.nodes = n + m + 1
+        self.nodes = n + m
         self.arcs = arcs
         self.flows = flows
         self.rebuild()
@@ -203,7 +207,7 @@ class _TreeBasis:
         for idx, (f, t, _) in enumerate(self.arcs):
             self.incident[f].add(idx)
             self.incident[t].add(idx)
-        root = self.nodes - 1
+        root = self.n - 1
         # lists: the pivot loop reads these one node at a time
         self.parent = [-1] * self.nodes
         self.parent_arc = [-1] * self.nodes
@@ -244,7 +248,7 @@ class _TreeBasis:
         """
         arcs, incident = self.arcs, self.incident
         parent, parent_arc, depth, pot = self.parent, self.parent_arc, self.depth, self.pot
-        root, limit = self.nodes - 1, self.nodes
+        root, limit = self.n - 1, self.nodes
         stack = [top]
         reached = []
         while stack:
@@ -318,8 +322,7 @@ def _least_cost_order(C: np.ndarray) -> np.ndarray:
 
 def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray) -> _TreeBasis:
     """The least-cost basis of ``Cw`` (+inf already the big M; the rule is in
-    the module docstring), then a zero-flow link from the last row to the
-    root: its one child, so no pivot cycle passes through the root."""
+    the module docstring): n + m - 1 arcs, rooted at the last row."""
     n, m = Cw.shape
     arcs: list[tuple[int, int, float]] = []
     flows: list[float] = []
@@ -354,7 +357,7 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray) -> _TreeBasis:
             else:
                 col_open[j] = False
                 cols_left -= 1
-    return _TreeBasis(n, m, [*arcs, (n - 1, n + m, 0.0)], [*flows, 0.0])
+    return _TreeBasis(n, m, arcs, flows)
 
 
 def _network_simplex(
@@ -365,10 +368,11 @@ def _network_simplex(
 
     +inf costs are worked as a big M.  The start is the least-cost basis, or
     ``start``, the final tree of a solve with the same marginals, re-costed:
-    it is feasible when no arc of it with flow costs +inf here.  Also
-    returns the reduced costs under the final potentials and the final tree
-    (+inf and None without a finite plan); the plan is optimal among the
-    plans supported on the arcs where they are at most ``opt_eps``.
+    it is feasible when no arc of it with flow costs +inf here.  The plan is
+    the flows on the final tree's n + m - 1 arcs.  Also returns the reduced
+    costs under the final potentials and the final tree (+inf and None
+    without a finite plan); the plan is optimal among the plans supported on
+    the arcs where they are at most ``opt_eps``.
     """
     n, m = C.shape
     top = float(C.max(initial=0.0))  # the costs are checked: no NaN
@@ -389,9 +393,9 @@ def _network_simplex(
 
     if start is None:
         basis = _initial_basis(a, b, Cw)
-    else:  # the root link stays the last arc
-        arcs = [(f, t, float(Cw[f, t - n])) for f, t, _ in start.arcs[:-1]]
-        basis = _TreeBasis(n, m, [*arcs, start.arcs[-1]], list(start.flows))
+    else:
+        arcs = [(f, t, float(Cw[f, t - n])) for f, t, _ in start.arcs]
+        basis = _TreeBasis(n, m, arcs, list(start.flows))
     parent, flows = basis.parent, basis.flows
 
     rc = np.empty((n, m))  # reduced costs, kept up to date in place
@@ -446,7 +450,7 @@ def _network_simplex(
 
     _recompute_tree_flows(basis, a, b)
     plan = np.zeros((n, m))
-    for (f, t, _), x in zip(basis.arcs[:-1], flows[:-1]):  # not the root link
+    for (f, t, _), x in zip(basis.arcs, flows):
         plan[f, t - n] = max(0.0, x)
     if not all_finite and np.any(plan[~finite] > 1e-9 * max(total, 1.0)):
         # the screen found a finite plan, so the simplex must have reached one
@@ -495,14 +499,15 @@ def _recompute_tree_flows(basis: _TreeBasis, a: np.ndarray, b: np.ndarray) -> No
     Tree flows are uniquely determined by conservation, so recomputing them as
     signed partial sums of marginal entries removes any rounding accumulated
     over pivots; the plan then reproduces its marginals to machine precision.
+    Leaves go deepest first, ties by node index, highest first (a stable
+    sort), so the bits come from the tree alone; the root, alone at depth 0,
+    comes last and has no arc.
     """
-    supply = [*a.tolist(), *(-b).tolist(), 0.0]  # rows, columns, root
+    supply = [*a.tolist(), *(-b).tolist()]  # rows, then columns
     floor = -1e-9 * max(float(np.sum(a)), 1.0)
     arcs, parent, parent_arc, flows = basis.arcs, basis.parent, basis.parent_arc, basis.flows
-    for node in np.argsort(basis.depth)[::-1].tolist():  # deepest first
+    for node in np.argsort(basis.depth, kind="stable")[:0:-1].tolist():
         arc_idx = parent_arc[node]
-        if arc_idx < 0:
-            continue  # root
         flow = supply[node] if arcs[arc_idx][0] == node else -supply[node]
         if flow < floor:
             raise InternalConsistencyError("negative basic flow after leaf elimination")
@@ -909,7 +914,9 @@ def estimate_rubinstein_empirical(
 ) -> Estimate:
     """Plug-in transport cost between the two empirical sample measures.
 
-    The mean is the exact optimal cost on the sample grid, rounded once.
+    The mean is the exact cost of the plan the simplex stops at (of the
+    optimum in closed form), rounded once; it can exceed the optimum by
+    about 1e-15 relative where costs tie in decimal but not in binary.
     How close it sits to the population distance depends on the joint law of
     the samples: coupled lists sharing atoms tighten it dramatically,
     independent samples of diffuse processes cannot match any atoms and the
@@ -1027,16 +1034,6 @@ def dual_from_values(f_mu: np.ndarray, f_nu: np.ndarray) -> Estimate:
 # --------------------------------------------------------------------------
 
 
-def _poisson_pmf_vector(mass: float, truncation: int) -> np.ndarray:
-    k = np.arange(truncation + 1)
-    if mass == 0:
-        out = np.zeros(truncation + 1)
-        out[0] = 1.0
-        return out
-    logs = k * math.log(mass) - mass - np.array([math.lgamma(i + 1) for i in k])
-    return np.exp(logs)
-
-
 def exact_oracle_discrete(
     cell_masses_mu: Sequence[float],
     cell_masses_nu: Sequence[float],
@@ -1071,8 +1068,10 @@ def exact_oracle_discrete(
             "cost cells; lower the truncation"
         )
 
+    from .concentration import poisson_pmf  # deferred: concentration imports transport through simulate
+
     def law(masses):
-        vecs = [_poisson_pmf_vector(msv, truncation) for msv in masses]
+        vecs = [np.array([poisson_pmf(msv, k) for k in range(truncation + 1)]) for msv in masses]
         counts = np.arange(truncation + 1, dtype=float)
         if len(vecs) == 1:
             probs = vecs[0]

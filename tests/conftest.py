@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import math
+import struct
 
 import numpy as np
 import pytest
 
-from ppt import Configuration, IntensityMeasure, SeedSpec, Window
+from ppt import Configuration, IntensityMeasure, SeedSpec, Window, emd
 
 
 @pytest.fixture
@@ -36,3 +39,50 @@ def brute_force_assignment(C):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def seeded_emd_instances():
+    """300 seeded instances: integer, real and partly infinite costs, on
+    uniform square and on general marginals (some with zero entries)."""
+    rng = SeedSpec(20_250_808).rng(9)
+    for k in range(300):
+        if k >= 298:
+            # 80 x 80, 0/1 costs, half the arcs infinite: long degenerate
+            # runs that switch the pricing to Bland's rule
+            n = 80
+            C = rng.integers(0, 2, size=(n, n)).astype(float)
+            C[rng.uniform(size=(n, n)) < 0.5] = math.inf
+            np.fill_diagonal(C, 1.0)
+            yield np.full(n, 1.0 / n), np.full(n, 1.0 / n), C
+            continue
+        kind = k % 6
+        big = k % 25 == 0
+        if kind < 3:
+            n = m = int(rng.integers(30, 41)) if big else int(rng.integers(1, 13))
+            a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        else:
+            n, m = (int(v) for v in rng.integers(1, 11, size=2))
+            a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            if n > 2 and kind == 5:
+                a[: n // 3] = 0.0
+                a /= a.sum()
+        if kind % 3 == 0:
+            C = rng.integers(0, 5, size=(n, m)).astype(float)
+        else:
+            C = rng.uniform(0, 3, size=(n, m))
+        if kind % 3 == 2:
+            C[rng.uniform(size=(n, m)) < 0.35] = math.inf
+        yield a, b, C
+
+
+def emd_digests():
+    """SHA-256 of every ``emd`` plan's bytes and cost over
+    :func:`seeded_emd_instances`: one for the 202 all-finite instances, one
+    for the 98 with +inf entries."""
+    finite, partly_infinite = hashlib.sha256(), hashlib.sha256()
+    for a, b, C in seeded_emd_instances():
+        plan = emd(a, b, C)
+        h = finite if np.isfinite(C).all() else partly_infinite
+        h.update(plan.weights.tobytes())
+        h.update(struct.pack("<d", plan.cost))
+    return [finite.hexdigest(), partly_infinite.hexdigest()]

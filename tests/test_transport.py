@@ -1,7 +1,12 @@
-import hashlib
+import concurrent.futures
+import json
 import math
+import os
+import pathlib
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,11 +26,20 @@ from ppt import (
     estimate_rubinstein_empirical,
     exact_oracle_discrete,
 )
-from ppt import transport
+from ppt import concentration, transport
 from ppt.errors import InternalConsistencyError, TruncationError, ValidationError
 from ppt.simulate import poisson_batch_with_rng
 
-from conftest import brute_force_assignment, config
+from conftest import brute_force_assignment, config, emd_digests, seeded_emd_instances
+
+# the benchmark's two oracle LPs and their values, and the two digests of
+# emd_digests(); the same bytes at every CPU dispatch level (TestSameBytesOnEveryCpu)
+ORACLE_LPS = (([0.5, 0.5], [1.0, 1.0], 17), ([1.0, 0.5], [2.0, 1.5], 18))
+ORACLE_VALUES = [1.0000000000000138, 1.99999999998884]
+PLAN_DIGESTS = [
+    "58c1818d78598fddb6be24e1b6ba2a8ac0eb7833aae030ccaec145a494b5e80e",
+    "5346eef05a69b9ede14b343c4c7abb239b79ded47f10a6bb425f6911491f02ba",
+]
 
 
 class TestAssignment:
@@ -383,40 +397,6 @@ def test_feasibility_screen_agrees_with_scipy_max_flow(instance):
     assert transport._feasible_on_finite(a, b, finite) == _max_flow_routes_everything(u, v, finite)
 
 
-def _seeded_emd_instances():
-    """300 seeded instances: integer, real and partly infinite costs, on
-    uniform square and on general marginals (some with zero entries)."""
-    rng = ppt.SeedSpec(20_250_808).rng(9)
-    for k in range(300):
-        if k >= 298:
-            # 80 x 80, 0/1 costs, half the arcs infinite: long degenerate
-            # runs that switch the pricing to Bland's rule
-            n = 80
-            C = rng.integers(0, 2, size=(n, n)).astype(float)
-            C[rng.uniform(size=(n, n)) < 0.5] = math.inf
-            np.fill_diagonal(C, 1.0)
-            yield np.full(n, 1.0 / n), np.full(n, 1.0 / n), C
-            continue
-        kind = k % 6
-        big = k % 25 == 0
-        if kind < 3:
-            n = m = int(rng.integers(30, 41)) if big else int(rng.integers(1, 13))
-            a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
-        else:
-            n, m = (int(v) for v in rng.integers(1, 11, size=2))
-            a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
-            if n > 2 and kind == 5:
-                a[: n // 3] = 0.0
-                a /= a.sum()
-        if kind % 3 == 0:
-            C = rng.integers(0, 5, size=(n, m)).astype(float)
-        else:
-            C = rng.uniform(0, 3, size=(n, m))
-        if kind % 3 == 2:
-            C[rng.uniform(size=(n, m)) < 0.35] = math.inf
-        yield a, b, C
-
-
 def _bland_instance():
     """120 x 120 uniform(0, 1) costs on uniform marginals, all finite: a
     solve long enough (about 900 pivots) to reach runs of more than 50
@@ -491,12 +471,12 @@ class TestLeastCostStart:
         a, b, C = instance
         n, m = C.shape
         basis = transport._initial_basis(a, b, C)
-        assert len(basis.arcs) == n + m
-        assert len(basis.moved) == n + m + 1  # rebuild reached every node from the root
-        assert basis.arcs[-1] == (n - 1, n + m, 0.0) and basis.flows[-1] == 0.0
+        assert len(basis.arcs) == n + m - 1
+        assert len(basis.moved) == n + m  # rebuild reached every node from the root
+        assert basis.moved[0] == n - 1 and basis.parent[n - 1] == -1  # the last row is the root
         rows = np.zeros(n)
         cols = np.zeros(m)
-        for (f, t, c), x in zip(basis.arcs[:-1], basis.flows[:-1]):
+        for (f, t, c), x in zip(basis.arcs, basis.flows):
             assert 0 <= f < n <= t < n + m and c == C[f, t - n]
             assert x >= 0.0
             rows[f] += x
@@ -504,20 +484,20 @@ class TestLeastCostStart:
         assert np.max(np.abs(rows - a)) <= 1e-12
         assert np.max(np.abs(cols - b)) <= 1e-12
 
-    def test_infinite_cells_take_the_big_m_and_the_root_no_flow(self, monkeypatch):
+    def test_infinite_cells_take_the_big_m(self, monkeypatch):
         # with +inf entries the start is the least-cost basis of the working
-        # costs, +inf replaced by the big M; the root hangs from the last row
-        # by one zero-flow link, at the start and after the last pivot
+        # costs, +inf replaced by the big M; at the start and after the last
+        # pivot the tree has n + m - 1 arcs, each costed on those costs
         initial_basis, starts = transport._initial_basis, []
 
         def kept(a, b, Cw):
             basis = initial_basis(a, b, Cw)
-            starts.append((Cw, list(basis.arcs), list(basis.flows), basis))
+            starts.append((Cw, list(basis.arcs), basis))
             return basis
 
         monkeypatch.setattr(transport, "_initial_basis", kept)
         solved = 0
-        for a, b, C in _seeded_emd_instances():
+        for a, b, C in seeded_emd_instances():
             finite = np.isfinite(C)
             if finite.all():
                 continue
@@ -526,16 +506,13 @@ class TestLeastCostStart:
             if plan.cost == math.inf:
                 assert starts == []  # the screen answered
                 continue
-            [(Cw, arcs, flows, final)] = starts
+            [(Cw, arcs, final)] = starts
             n, m = C.shape
             big_m = 4.0 * max(C[finite].max(initial=0.0), 1.0) * (n + m)
             assert Cw.tobytes() == np.where(finite, C, big_m).tobytes()
             for tree_arcs in (arcs, final.arcs):
-                assert tree_arcs[-1] == (n - 1, n + m, 0.0)
-                assert all(t < n + m and c == Cw[f, t - n] for f, t, c in tree_arcs[:-1])
-            # the final flows are re-derived from the marginals, whose sums
-            # may differ by up to 2e-12: the link is left that difference
-            assert flows[-1] == 0.0 and abs(final.flows[-1]) <= 2 * transport._MARGINAL_TOL
+                assert len(tree_arcs) == n + m - 1
+                assert all(f < n <= t < n + m and c == Cw[f, t - n] for f, t, c in tree_arcs)
             solved += 1
         assert solved > 50
 
@@ -544,40 +521,26 @@ class TestLeastCostStart:
         # the costly corner (0, 0) is never taken
         C = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         basis = transport._initial_basis(np.array([0.5, 0.5]), np.array([0.25, 0.5, 0.25]), C)
-        assert basis.arcs == [(0, 3, 0.0), (1, 2, 0.0), (1, 3, 0.0), (1, 4, 1.0), (1, 5, 0.0)]
-        assert basis.flows == [0.5, 0.25, 0.0, 0.25, 0.0]
+        assert basis.arcs == [(0, 3, 0.0), (1, 2, 0.0), (1, 3, 0.0), (1, 4, 1.0)]
+        assert basis.flows == [0.5, 0.25, 0.0, 0.25]
 
     def test_oracle_lps_take_no_pivot(self, monkeypatch):
         # the two LPs of the benchmark's oracle operation (324^2 and 361^2
-        # cells): the start is already optimal, and the optima agree to
-        # 1e-14 with those reached by pivoting
+        # cells): the start is already optimal, and the values are pinned
         replace_arc = transport._TreeBasis.replace_arc
         pivots = []
         monkeypatch.setattr(
             transport._TreeBasis, "replace_arc", lambda basis, *args: pivots.append(1) or replace_arc(basis, *args)
         )
-        cases = (([0.5, 0.5], [1.0, 1.0], 17, 1.0000000000000018), ([1.0, 0.5], [2.0, 1.5], 18, 1.9999999999888403))
-        for mu, nu, truncation, want in cases:
-            assert abs(exact_oracle_discrete(mu, nu, truncation) - want) <= 1e-14
+        assert [exact_oracle_discrete(*lp) for lp in ORACLE_LPS] == ORACLE_VALUES
         assert pivots == []
 
 
 class TestNetworkSimplexTree:
     def test_plans_and_costs_match_the_pinned_hash(self):
-        # SHA-256 of every plan's bytes and cost, one for the 202 all-finite
-        # instances and one for the 98 with +inf entries.  The first was
-        # computed with the solver that rebuilt its spanning tree from
-        # scratch after each pivot; the second with the least-cost start on
-        # the big-M working costs, which replaced a start from big-M
-        # artificial arcs at the root
-        finite, partly_infinite = hashlib.sha256(), hashlib.sha256()
-        for a, b, C in _seeded_emd_instances():
-            plan = emd(a, b, C)
-            h = finite if np.isfinite(C).all() else partly_infinite
-            h.update(plan.weights.tobytes())
-            h.update(struct.pack("<d", plan.cost))
-        assert finite.hexdigest() == "49885392aeeaff11959fab5223d00f5d3010460d93592cab08a750968fea1dc5"
-        assert partly_infinite.hexdigest() == "ca5c5043425a0af19bfbb7d1847a13cd3990b9fa21ba9eb4c0a97086c089ec5a"
+        # computed with the tree rooted at the last row and its flows
+        # re-derived in a stable leaf order
+        assert emd_digests() == PLAN_DIGESTS
 
     def test_incremental_tree_equals_a_rebuilt_tree_after_every_pivot(self, monkeypatch):
         replace_arc = transport._TreeBasis.replace_arc
@@ -592,7 +555,7 @@ class TestNetworkSimplexTree:
             pivots.append(leave)
 
         monkeypatch.setattr(transport._TreeBasis, "replace_arc", checked)
-        for k, (a, b, C) in enumerate(_seeded_emd_instances()):
+        for k, (a, b, C) in enumerate(seeded_emd_instances()):
             if k % 5 == 0 or k >= 298:
                 emd(a, b, C)
         emd(*_bland_instance())
@@ -611,7 +574,7 @@ class TestNetworkSimplexTree:
                 branches["full pass" if 4 * len(moved) > n + m else "rows and columns"] += 1
 
         monkeypatch.setattr(transport, "_reprice", checked)
-        for k, (a, b, C) in enumerate(_seeded_emd_instances()):
+        for k, (a, b, C) in enumerate(seeded_emd_instances()):
             if k % 10 == 0 or k >= 298:
                 emd(a, b, C)
         n = 60
@@ -652,7 +615,7 @@ class TestNetworkSimplexTree:
     def test_memory_layout_does_not_change_the_plan(self):
         # a column-major cost matrix (for instance a transposed mask) must
         # give the bytes of its row-major copy
-        for k, (a, b, C) in enumerate(_seeded_emd_instances()):
+        for k, (a, b, C) in enumerate(seeded_emd_instances()):
             if k % 9 == 0 or k == 298:
                 want = emd(a, b, C)
                 for layout in (np.asfortranarray(C), np.ascontiguousarray(C.T).T):
@@ -674,7 +637,7 @@ class TestNetworkSimplexTree:
 
         monkeypatch.setattr(transport._TreeBasis, "rebuild", counted)
         solves = 0
-        for k, (a, b, C) in enumerate(_seeded_emd_instances()):
+        for k, (a, b, C) in enumerate(seeded_emd_instances()):
             if k % 7 == 0 or k == 299:
                 calls.clear()
                 plan = emd(a, b, C)
@@ -684,11 +647,57 @@ class TestNetworkSimplexTree:
         assert solves > 30
 
     def test_entering_arc_inside_the_cut_subtree_is_rejected(self):
-        # tree: root 2 - row 0 - col 1; replacing arc (0, root) by (0, 1)
-        # would leave the subtree {0, 1} cut off from the root
-        basis = transport._TreeBasis(1, 1, [(0, 1, 1.0), (0, 2, 0.0)], [1.0, 0.0])
+        # tree: root row 1 - col 2 - row 0; replacing arc (1, 2) by (0, 2)
+        # would leave the subtree {2, 0} cut off from the root
+        basis = transport._TreeBasis(2, 1, [(0, 2, 1.0), (1, 2, 0.0)], [0.5, 0.5])
+        assert basis.parent == [2, -1, 1]
         with pytest.raises(InternalConsistencyError):
-            basis.replace_arc(1, (0, 1, 2.0), 0)
+            basis.replace_arc(1, (0, 2, 2.0), 0)
+        assert basis.parent[2] == 1  # rejected on reaching col 2 again, before re-orienting it
+
+
+# run in a child process: the pinned values, and the features that stayed on
+# of those NPY_DISABLE_CPU_FEATURES names
+_PINNED_IN_A_CHILD = """
+import importlib, json, os, sys
+import conftest, ppt
+umath = importlib.import_module(sys.argv[1])
+on = [f for f in os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() if umath.__cpu_features__[f]]
+oracle = [ppt.exact_oracle_discrete(*lp) for lp in json.loads(sys.argv[2])]
+print(json.dumps([oracle, conftest.emd_digests(), on]))
+"""
+
+
+class TestSameBytesOnEveryCpu:
+    def test_oracle_and_plans_hold_at_every_dispatch_level(self):
+        # numpy picks its SIMD kernels at run time, by CPU.  A child process
+        # with NPY_DISABLE_CPU_FEATURES set to a suffix of the dispatch list
+        # runs at a lower level, as on an older CPU; OPENBLAS_CORETYPE picks
+        # OpenBLAS's kernels where numpy's BLAS reads it.  The default level
+        # is this process's, pinned by the two tests above
+        umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath  # numpy 2 and 1
+        dispatch = getattr(umath, "__cpu_dispatch__", None)
+        if dispatch is None:
+            pytest.skip("numpy does not expose its dispatch list")
+        have = [f for f in dispatch if umath.__cpu_features__.get(f)]  # lowest first
+        # at most four levels: the top quarter of the features off, ..., all
+        cuts = sorted({round(k * len(have) / 4) for k in range(1, 5)} - {0})
+        levels = [{"NPY_DISABLE_CPU_FEATURES": " ".join(have[-k:])} for k in cuts]
+        levels += [{"OPENBLAS_CORETYPE": core} for core in ("Haswell", "Prescott")]
+        paths = [str(pathlib.Path(ppt.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+
+        def pinned(level):
+            env = {**os.environ, **level, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+            args = [sys.executable, "-c", _PINNED_IN_A_CHILD, umath.__name__, json.dumps(ORACLE_LPS)]
+            done = subprocess.run(
+                args, cwd=pathlib.Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300
+            )
+            assert done.returncode == 0, (level, done.stderr)
+            return json.loads(done.stdout)
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            for level, got in zip(levels, pool.map(pinned, levels)):
+                assert got == [ORACLE_VALUES, PLAN_DIGESTS, []], level
 
 
 class TestEmpiricalEstimates:
@@ -795,7 +804,7 @@ class TestExactOracle:
             exact_oracle_discrete([1.0], [2.0], truncation)
 
     def test_a_whole_float_truncation_is_the_integer_one(self):
-        want = 1.0000000000000013
+        want = 0.9999999999999998
         for truncation in (30, 30.0, np.float64(30.0), np.int64(30)):
             assert struct.pack("<d", exact_oracle_discrete([1.0], [2.0], truncation)) == struct.pack("<d", want)
         assert exact_oracle_discrete([0.0], [2.0], 30.0) == exact_oracle_discrete([0.0], [2.0], 30)
@@ -829,7 +838,7 @@ class TestExactOracle:
         def never(*args):
             raise AssertionError("the oracle started building its LP")
 
-        monkeypatch.setattr(transport, "_poisson_pmf_vector", never)
+        monkeypatch.setattr(concentration, "poisson_pmf", never)
         monkeypatch.setattr(transport, "emd", never)
         with pytest.raises(ValidationError, match="22801 x 22801 count vectors"):
             exact_oracle_discrete([50.0, 50.0], [50.0, 50.0], 150)
