@@ -10,7 +10,7 @@ class ValidationError(PPTError, ValueError):
 
 
 class UnsupportedDimensionError(ValidationError):
-    """Operation requested in a dimension the tensor-grid scheme does not cover."""
+    """Operation requested in a dimension the quadrature does not cover (above 3)."""
 
 
 class QuadratureError(PPTError):

@@ -1,11 +1,15 @@
-"""Quadrature over axis-aligned boxes.
+"""Quadrature over axis-aligned boxes of dimension 1 to 3.
 
-d=1 uses adaptive Gauss-Legendre with a worst-panel-first refinement queue,
-so integrands with kinks or jumps (|p - 1| densities, step functions) still
-converge: the offending panel keeps shrinking while smooth panels are settled
-at spectral accuracy.  d=2 and d=3 use tensor-product Gauss-Legendre grids
-with node-doubling refinement and a Richardson extrapolation step once the
-empirical convergence order stabilises.  Dimensions above 3 are unsupported.
+One adaptive scheme serves every dimension.  A box is integrated with the
+tensor product of the 15-point Gauss-Kronrod rule (QUADPACK's ``qk15``).
+The 7 Gauss nodes are among the 15 Kronrod nodes, so putting the Gauss
+weights on one axis gives that axis's error estimate from the same 15^d
+values.  The box of largest error is split first, in half along its worst
+axis, so integrands with kinks or jumps (|p - 1| densities, step functions)
+still converge: the offending boxes keep shrinking while smooth ones are
+settled at once.  In 1-d this is plain adaptive GK15.  Every sum is a
+``math.fsum`` of elementwise products, so no BLAS kernel, and hence no CPU,
+decides the last bits.  Dimensions above 3 are unsupported.
 Integrands follow the point-function convention of :mod:`ppt.core`, which
 :func:`eval_points` enforces: an ``(n, d)`` batch of nodes in, ``n`` values out.
 """
@@ -14,21 +18,51 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import QuadratureError, UnsupportedDimensionError, ValidationError
 
-__all__ = ["integrate", "integrate_1d", "integrate_nd", "eval_points", "pointwise"]
+__all__ = ["integrate", "eval_points", "pointwise"]
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# QUADPACK qk15 (Piessens et al. 1983): the Kronrod nodes in [0, 1) from the
+# outside in, each with its Kronrod weight and, at every second node (the
+# nodes of the 7-point Gauss rule), its Gauss weight
+_QK15 = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238, 0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+    (0.000000000000000000000000000000000, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+)
+_XGK, _WGK, _WG = (np.array(column) for column in zip(*_QK15))
+# the 15 nodes on [-1, 1] in ascending order, and their weights
+_X = np.concatenate([-_XGK[:7], _XGK[::-1]])
+_W_KRONROD = np.concatenate([_WGK[:7], _WGK[::-1]])
+_W_GAUSS = np.concatenate([_WG[:7], _WG[::-1]])
 
 
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+def _tensor(axes) -> np.ndarray:
+    return functools.reduce(np.multiply.outer, axes).ravel()
+
+
+# per dimension: the 15^d nodes on [-1, 1]^d, and the rule's weights in
+# row 0 with, in row 1 + k, the Kronrod minus Gauss weights on axis k
+_NODES = {
+    d: np.stack([g.ravel() for g in np.meshgrid(*[_X] * d, indexing="ij")], axis=-1) for d in (1, 2, 3)
+}
+_WEIGHTS = {
+    d: np.stack(
+        [_tensor([_W_KRONROD] * d)]
+        + [_tensor([_W_KRONROD - _W_GAUSS if j == k else _W_KRONROD for j in range(d)]) for k in range(d)]
+    )
+    for d in (1, 2, 3)
+}
 
 
 def eval_points(f: Callable, pts) -> np.ndarray:
@@ -61,109 +95,29 @@ def pointwise(f: Callable) -> Callable:
     return vectorised
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    """(fine estimate, error estimate) on [a, b] via 15 vs 31 point GL."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x15, w15 = _gl_nodes(15)
-    x31, w31 = _gl_nodes(31)
-    v15 = eval_points(f, (mid + half * x15)[:, None])
-    v31 = eval_points(f, (mid + half * x31)[:, None])
-    i15 = half * float(w15 @ v15)
-    i31 = half * float(w31 @ v31)
-    return i31, abs(i31 - i15)
+def _fsum(terms: list[float]) -> float:
+    """``math.fsum``, or where it refuses (inf - inf, or finite terms whose
+    sum passes the largest double) the left-to-right sum, inf or nan."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return sum(terms)
 
 
-_MAX_PANELS = 4000  # panels integrate_1d may split [a, b] into
+def _rule(f, boxes) -> list[tuple[float, list[float]]]:
+    """(value, per-axis error estimates) of the tensor GK15 rule on each box
+    (lower, upper), from one call of ``f`` on all their nodes."""
+    d = boxes[0][0].size
+    pts = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES[d] for lo, hi in boxes])
+    out = []
+    for (lo, hi), vals in zip(boxes, eval_points(f, pts).reshape(len(boxes), -1)):
+        volume = math.prod((0.5 * (hi - lo)).tolist())
+        value, *errors = (volume * _fsum(row) for row in (_WEIGHTS[d] * vals).tolist())
+        out.append((value, [abs(e) for e in errors]))
+    return out
 
 
-def integrate_1d(
-    f: Callable,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-14,
-) -> float:
-    """Integrate ``f`` over [a, b] to error at most max(rel_tol * |value|,
-    abs_tol), splitting the panel of largest error estimate first.
-
-    Raises :class:`QuadratureError`, with the five worst panels as its
-    trace, when ``_MAX_PANELS`` = 4000 panels have not reached the target.
-    """
-    val, err = _panel(f, a, b)
-    # heap of (-error, order, a, b, value); order breaks ties deterministically
-    order = 0
-    heap = [(-err, order, a, b, val)]
-    total, total_err = val, err
-    while total_err > max(rel_tol * abs(total), abs_tol):
-        if len(heap) >= _MAX_PANELS:
-            trace = sorted(heap)[:5]
-            raise QuadratureError(
-                f"1-d quadrature did not converge: error {total_err:.3e} with "
-                f"{len(heap)} panels (target {max(rel_tol * abs(total), abs_tol):.3e})",
-                trace=[(p[2], p[3], -p[0]) for p in trace],
-            )
-        neg_err, _, pa, pb, pval = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        lval, lerr = _panel(f, pa, pm)
-        rval, rerr = _panel(f, pm, pb)
-        total += (lval + rval) - pval
-        total_err += (lerr + rerr) - (-neg_err)
-        order += 1
-        heapq.heappush(heap, (-lerr, order, pa, pm, lval))
-        order += 1
-        heapq.heappush(heap, (-rerr, order, pm, pb, rval))
-    return total
-
-
-def _tensor_value(f, lower: np.ndarray, upper: np.ndarray, n: int) -> float:
-    d = lower.size
-    x, w = _gl_nodes(n)
-    axes_pts, axes_w = [], []
-    for k in range(d):
-        mid, half = 0.5 * (lower[k] + upper[k]), 0.5 * (upper[k] - lower[k])
-        axes_pts.append(mid + half * x)
-        axes_w.append(half * w)
-    grids = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = eval_points(f, pts).reshape([n] * d)
-    for k in range(d - 1, -1, -1):
-        vals = np.tensordot(vals, axes_w[k], axes=([k], [0]))
-    return float(vals)
-
-
-_REFINE_SCHEDULE = (8, 12, 16, 24, 32, 48, 64, 96)
-
-
-def integrate_nd(
-    f: Callable,
-    lower,
-    upper,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-14,
-) -> float:
-    lower = np.asarray(lower, float).reshape(-1)
-    upper = np.asarray(upper, float).reshape(-1)
-    estimates = []
-    for n in _REFINE_SCHEDULE:
-        estimates.append(_tensor_value(f, lower, upper, n))
-        if len(estimates) < 2:
-            continue
-        cur, prev = estimates[-1], estimates[-2]
-        err = abs(cur - prev)
-        if len(estimates) >= 3:
-            # Richardson step when successive increments shrink geometrically
-            prev2 = estimates[-3]
-            d1, d2 = prev - prev2, cur - prev
-            if d2 != 0 and abs(d1) > abs(d2) * 1.5:
-                ratio = d1 / d2
-                cur = cur + d2 / (ratio - 1.0)
-                err = abs(d2 / (ratio - 1.0)) + abs(d2)
-        if err <= max(rel_tol * abs(cur), abs_tol):
-            return cur
-    raise QuadratureError(
-        f"tensor-grid quadrature did not converge; successive estimates {estimates}",
-        trace=estimates,
-    )
+_MAX_PANELS = 4000  # boxes integrate may split the window into
 
 
 def integrate(
@@ -173,16 +127,42 @@ def integrate(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-14,
 ) -> float:
-    """Integrate ``f`` over the box [lower, upper], relative error <= rel_tol."""
+    """Integrate ``f`` over the box [lower, upper] of dimension 1-3 to error
+    at most max(rel_tol * |value|, abs_tol), splitting the panel (box) of
+    largest error estimate first, in half along its worst axis.
+
+    Raises :class:`QuadratureError`, with the five worst panels as its trace
+    of (lower, upper, error), when ``_MAX_PANELS`` = 4000 panels have not
+    reached the target.
+    """
     lower = np.asarray(lower, float).reshape(-1)
     upper = np.asarray(upper, float).reshape(-1)
     if lower.size != upper.size:
         raise UnsupportedDimensionError("lower and upper must have equal length")
-    d = lower.size
-    if d == 1:
-        return integrate_1d(f, float(lower[0]), float(upper[0]), rel_tol, abs_tol)
-    if d in (2, 3):
-        return integrate_nd(f, lower, upper, rel_tol, abs_tol)
-    raise UnsupportedDimensionError(
-        f"dimension {d} is not supported by the tensor-grid scheme (max 3)"
-    )
+    if lower.size not in _NODES:
+        raise UnsupportedDimensionError(f"dimension {lower.size} is not supported by the quadrature (max 3)")
+    [(value, errors)] = _rule(f, [(lower, upper)])
+    # heap of (-error, order, lower, upper, value, axis errors); order breaks ties deterministically
+    order = 0
+    heap = [(-sum(errors), order, lower, upper, value, errors)]
+    total, total_err = value, sum(errors)
+    while total_err > max(rel_tol * abs(total), abs_tol):
+        if len(heap) >= _MAX_PANELS:
+            raise QuadratureError(
+                f"{lower.size}-d quadrature did not converge: error {total_err:.3e} with "
+                f"{len(heap)} panels (target {max(rel_tol * abs(total), abs_tol):.3e})",
+                trace=[(p[2].tolist(), p[3].tolist(), -p[0]) for p in heapq.nsmallest(5, heap)],
+            )
+        neg_err, _, lo, hi, value, errors = heapq.heappop(heap)
+        axis = errors.index(max(errors))
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[axis] = right_lo[axis] = 0.5 * (lo[axis] + hi[axis])
+        halves = [(lo, left_hi), (right_lo, hi)]
+        total -= value
+        total_err += neg_err
+        for (blo, bhi), (bvalue, berrors) in zip(halves, _rule(f, halves)):
+            order += 1
+            heapq.heappush(heap, (-sum(berrors), order, blo, bhi, bvalue, berrors))
+            total += bvalue
+            total_err += sum(berrors)
+    return _fsum([p[4] for p in heap])

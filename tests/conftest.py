@@ -7,6 +7,17 @@ import numpy as np
 import pytest
 
 from ppt import Configuration, IntensityMeasure, SeedSpec, Window, emd
+from ppt.cli import ExperimentSpec, run_experiment
+
+# verify reports pinned at seed 2025 (TestPinnedReportBytes), and the same
+# bytes at every CPU dispatch level (TestSameBytesOnEveryCpu):
+# scenario -> (extra parameters, n_samples, stream ids, digest)
+PINNED_VERIFY = {
+    "poisson-tightness": ({"pairs": 400}, 20_000, (0, 10_000), "85e88c4e2641a2c9"),
+    "gibbs-bound": ({}, 10_000, (0,), "79cdc8ccaa1f9393"),
+    "halfline-timechange": ({}, 20_000, (0,), "5878a4cf83c41f16"),
+    "isoperimetry": ({}, 10_000, (0,), "0e7c94d9ea5bb074"),
+}
 
 
 @pytest.fixture
@@ -86,3 +97,27 @@ def emd_digests():
         h.update(plan.weights.tobytes())
         h.update(struct.pack("<d", plan.cost))
     return [finite.hexdigest(), partly_infinite.hexdigest()]
+
+
+def report_digest(*reports):
+    """SHA-256 prefix of the reports' ``canonical_bytes``, as the benchmark's
+    ``results_sha`` computes it."""
+    return hashlib.sha256(b"\n".join(r.canonical_bytes() for r in reports)).hexdigest()[:16]
+
+
+def pinned_verify_reports(scenario):
+    """The reports behind ``PINNED_VERIFY[scenario]``, one per stream id."""
+    parameters, n_samples, streams, _ = PINNED_VERIFY[scenario]
+    return [
+        run_experiment(
+            ExperimentSpec.from_dict(
+                {
+                    "kind": "verify",
+                    "parameters": {"scenario": scenario, **parameters},
+                    "seed": {"seed": 2025, "stream_id": stream},
+                    "n_samples": n_samples,
+                }
+            )
+        )
+        for stream in streams
+    ]

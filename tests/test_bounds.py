@@ -47,6 +47,13 @@ class TestPoissonBound:
         assert got.value == pytest.approx(1.0, rel=1e-9)
         assert got.method == "quadrature"
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_kink_across_the_window(self, dim):
+        # oracle: integral of |2 x0 - 1| over the unit square or cube is 1/2
+        leb = IntensityMeasure.uniform(Window([0.0] * dim, [1.0] * dim), 1.0)
+        got = bound_tv_poisson(parse_density_expr("poly:0,2"), leb)
+        assert got.value == pytest.approx(0.5, rel=1e-9)
+
     def test_monotone_in_pointwise_domination(self, lebesgue):
         values = [
             bound_tv_poisson(parse_density_expr(f"const:{1 + c}"), lebesgue).value
@@ -83,6 +90,12 @@ class TestGibbsBound:
         sigma = IntensityMeasure.uniform(unit_window, 2.0)
         got = bound_tv_gibbs(parse_density_expr("const:0.3"), sigma)
         assert got.value == pytest.approx(2 * 0.3 * 4.0, rel=1e-10)
+
+    def test_exponential_potential_kinked_on_the_diagonal(self, unit_window):
+        # oracle: 2 * 10^2 times the integral of e^{-|x - y|} over [0, 1]^2, 2/e
+        sigma = IntensityMeasure.uniform(unit_window, 10.0)
+        got = bound_tv_gibbs(lambda z: np.exp(-np.abs(z[..., 0])), sigma)
+        assert got.value == pytest.approx(400.0 / math.e, rel=1e-8)
 
     def test_gaussian_kernel_against_mc_oracle(self, lebesgue):
         # Monte Carlo integration oracle with 1e7 uniform pairs

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 
@@ -8,6 +7,8 @@ import pytest
 import ppt
 from ppt.cli import ExperimentSpec, main, parse_density_expr, run_experiment
 from ppt.errors import SpecParseError, ValidationError
+
+from conftest import PINNED_VERIFY, pinned_verify_reports, report_digest
 
 
 class TestDensityGrammar:
@@ -394,18 +395,9 @@ class TestPinnedReportBytes:
     """SHA-256 prefixes of ``Report.canonical_bytes`` at seed 2025, as the
     benchmark's ``results_sha`` computes them."""
 
-    @staticmethod
-    def digest(*payloads):
-        return hashlib.sha256(b"\n".join(payloads)).hexdigest()[:16]
-
     def test_verify_poisson_tightness(self):
-        payloads = [
-            run_experiment(
-                _spec("verify", {"scenario": "poisson-tightness", "pairs": 400}, 2025, 20_000, stream)
-            ).canonical_bytes()
-            for stream in (0, 10_000)
-        ]
-        assert self.digest(*payloads) == "4d5fb92c27256128"
+        reports = pinned_verify_reports("poisson-tightness")
+        assert report_digest(*reports) == PINNED_VERIFY["poisson-tightness"][-1]
 
     def test_estimate_rubinstein_rho2(self):
         parameters = {
@@ -417,27 +409,27 @@ class TestPinnedReportBytes:
             "pairs": 200,
         }
         report = run_experiment(_spec("estimate", parameters, 2025, 10_000))
-        assert self.digest(report.canonical_bytes()) == "c031269c86b1246b"
+        assert report_digest(report) == "c031269c86b1246b"
 
     def test_estimate_dual_count_witness(self):
         parameters = {"estimator": "dual_count_witness", "p": "poly:1,2", "window": [0, 1]}
         report = run_experiment(_spec("estimate", parameters, 2025, 20_000))
-        assert self.digest(report.canonical_bytes()) == "707b9f4537ee4cf7"
+        assert report_digest(report) == "707b9f4537ee4cf7"
 
     def test_verify_gibbs_bound(self):
-        report = run_experiment(_spec("verify", {"scenario": "gibbs-bound"}, 2025, 10_000))
+        [report] = pinned_verify_reports("gibbs-bound")
         assert report.all_assertions_passed()
-        assert self.digest(report.canonical_bytes()) == "c490b79dbc946ee9"
+        assert report_digest(report) == PINNED_VERIFY["gibbs-bound"][-1]
 
     def test_verify_halfline_timechange(self):
-        report = run_experiment(_spec("verify", {"scenario": "halfline-timechange"}, 2025, 20_000))
+        [report] = pinned_verify_reports("halfline-timechange")
         assert report.all_assertions_passed()
-        assert self.digest(report.canonical_bytes()) == "fba62da0fd775361"
+        assert report_digest(report) == PINNED_VERIFY["halfline-timechange"][-1]
 
     @pytest.mark.parametrize(
         "scenario, want",
         [
-            ("isoperimetry", "836542af35ee3d91"),
+            ("isoperimetry", PINNED_VERIFY["isoperimetry"][-1]),
             ("tail-grid", "62f563301b610695"),
             ("semicontinuity", "209ca53659608329"),
         ],
@@ -445,7 +437,7 @@ class TestPinnedReportBytes:
     def test_verify_concentration_scenarios(self, scenario, want):
         report = run_experiment(_spec("verify", {"scenario": scenario}, 2025, 10_000))
         assert report.all_assertions_passed()
-        assert self.digest(report.canonical_bytes()) == want
+        assert report_digest(report) == want
 
     def test_sample_gibbs(self):
         parameters = {
@@ -456,7 +448,7 @@ class TestPinnedReportBytes:
             "n_configs": 10,
         }
         report = run_experiment(_spec("sample", parameters, 2025, 10_000))
-        assert self.digest(report.canonical_bytes()) == "c81a9646032f3074"
+        assert report_digest(report) == "c81a9646032f3074"
 
     def test_rubinstein_solves_the_full_pair_once(self, monkeypatch):
         # the CI's rho2 spec: the estimate's full-list mean is the doubling
@@ -470,7 +462,7 @@ class TestPinnedReportBytes:
         spec = ExperimentSpec.from_dict({"kind": "estimate", "parameters": parameters, "seed": {"seed": 2025, "stream_id": 0}})
         report = run_experiment(spec)
         assert shapes.count((20, 20)) == 1 and shapes.count((10, 10)) == 1
-        assert self.digest(report.canonical_bytes()) == "d6d976a40bf21e87"
+        assert report_digest(report) == "d6d976a40bf21e87"
 
     def test_isoperimetry_integrates_the_region_mass_once(self, monkeypatch):
         calls = []
@@ -480,7 +472,7 @@ class TestPinnedReportBytes:
         parameters = {"event": event, "density": "const:1", "window": [0, 1]}
         report = run_experiment(_spec("isoperimetry", parameters, 2025, 400))
         assert len(calls) == 1
-        assert self.digest(report.canonical_bytes()) == "2327532ef5f95c57"
+        assert report_digest(report) == "020340a7851a79e3"
 
 
 class TestMainEntry:

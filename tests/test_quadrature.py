@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from ppt import quadrature
 from ppt.errors import QuadratureError, UnsupportedDimensionError
-from ppt.quadrature import integrate, integrate_1d, pointwise
+from ppt.quadrature import integrate, pointwise
 
 
 def test_polynomial_exact():
@@ -53,6 +55,13 @@ def test_3d_constant():
     assert got == pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_infinite_integrand(dim):
+    # a hard-core potential: inf on the whole box, or on part of it
+    f = lambda x: np.where(np.asarray(x)[..., 0] < 0.6, math.inf, 1.0)
+    assert integrate(f, [0.0] * dim, [1.0] * dim) == math.inf
+
+
 def test_dimension_above_three_rejected():
     with pytest.raises(UnsupportedDimensionError):
         integrate(lambda x: 1.0, [0.0] * 4, [1.0] * 4)
@@ -61,6 +70,23 @@ def test_dimension_above_three_rejected():
 def test_nonconvergence_carries_trace():
     f = lambda x: np.where(np.asarray(x)[..., 0] < 1.0 / 3.0, 0.0, 1.0)
     with pytest.raises(QuadratureError) as err:
-        integrate_1d(f, 0.0, 1.0, rel_tol=0.0, abs_tol=0.0)  # no target a jump can meet
+        integrate(f, [0.0], [1.0], rel_tol=0.0, abs_tol=0.0)  # no target a jump can meet
     assert len(err.value.trace) == 5  # the worst panels when the 4000-panel budget ran out
     assert "4000 panels" in str(err.value)
+    # each as (lower, upper, error) of a box
+    assert all(len(lo) == len(hi) == 1 and lo[0] < hi[0] and e > 0.0 for lo, hi, e in err.value.trace)
+
+
+def test_kronrod_table():
+    # the 7 Gauss nodes are every second Kronrod node, with leggauss's weights
+    x, w = np.polynomial.legendre.leggauss(7)
+    gauss = quadrature._W_GAUSS > 0
+    assert np.allclose(quadrature._X[gauss], x, rtol=0.0, atol=4e-16)
+    assert np.allclose(quadrature._W_GAUSS[gauss], w, rtol=0.0, atol=4e-16)
+    # the 15-point rule integrates x^(2k) over [-1, 1] exactly for k <= 11,
+    # summed exactly in mpmath from the table's doubles
+    nodes, weights = quadrature._X.tolist(), quadrature._W_KRONROD.tolist()
+    with mpmath.workdps(50):
+        for k in range(12):
+            got = mpmath.fsum(mpmath.mpf(wk) * mpmath.mpf(xk) ** (2 * k) for wk, xk in zip(weights, nodes))
+            assert abs(got - mpmath.mpf(2) / (2 * k + 1)) <= 1e-15, k

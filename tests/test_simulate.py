@@ -387,6 +387,25 @@ class TestSuperposition:
         est = sc.estimate_mean_cost(50_000, SeedSpec(13))
         assert abs(est.mean - 0.5) <= 3.0 * est.std_error
 
+    def test_jump_across_the_square_mass_split(self):
+        # p = 1/2 left of x0 = 0.3 and 2 right of it, on the unit square
+        window = Window([0.0, 0.0], [1.0, 1.0])
+        leb = IntensityMeasure.uniform(window, 1.0)
+        p = parse_density_expr("step:0.3,0.5,2")
+        sc = SuperpositionCoupling(leb, p)
+        assert sc.shared.total_mass == pytest.approx(0.85, rel=1e-8)
+        assert sc.left_extra.total_mass == pytest.approx(0.15, rel=1e-7)
+        assert sc.right_extra.total_mass == pytest.approx(0.7, rel=1e-8)
+        # the density of Poisson(p sigma) at the empty configuration is
+        # exp(integral of 1 - p), that is exp(left - right)
+        L = ppt.poisson_density(p, leb)
+        assert math.log(L(ppt.Configuration(np.empty((0, 2)), window))) == pytest.approx(-0.55, rel=1e-9)
+
+    def test_constant_ratio_leaves_no_left_extra(self, lebesgue):
+        # p = 2: the shared layer is all of sigma, so no left-extra mass at all
+        sc = SuperpositionCoupling(lebesgue, parse_density_expr("const:2"))
+        assert (sc.shared.total_mass, sc.left_extra.total_mass, sc.right_extra.total_mass) == (1.0, 0.0, 1.0)
+
 
 def per_pair_rejection(sigma, count, rng, rounds):
     """The one-stream rejection loop as it ran before streams were batched;
@@ -494,7 +513,7 @@ class TestBatchedSuperposition:
         sigma = IntensityMeasure(fn, Window([0.0], [1.0]), 3.0)
         pts = simulate.rejection_points(sigma, 200, np.random.default_rng(5))
         assert pts.shape == (200, 1)
-        assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == "8e013124a55a7dda"
+        assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == "1d487123b3aac81b"
         assert pts.tobytes() == per_pair_rejection(sigma, 200, np.random.default_rng(5), []).tobytes()
 
     def test_negative_count_rejected(self, lebesgue):

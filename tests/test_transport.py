@@ -30,7 +30,7 @@ from ppt import concentration, transport
 from ppt.errors import InternalConsistencyError, TruncationError, ValidationError
 from ppt.simulate import poisson_batch_with_rng
 
-from conftest import brute_force_assignment, config, emd_digests, seeded_emd_instances
+from conftest import PINNED_VERIFY, brute_force_assignment, config, emd_digests, seeded_emd_instances
 
 # the benchmark's two oracle LPs and their values, and the two digests of
 # emd_digests(); the same bytes at every CPU dispatch level (TestSameBytesOnEveryCpu)
@@ -664,7 +664,8 @@ import conftest, ppt
 umath = importlib.import_module(sys.argv[1])
 on = [f for f in os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() if umath.__cpu_features__[f]]
 oracle = [ppt.exact_oracle_discrete(*lp) for lp in json.loads(sys.argv[2])]
-print(json.dumps([oracle, conftest.emd_digests(), on]))
+reports = {s: conftest.report_digest(*conftest.pinned_verify_reports(s)) for s in conftest.PINNED_VERIFY}
+print(json.dumps([oracle, conftest.emd_digests(), reports, on]))
 """
 
 
@@ -674,7 +675,8 @@ class TestSameBytesOnEveryCpu:
         # with NPY_DISABLE_CPU_FEATURES set to a suffix of the dispatch list
         # runs at a lower level, as on an older CPU; OPENBLAS_CORETYPE picks
         # OpenBLAS's kernels where numpy's BLAS reads it.  The default level
-        # is this process's, pinned by the two tests above
+        # is this process's, pinned by the two tests above and by the
+        # verify report digests of TestPinnedReportBytes
         umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath  # numpy 2 and 1
         dispatch = getattr(umath, "__cpu_dispatch__", None)
         if dispatch is None:
@@ -685,6 +687,7 @@ class TestSameBytesOnEveryCpu:
         levels = [{"NPY_DISABLE_CPU_FEATURES": " ".join(have[-k:])} for k in cuts]
         levels += [{"OPENBLAS_CORETYPE": core} for core in ("Haswell", "Prescott")]
         paths = [str(pathlib.Path(ppt.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        reports = {scenario: pin[-1] for scenario, pin in PINNED_VERIFY.items()}
 
         def pinned(level):
             env = {**os.environ, **level, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -697,7 +700,7 @@ class TestSameBytesOnEveryCpu:
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
             for level, got in zip(levels, pool.map(pinned, levels)):
-                assert got == [ORACLE_VALUES, PLAN_DIGESTS, []], level
+                assert got == [ORACLE_VALUES, PLAN_DIGESTS, reports, []], level
 
 
 class TestEmpiricalEstimates:
