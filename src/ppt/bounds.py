@@ -21,6 +21,8 @@ from .core import (
     IntensityMeasure,
     SeedSpec,
     _checked_atoms,
+    _functional_values,
+    _StackedFunctional,
     estimate_from_values,
 )
 from .errors import InternalConsistencyError, ValidationError
@@ -28,7 +30,6 @@ from .quadrature import eval_points, integrate
 from .simulate import (
     TimeChangeSpec,
     _stacked_energy,
-    interaction_energy,
     poisson_batch_with_rng,
     rejection_points,
 )
@@ -273,54 +274,48 @@ def _add_one_point_values(F, sigma, n_outer, inner_samples, config_rng, point_rn
     Draws ``n_outer`` Poisson(sigma) configurations w_i from ``config_rng``
     and, when sigma has mass, ``inner_samples`` points x_ij ~ sigma / sigma(L)
     per configuration from ``point_rng``.  Returns the vector F(w_i) and the
-    matrix F(w_i + x_ij) (no columns when sigma has no mass).
+    matrix F(w_i + x_ij); with no mass or no inner samples it has no columns
+    and no point is drawn (``point_rng`` may then be None).
 
     All inner points are checked against the window once, as one array
     (dimension, finiteness, membership: what ``Configuration.add`` checks per
     point).  The draws are then grouped by atom count n, in increasing n.
-    Each group's rows w_i + x_ij, in draw order and then in j, go into
-    read-only ``(k, n + 1, d)`` slabs of at most ``_SLAB_ROWS`` rows: w_i's
-    atoms, with x_ij appended as the last atom.  A functional with a
-    ``stack(atoms, window)`` method gets each slab in one call, so there is
-    one call per atom count unless a group is split; any other F receives the
-    slab's rows as configurations, one call per row.  Either way this
-    happens after all the F(w_i), and each value equals F(w_i.add(x_ij)) bit
-    for bit.
+    Each group's draws w_i go into read-only ``(k, n, d)`` slabs, then its
+    rows w_i + x_ij, in draw order and then in j, into ``(k, n + 1, d)``
+    slabs (x_ij appended as the last atom), none over ``_SLAB_ROWS`` rows.
+    ``core._functional_values`` evaluates each slab: one ``stack`` call, so
+    one per atom count for F(w_i) and one for F(w_i + x_ij) unless a group
+    is split; or a plain callable called on each draw as given and on each
+    row as a configuration.  Each value equals F(w_i), or F(w_i.add(x_ij)),
+    bit for bit.
     """
     configs = poisson_batch_with_rng(sigma, n_outer, config_rng)
-    f0 = np.array([float(F(w)) for w in configs])
-    if sigma.total_mass <= 0:
-        return f0, np.empty((n_outer, 0))
     window = sigma.window
-    d = window.dim
+    if sigma.total_mass <= 0:
+        inner_samples = 0  # and no point is drawn: rejection_points returns 0 points at once
     points = _checked_atoms(rejection_points(sigma, n_outer * inner_samples, point_rng), window)
-    stack = getattr(F, "stack", None)
-    trusted = Configuration._trusted
     by_count: dict[int, list[int]] = {}
     for i, w in enumerate(configs):
         by_count.setdefault(w.n, []).append(i)
+    f0 = np.empty(n_outer)
     f1 = np.empty(n_outer * inner_samples)  # row-major (n_outer, inner_samples), like points
     for n, group in sorted(by_count.items()):
         atoms = np.stack([configs[i].atoms for i in group])
+        atoms.setflags(write=False)
         draws = np.array(group)
+        for start in range(0, len(group), _SLAB_ROWS):
+            at = group[start : start + _SLAB_ROWS]
+            draw_slab = atoms[start : start + len(at)]
+            f0[at] = _functional_values(F, draw_slab, window, [configs[i] for i in at])
         rows = draws.size * inner_samples
         for start in range(0, rows, _SLAB_ROWS):
             owner, j = np.divmod(np.arange(start, min(start + _SLAB_ROWS, rows)), inner_samples)
             at = draws[owner] * inner_samples + j  # where x_ij is in points, and its value in f1
-            slab = np.empty((at.size, n + 1, d))
+            slab = np.empty((at.size, n + 1, window.dim))
             slab[:, :-1] = atoms[owner]
             slab[:, -1] = points[at]
             slab.setflags(write=False)
-            if stack is not None:
-                got = np.asarray(stack(slab, window), dtype=float)
-                if got.shape != (at.size,):
-                    raise ValidationError(
-                        f"stack returned shape {got.shape} on atoms of shape {slab.shape}, "
-                        f"expected ({at.size},)"
-                    )
-            else:
-                got = np.fromiter((float(F(trusted(row, window))) for row in slab), float, at.size)
-            f1[at] = got
+            f1[at] = _functional_values(F, slab, window)
     return f0, f1.reshape(n_outer, inner_samples)
 
 
@@ -379,25 +374,17 @@ def poisson_density(p: Callable, sigma: IntensityMeasure) -> Callable[[Configura
 
     const = integrate(integrand, lo, hi, rel_tol=1e-10)
 
-    def L(config: Configuration) -> float:
-        if config.n == 0:
-            return math.exp(const)
-        vals = eval_points(p, config.atoms)
-        if np.any(vals <= 0):
-            raise ValidationError("poisson density requires p > 0 at configuration atoms")
-        return math.exp(float(np.sum(np.log(vals))) + const)
-
     def stack(atoms: np.ndarray, window) -> np.ndarray:
         k, n, d = atoms.shape
+        if n == 0:  # p is never called on no points
+            return np.full(k, math.exp(const))
         vals = eval_points(p, atoms.reshape(-1, d)).reshape(k, n)
         if np.any(vals <= 0):
             raise ValidationError("poisson density requires p > 0 at configuration atoms")
-        # math.exp, as L uses: np.exp can differ from it in the last bit
+        # math.exp: np.exp can differ from it in the last bit, by CPU
         return np.array([math.exp(v) for v in (np.sum(np.log(vals), axis=-1) + const).tolist()])
 
-    L.expr = f"poisson_density({_fn_label(p)})"
-    L.stack = stack
-    return L
+    return _StackedFunctional(stack, f"poisson_density({_fn_label(p)})")
 
 
 _COUNT_TERMS = 400  # counts k = 0 .. 399 of the constant-potential count series
@@ -460,13 +447,8 @@ def gibbs_density(
     if not normalization > 0:
         raise ValidationError("normalization must be positive")
 
-    def L(config: Configuration) -> float:
-        return math.exp(-interaction_energy(phi, config)) / normalization
-
     def stack(atoms: np.ndarray, window) -> np.ndarray:
         energies = _stacked_energy(phi, atoms).tolist()
         return np.array([math.exp(-v) / normalization for v in energies])
 
-    L.stack = stack
-    L.expr = f"gibbs_density({_fn_label(phi)},z={normalization!r})"
-    return L
+    return _StackedFunctional(stack, f"gibbs_density({_fn_label(phi)},z={normalization!r})")

@@ -24,11 +24,11 @@ from .core import (
     IntensityMeasure,
     SeedSpec,
     Window,
+    _StackedFunctional,
     estimate_from_values,
 )
 from .errors import ValidationError
 from .quadrature import integrate
-from .simulate import poisson_batch_with_rng
 
 __all__ = [
     "TailQuery",
@@ -74,16 +74,26 @@ def upper_int_part(R: float) -> int:
     return max(1, int(math.ceil(R)))
 
 
+def _require_count(k, name: str) -> int:
+    """``k`` as an int; :class:`ValidationError` unless it is a whole number >= 0."""
+    if not (k >= 0 and float(k).is_integer()):  # NaN and inf fail too
+        raise ValidationError(f"{name} must be a whole number >= 0, got {k!r}")
+    return int(k)
+
+
 def poisson_pmf(mass: float, k: int) -> float:
-    if not 0 <= mass < math.inf or k < 0:  # NaN fails too
-        raise ValidationError("poisson_pmf needs a finite mass >= 0 and k >= 0")
+    """P(N = k) for N ~ Poisson(mass); ``k`` must be a whole number >= 0."""
+    if not 0 <= mass < math.inf:  # NaN fails too
+        raise ValidationError("poisson_pmf needs a finite mass >= 0")
+    k = _require_count(k, "count k")
     if mass == 0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(mass) - mass - math.lgamma(k + 1))
 
 
 def poisson_tail_exact(mass: float, k: int) -> float:
-    """P(N >= k) for N ~ Poisson(mass), relative error below 1e-12.
+    """P(N >= k) for N ~ Poisson(mass), relative error below 1e-12;
+    ``k`` must be a whole number >= 0.
 
     For k below the mean the complement of the lower sum is accurate (the
     tail is order one); above the mean the tail is summed directly starting
@@ -91,7 +101,8 @@ def poisson_tail_exact(mass: float, k: int) -> float:
     """
     if not 0 < mass < math.inf:
         raise ValidationError("mass must be positive and finite")
-    if k <= 0:
+    k = _require_count(k, "count k")
+    if k == 0:
         return 1.0
     if k <= mass:
         return 1.0 - _poisson_lower(mass, k - 1)
@@ -205,38 +216,29 @@ def tail_grid(masses, rs) -> list[dict]:
 
 
 @dataclass(frozen=True)
-class CountThresholdEvent:
-    """Indicator of {count in region <= k} (whole window when region is None)."""
+class CountThresholdEvent(_StackedFunctional):
+    """Indicator of {count in region <= k} (whole window when region is None).
+    ``k`` is a whole number >= 0 (2.0 is kept as 2); NaN, inf or 1.5 raise."""
 
     k: int
     region: Window | None = None
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError("threshold k must be nonnegative")
-
-    def __call__(self, config: Configuration) -> float:
-        count = config.n if self.region is None else config.count_in(self.region)
-        return 1.0 if count <= self.k else 0.0
+        object.__setattr__(self, "k", _require_count(self.k, "threshold k"))
 
     def stack(self, atoms: np.ndarray, window: Window) -> np.ndarray:
         return (_stacked_counts(atoms, self.region) <= self.k).astype(float)
 
 
 @dataclass(frozen=True)
-class CountAtLeastEvent:
-    """Indicator of {count in region >= m} (whole window when region is None)."""
+class CountAtLeastEvent(_StackedFunctional):
+    """Indicator of {count in region >= m} (whole window when region is None), m as k above."""
 
     m: int
     region: Window | None = None
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValidationError("threshold m must be nonnegative")
-
-    def __call__(self, config: Configuration) -> float:
-        count = config.n if self.region is None else config.count_in(self.region)
-        return 1.0 if count >= self.m else 0.0
+        object.__setattr__(self, "m", _require_count(self.m, "threshold m"))
 
     def stack(self, atoms: np.ndarray, window: Window) -> np.ndarray:
         return (_stacked_counts(atoms, self.region) >= self.m).astype(float)
@@ -335,8 +337,7 @@ def isoperimetric_ratio(
     if isinstance(A, (CountThresholdEvent, CountAtLeastEvent)):
         return count_event_exact(A, sigma)[0]
     surf = surface_measure(A, sigma, n_samples, seed, inner_samples)
-    configs = poisson_batch_with_rng(sigma, n_samples, seed.rng(7, 0))
-    ind = np.array([float(A(w)) for w in configs])
+    ind = _add_one_point_values(A, sigma, n_samples, 0, seed.rng(7, 0), None)[0]
     if np.any((ind != 0.0) & (ind != 1.0)):
         raise ValidationError("A must be an indicator functional")
     p_hat = float(ind.mean())
@@ -376,8 +377,7 @@ def poincare_l1_check(
     Returns (lhs, rhs) as independent Monte Carlo estimates; the caller
     asserts lhs <= rhs within combined error.
     """
-    configs = poisson_batch_with_rng(sigma, n_samples, seed.rng(3, 0))
-    vals = np.array([float(F(w)) for w in configs])
+    vals = _add_one_point_values(F, sigma, n_samples, 0, seed.rng(3, 0), None)[0]
     lhs = estimate_from_values(np.abs(vals - vals.mean()), seed)
     grads, _ = nested_gradient_mc(F, sigma, n_samples, inner_samples, seed, base_path=4)
     rhs = estimate_from_values(2.0 * grads, seed)

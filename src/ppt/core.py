@@ -13,14 +13,15 @@ Conventions used throughout the package:
   :class:`~ppt.errors.ValidationError`; a function of one point at a time is
   adapted explicitly with :func:`ppt.pointwise`;
 * a configuration functional ``F`` maps a :class:`Configuration` to a float.
-  It may also carry ``stack(atoms, window)``, vectorised over configurations
-  as point functions are over points: it takes a read-only ``(k, n, d)``
-  array (k configurations of n atoms each in ``window``) and returns their k
-  values as a ``float64`` array, each equal bit for bit to ``F`` on that row.
-  The add-one-point gradients then make one ``stack`` call per atom count
-  of the outer draws, on rows from several draws (see
-  ``ppt.bounds._add_one_point_values``); without it F is called one
-  configuration at a time;
+  A library functional is defined by ``stack(atoms, window)``, vectorised
+  over configurations as point functions are over points: it takes a
+  read-only ``(k, n, d)`` array (k configurations of n atoms each in
+  ``window``, n = 0 included) and returns their k values as a ``float64``
+  array; calling it on one configuration is its one-row stack.  The
+  Monte Carlo functions (add-one-point gradients, event probabilities) group
+  configurations by atom count and make one ``stack`` call per count (see
+  ``ppt.bounds._add_one_point_values``).  A plain callable, without
+  ``stack``, is called once per configuration;
 * every random operation is driven by a :class:`SeedSpec`, so repeated calls
   with the same spec are bit-identical.
 """
@@ -224,6 +225,37 @@ class Configuration:
             else:
                 count += 1
         return count
+
+
+class _StackedFunctional:
+    """A configuration functional defined by its ``stack``: called on one
+    configuration, it returns that configuration's one-row stack."""
+
+    def __init__(self, stack: Callable, expr: str):
+        self.stack = stack
+        self.expr = expr
+
+    def __call__(self, config: Configuration) -> float:
+        return float(self.stack(config.atoms[None], config.window)[0])
+
+
+def _functional_values(F, atoms: np.ndarray, window: Window, configs=None) -> np.ndarray:
+    """``F`` on the k rows of a read-only ``(k, n, d)`` atom array in ``window``, as k
+    floats: one ``F.stack`` call, checked to return shape ``(k,)``, or a plain callable
+    called on each of ``configs`` (the configurations the rows hold), else on each row."""
+    k = len(atoms)
+    stack = getattr(F, "stack", None)
+    if stack is None and configs is None:
+        trusted = Configuration._trusted
+        return np.fromiter((float(F(trusted(row, window))) for row in atoms), float, k)
+    if stack is None:
+        return np.fromiter((float(F(config)) for config in configs), float, k)
+    got = np.asarray(stack(atoms, window), dtype=float)
+    if got.shape != (k,):
+        raise ValidationError(
+            f"stack returned shape {got.shape} on atoms of shape {atoms.shape}, expected ({k},)"
+        )
+    return got
 
 
 def _require_shared_window(omega: Configuration, eta: Configuration) -> None:

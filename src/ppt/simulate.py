@@ -178,20 +178,13 @@ def _count_mean(sigma: IntensityMeasure) -> float:
     return mass
 
 
-def _poisson_atoms(sigma: IntensityMeasure, rng: np.random.Generator) -> np.ndarray:
-    n = int(rng.poisson(_count_mean(sigma)))
-    if n == 0:
-        return np.empty((0, sigma.window.dim))
-    return rejection_points(sigma, n, rng)
-
-
 def sample_poisson(sigma: IntensityMeasure, seed: SeedSpec) -> Configuration:
     """One draw of the Poisson process with intensity ``sigma``.
 
     The count is Poisson(total mass); given the count, atoms are i.i.d. from
     the normalised intensity via rejection against the constant envelope.
     """
-    return Configuration(_poisson_atoms(sigma, seed.rng()), sigma.window)
+    return poisson_batch_with_rng(sigma, 1, seed.rng())[0]
 
 
 def poisson_counts(sigma: IntensityMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -217,12 +210,11 @@ def poisson_batch_with_rng(
     the same generator.  The batch's atoms are checked against the window
     once, as one array; each configuration is a row slice of it.
     """
-    counts = poisson_counts(sigma, n, rng)
+    # Python ints: numpy's fixed cost per call would dominate single draws
+    offsets = list(accumulate(poisson_counts(sigma, n, rng).tolist(), initial=0))
     window = sigma.window
-    total = int(counts.sum())
-    pts = rejection_points(sigma, total, rng) if total else np.empty((0, window.dim))
+    pts = rejection_points(sigma, offsets[-1], rng) if offsets[-1] else np.empty((0, window.dim))
     atoms = _checked_atoms(pts, window)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
     return [Configuration._trusted(atoms[lo:hi], window) for lo, hi in zip(offsets, offsets[1:])]
 
 
@@ -275,7 +267,7 @@ def sample_cox(base: IntensityMeasure, mixer, seed: SeedSpec) -> Configuration:
     xi = float(mixer.sample(rng))
     if xi <= 0:
         raise ValidationError(f"mixer produced a non-positive intensity factor {xi}")
-    return Configuration(_poisson_atoms(base.scaled(xi), rng), base.window)
+    return poisson_batch_with_rng(base.scaled(xi), 1, rng)[0]
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +313,7 @@ def _gibbs_rejection(
     max_proposals = max(int(math.ceil(2.0 / acceptance_floor)), 100)
     energies = []
     for k in range(1, max_proposals + 1):
-        proposal = Configuration(_poisson_atoms(sigma, rng), sigma.window)
+        proposal = poisson_batch_with_rng(sigma, 1, rng)[0]
         if collect_proposals is not None:
             collect_proposals.append(proposal)
         v = interaction_energy(phi, proposal)

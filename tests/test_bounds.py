@@ -287,6 +287,8 @@ class TestGeneralBound:
         def stack(atoms, window):
             stack_calls.append(atoms.shape)
             k, n = atoms.shape[:2]
+            if n == 0:
+                return np.zeros(k)
             rest = np.cumsum(atoms[:, :-1].reshape(k, -1), axis=1)[:, -1] if n > 1 else np.zeros(k)
             return rest + 3.7 * np.cumsum(atoms[:, -1] * weights, axis=1)[:, -1]
 
@@ -316,17 +318,21 @@ class TestGeneralBound:
         monkeypatch.setattr(ppt.concentration, "_add_one_point_values", spy)
         seed = SeedSpec(27)
         # the plain callables go through the per-configuration path, the
-        # stacked ones through one stack call per distinct atom count
+        # stacked ones through one stack call per distinct atom count, for
+        # F(w) as for F(w + x)
         for G, lvl in ((F, level), (F_stacked, level_stacked)):
             calls.clear()
             got, f0 = nested_gradient_mc(G, sigma, 20, 7, seed, base_path=3)
             worst = ppt.rademacher_check(G, sigma, 20, seed)
             ppt.coarea_check(lvl, sigma, 20, seed, inner_samples=5)
+            ppt.poincare_l1_check(G, sigma, 20, seed, inner_samples=2)
             expected = [
                 reference(G, 20, 7, seed.rng(3, 0), seed.rng(3, 1)),
                 reference(G, 20, 1, seed.rng(), seed.rng(1)),
                 reference(lvl, 20, 5, seed.rng(6, 0), seed.rng(6, 1)),  # co-area rhs, checked first
                 reference(lvl, 20, 5, seed.rng(5, 0), seed.rng(5, 1)),  # co-area lhs
+                reference(G, 20, 0, seed.rng(3, 0), None),  # L1-Poincare mean: F(w) alone
+                reference(G, 20, 2, seed.rng(4, 0), seed.rng(4, 1)),  # L1-Poincare gradient
             ]
             assert len(calls) == len(expected)
             for (f0_got, f1_got, shapes), (configs, f0_ref, f1_ref) in zip(calls, expected):
@@ -335,10 +341,16 @@ class TestGeneralBound:
                 if G is F:
                     assert shapes == []
                     continue
-                # one slab per count, in increasing count, holding every row of its draws
+                # per count, in increasing count: one slab of its draws, then
+                # one holding every row w + x of its draws
                 inner = f1_ref.shape[1]
                 per_count = Counter(w.n for w in configs)
-                assert shapes == [(per_count[n] * inner, n + 1, dim) for n in sorted(per_count)]
+                want = []
+                for n in sorted(per_count):
+                    want.append((per_count[n], n, dim))
+                    if inner:
+                        want.append((per_count[n] * inner, n + 1, dim))
+                assert shapes == want
 
             configs, f0_ref, f1_ref = expected[0]
             assert any(w.n == 0 for w in configs)
@@ -396,6 +408,76 @@ class TestGeneralBound:
             for w in configs:
                 assert F.stack(w.atoms[None], window).tobytes() == np.array([float(F(w))]).tobytes(), name
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_call_is_the_one_row_stack(self, dim):
+        # each library functional called on one configuration returns its
+        # one-row stack, as a float, and both equal the functional's own
+        # formula written out one configuration at a time
+        from ppt.concentration import CountAtLeastEvent, CountThresholdEvent
+        from ppt.quadrature import integrate
+        from ppt.simulate import poisson_batch_with_rng
+
+        window = Window([0.0] * dim, [1.0, 2.0][:dim])
+        region = Window([0.0] * dim, [0.5, 1.0][:dim])
+        sigma = IntensityMeasure.uniform(window, 3.0 / window.volume)
+
+        def p(x):
+            return np.exp(np.sin(3.0 * x).sum(axis=-1))
+
+        def phi(z):  # exact products and sums, so one pair at a time gives the same bits
+            return 0.3 * np.sum(z * z, axis=-1)
+
+        lo, hi = window.bounds()
+        const = integrate(lambda x: (1.0 - p(x)) * sigma.density_at(x), lo, hi, rel_tol=1e-10)
+
+        def poisson_formula(w):
+            return math.exp(float(np.sum(np.log(p(w.atoms)))) + const if w.n else const)
+
+        def gibbs_formula(w):
+            energy = 0.0
+            for i in range(w.n):
+                for j in range(i + 1, w.n):
+                    energy += 2.0 * float(phi(w.atoms[i] - w.atoms[j]))
+            return math.exp(-energy) / 0.8
+
+        def count(w, inside):
+            return sum(1 for row in w.atoms if inside is None or inside.contains(row))
+
+        cases = [
+            (poisson_density(p, sigma), poisson_formula),
+            (gibbs_density(phi, sigma, 0.8), gibbs_formula),
+            (CountThresholdEvent(k=2), lambda w: float(count(w, None) <= 2)),
+            (CountThresholdEvent(k=1, region=region), lambda w: float(count(w, region) <= 1)),
+            (CountAtLeastEvent(m=3), lambda w: float(count(w, None) >= 3)),
+            (CountAtLeastEvent(m=1, region=region), lambda w: float(count(w, region) >= 1)),
+        ]
+        configs = poisson_batch_with_rng(sigma, 40, SeedSpec(34).rng())
+        assert {0, 1, 2, 3} <= {w.n for w in configs}
+        for F, formula in cases:
+            for w in configs:
+                value = F(w)
+                assert type(value) is float
+                assert np.array([value]).tobytes() == F.stack(w.atoms[None], window).tobytes()
+                assert value == formula(w)
+
+    def test_poisson_density_never_calls_p_on_no_points(self, lebesgue):
+        # the F(w) slabs of the kernel include empty draws; p here rejects
+        # an empty array, as a table lookup on no points might
+        from ppt.bounds import nested_gradient_mc
+
+        def p(x):
+            if x.shape[0] == 0:
+                raise ValueError("p called on no points")
+            return np.full(x.shape[:-1], 2.0)
+
+        L = poisson_density(p, lebesgue)
+        empty = ppt.Configuration(np.empty((0, 1)), lebesgue.window)
+        assert L(empty) == math.exp(-1.0)
+        assert L.stack(np.empty((5, 0, 1)), lebesgue.window).tolist() == [math.exp(-1.0)] * 5
+        values, l0 = nested_gradient_mc(L, lebesgue, 40, 3, SeedSpec(35))
+        assert math.exp(-1.0) in l0.tolist()  # an empty draw was evaluated
+        assert np.all(values > 0)
+
     @pytest.mark.parametrize("cap", [1, 5, 7, 11, 64])
     def test_row_cap_splits_a_count_class(self, cap, monkeypatch):
         # a cap below a count class's rows splits the class into several
@@ -419,14 +501,15 @@ class TestGeneralBound:
         seed = SeedSpec(33)
         want = _add_one_point_values(F, sigma, 30, 7, seed.rng(0), seed.rng(1))
         counts = Counter(w.n for w in ppt.simulate.poisson_batch_with_rng(sigma, 30, seed.rng(0)))
-        assert [shape[0] for shape in shapes] == [counts[n] * 7 for n in sorted(counts)]
+        # per count: its draws, then their rows w + x
+        rows = [r for n in sorted(counts) for r in (counts[n], counts[n] * 7)]
+        assert [shape[0] for shape in shapes] == rows
         monkeypatch.setattr(ppt.bounds, "_SLAB_ROWS", cap)
         shapes.clear()
         for G in (F, lambda config: L(config)):  # the stack path and the per-row path
             got = _add_one_point_values(G, sigma, 30, 7, seed.rng(0), seed.rng(1))
             assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
         # each class in full slabs of the cap, then its remainder
-        rows = [counts[n] * 7 for n in sorted(counts)]
         assert [shape[0] for shape in shapes] == [
             size for r in rows for size in [cap] * (r // cap) + [r % cap] * (r % cap > 0)
         ]

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -88,6 +93,43 @@ class TestPoissonTail:
     def test_pmf_domain(self, mass):
         with pytest.raises(ValidationError):
             poisson_pmf(mass, 2)
+
+    @pytest.mark.parametrize("k", [1.5, -1, -0.5])  # NaN and inf: the next test
+    def test_count_must_be_a_whole_number(self, k):
+        with pytest.raises(ValidationError, match="whole number"):
+            poisson_pmf(1.0, k)
+        with pytest.raises(ValidationError, match="whole number"):
+            poisson_tail_exact(1.0, k)
+
+    def test_nan_and_inf_counts_raise_instead_of_looping(self):
+        # these calls once looped forever (or returned nan), so they run in
+        # a child process with a time limit
+        code = (
+            "import math\n"
+            "from ppt import CountAtLeastEvent, CountThresholdEvent, IntensityMeasure, Window\n"
+            "from ppt import count_event_exact, poisson_tail_exact\n"
+            "from ppt.concentration import poisson_pmf\n"
+            "from ppt.errors import ValidationError\n"
+            "sigma = IntensityMeasure.uniform(Window([0.0], [1.0]), 1.0)\n"
+            "calls = [lambda: count_event_exact(CountThresholdEvent(k=math.nan), sigma),\n"
+            "         lambda: count_event_exact(CountAtLeastEvent(m=math.inf), sigma),\n"
+            "         lambda: poisson_tail_exact(1.0, math.nan),\n"
+            "         lambda: poisson_tail_exact(1.0, math.inf),\n"
+            "         lambda: poisson_pmf(1.0, math.nan),\n"
+            "         lambda: poisson_pmf(1.0, math.inf)]\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        print('returned', call())\n"
+            "    except ValidationError:\n"
+            "        print('raised')\n"
+        )
+        src = str(pathlib.Path(ppt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["raised"] * 6
 
 
 class TestLaplaceBound:
@@ -233,6 +275,25 @@ class TestSurfaceMeasure:
                 with pytest.raises(ValidationError, match="dimension"):
                     event(ppt.Configuration(atoms[0], window))
 
+    @pytest.mark.parametrize("value", [1.5, -1, math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_a_whole_number(self, value):
+        # a threshold of 1.5 once gave the values of neither {count <= 1} nor
+        # {count <= 2}: P = 0.8491... and a surface of 0.2767 at mass 1
+        with pytest.raises(ValidationError, match="whole number"):
+            CountThresholdEvent(k=value)
+        with pytest.raises(ValidationError, match="whole number"):
+            CountAtLeastEvent(m=value)
+
+    def test_whole_float_threshold_is_kept_as_an_int(self, lebesgue):
+        event = CountThresholdEvent(k=1.0)
+        assert type(event.k) is int and event == CountThresholdEvent(k=1)
+        assert type(CountAtLeastEvent(m=2.0).m) is int
+        ratio, surface, p = count_event_exact(event, lebesgue)
+        assert p == pytest.approx(2.0 / math.e, rel=1e-15)
+        assert surface == pytest.approx(1.0 / math.e, rel=1e-12)
+        ratio_int, surface_int, p_int = count_event_exact(CountThresholdEvent(k=1), lebesgue)
+        assert (ratio.mean, surface, p) == (ratio_int.mean, surface_int, p_int)
+
     def test_probability_exact(self, lebesgue):
         assert count_event_exact(CountThresholdEvent(k=0), lebesgue)[2] == pytest.approx(
             math.exp(-1.0), rel=1e-12
@@ -345,6 +406,29 @@ class TestIsoperimetry:
         est = isoperimetric_ratio(event, lebesgue, 4000, SeedSpec(35), inner_samples=32)
         assert est.std_error > 0
         assert abs(est.mean - 2.0 / (1.0 - math.exp(-1.0))) <= 3.5 * est.std_error
+
+    def test_mc_path_evaluates_a_stack_per_atom_count(self, lebesgue):
+        # the probability pass groups its draws by atom count, as the
+        # surface does, and gives the plain callable's values bit for bit
+        def plain(w):
+            return float(np.any(w.atoms[:, 0] < 0.5))
+
+        shapes = []
+
+        def stacked(w):
+            return plain(w)
+
+        def stack(atoms, window):
+            shapes.append(atoms.shape)
+            return np.any(atoms[..., 0] < 0.5, axis=-1).astype(float)
+
+        stacked.stack = stack
+        seed = SeedSpec(39)
+        want = isoperimetric_ratio(plain, lebesgue, 300, seed, inner_samples=4)
+        got = isoperimetric_ratio(stacked, lebesgue, 300, seed, inner_samples=4)
+        assert (got.mean, got.std_error) == (want.mean, want.std_error)
+        counts = Counter(w.n for w in poisson_batch_with_rng(lebesgue, 300, seed.rng(7, 0)))
+        assert shapes[-len(counts) :] == [(counts[n], n, 1) for n in sorted(counts)]
 
     def test_degenerate_event_rejected(self, lebesgue, seed):
         with pytest.raises(ValidationError):
