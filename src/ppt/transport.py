@@ -7,14 +7,15 @@
   rule after a run of degenerate pivots so the method cannot cycle;
   optimality is certified by a complementary-slackness residual check.
   The simplex starts from the least-cost basis: the cells are visited by
-  increasing cost, ties by row, then column (the order of a stable sort,
-  obtained from numpy's faster unstable sort by regrouping each run of tied
-  costs in flat-index order), and each cell whose row and column are both
-  open takes min(row left, column left) and closes one of the two: the row
-  when it has no more left than the column and is not the last open row,
-  else the column.  That gives n + m - 1 arcs forming a spanning tree of
-  the n + m rows and columns, rooted at the last row.  A +inf cell is
-  visited at a big-M cost, after every finite one.
+  increasing cost, ties by row, then column (the order of a stable sort:
+  one radix sort when every cost is a whole number below 2^16, as L1 count
+  gaps and rho1 counts are; otherwise numpy's faster unstable sort with each
+  run of tied costs regrouped in flat-index order), and each cell whose row
+  and column are both open takes min(row left, column left) and closes one
+  of the two: the row when it has no more left than the column and is not
+  the last open row, else the column.  That gives n + m - 1 arcs forming a
+  spanning tree of the n + m rows and columns, rooted at the last row.  A
+  +inf cell is visited at a big-M cost, after every finite one.
   The spanning tree is oriented from the root once, for the starting basis;
   each pivot then re-orients only the subtree that the leaving arc cuts off
   (re-rooted at the entering arc's endpoint, after Bonneel et al. 2011), so
@@ -295,17 +296,26 @@ class _TreeBasis:
 
 
 def _least_cost_order(C: np.ndarray) -> np.ndarray:
-    """The flat row-major indices of ``C`` by increasing cost, ties by row,
-    then column: ``np.argsort(C, axis=None, kind="stable")``, element for
-    element, without the stable sort.
+    """The flat row-major indices of the nonnegative costs ``C`` by
+    increasing cost, ties by row, then column: ``np.argsort(C, axis=None,
+    kind="stable")``, element for element, without the float stable sort.
 
-    numpy's default argsort orders the values, but not the cells within a
-    run of equal values.  The runs are numbered, and one sort of the keys
-    (run, flat index) puts each run in flat-index order; (value, flat index)
-    is a strict total order, so the result is the stable order.  -0.0 and
-    0.0 compare equal, so they share a run, as in the stable sort.
+    When every cost is a whole number below 2^16 (L1 count gaps, rho1
+    symmetric-difference counts), the costs are cast to uint16, which keeps
+    their order and their ties, and numpy's stable sort of those is one
+    radix sort.  -0.0 casts to 0, as it compares equal to 0.0.
+
+    Otherwise numpy's default argsort orders the values, but not the cells
+    within a run of equal values.  The runs are numbered, and one sort of the
+    keys (run, flat index) puts each run in flat-index order; (value, flat
+    index) is a strict total order, so the result is the stable order.
+    -0.0 and 0.0 compare equal, so they share a run, as in the stable sort.
     """
     v = C.ravel()  # row-major whatever the layout of C
+    if v.max(initial=0.0) < 65536:  # checked first: a larger value would not cast cleanly
+        small = v.astype(np.uint16)
+        if np.array_equal(small, v):
+            return np.argsort(small, kind="stable")
     order = np.argsort(v)
     s = v[order]
     new_run = s[1:] != s[:-1]
@@ -327,7 +337,10 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray) -> _TreeBasis:
     arcs: list[tuple[int, int, float]] = []
     flows: list[float] = []
     ra, rb = a.tolist(), b.tolist()
-    row_open, col_open = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    # the loop reads and writes the open flags as bytes; the numpy views
+    # screen each slice
+    row_flags, col_flags = bytearray(b"\x01") * n, bytearray(b"\x01") * m
+    row_open, col_open = np.frombuffer(row_flags, dtype=bool), np.frombuffer(col_flags, dtype=bool)
     rows_left, cols_left = n, m
     order = _least_cost_order(Cw)
     start, step = 0, n + m
@@ -337,13 +350,15 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray) -> _TreeBasis:
     while len(arcs) < n + m - 1 and start < order.size:
         cells = order[start : start + step]
         start, step = start + step, 2 * step
-        # only cells whose row and column are both open; each visit closes one
-        cells = cells[row_open[cells // m] & col_open[cells % m]]
-        for i, j in zip((cells // m).tolist(), (cells % m).tolist()):
-            if not (row_open[i] and col_open[j]):
+        # only cells whose row and column are both open, screened on the
+        # flat open mask so that only they are divided; each visit closes one
+        cells = cells[(row_open[:, None] & col_open).ravel()[cells]]
+        rows, cols = np.divmod(cells, m)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if not (row_flags[i] and col_flags[j]):
                 continue  # closed earlier in this slice
             take = min(ra[i], rb[j])
-            arcs.append((i, n + j, float(Cw[i, j])))
+            arcs.append((i, n + j, Cw.item(i, j)))
             flows.append(take)
             ra[i] -= take
             rb[j] -= take
@@ -352,10 +367,10 @@ def _initial_basis(a: np.ndarray, b: np.ndarray, Cw: np.ndarray) -> _TreeBasis:
             # the last open column holds every open row's remainder, so only
             # rounding could make it the smaller side; it stays open
             if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
-                row_open[i] = False
+                row_flags[i] = 0
                 rows_left -= 1
             else:
-                col_open[j] = False
+                col_flags[j] = 0
                 cols_left -= 1
     return _TreeBasis(n, m, arcs, flows)
 
@@ -466,7 +481,8 @@ def _network_simplex(
             f"complementary slackness residual {residual:.3e} above tolerance"
         )
     unit = 2.0 ** max(-1000, min(0, math.frexp(top)[1]))  # a power of two: tiny costs' products stay normal
-    cost = float(np.sum(plan * ((C if all_finite else np.where(finite, C, 0.0)) / unit))) * unit
+    priced = C if all_finite else np.where(finite, C, 0.0)
+    cost = float(np.sum(plan * priced)) if unit == 1.0 else float(np.sum(plan * (priced / unit))) * unit
     return plan, cost, rc, basis
 
 
@@ -1042,7 +1058,11 @@ def exact_oracle_discrete(
     """Exact transport distance between product-Poisson count laws, L1 cost.
 
     Count vectors are enumerated up to ``truncation`` per cell (at most two
-    cells) and the full LP is solved.  The neglected Poisson mass must be
+    cells) and the full LP is solved.  Its cost matrix is the gap matrix
+    |k - l| of one cell, or for two cells the broadcast sum of two of them
+    (rows and columns in the row-major order of the count pairs); the
+    entries are whole numbers, exact in float64, so the simplex starts from
+    the radix least-cost order.  The neglected Poisson mass must be
     below 1e-10 on each side; the truncated laws are renormalised, keeping the
     result exact to well under 1e-8.  Each side has (truncation + 1)^cells
     count vectors, and the LP's cost matrix, their number squared, may hold
@@ -1072,27 +1092,19 @@ def exact_oracle_discrete(
 
     def law(masses):
         vecs = [np.array([poisson_pmf(msv, k) for k in range(truncation + 1)]) for msv in masses]
-        counts = np.arange(truncation + 1, dtype=float)
-        if len(vecs) == 1:
-            probs = vecs[0]
-            states = counts[:, None]
-        else:
-            probs = np.outer(vecs[0], vecs[1]).ravel()
-            g0, g1 = np.meshgrid(counts, counts, indexing="ij")
-            states = np.stack([g0.ravel(), g1.ravel()], axis=1)
+        probs = vecs[0] if len(vecs) == 1 else np.outer(vecs[0], vecs[1]).ravel()
         neglected = 1.0 - probs.sum()
         if neglected > 1e-10:
             raise TruncationError(
                 f"neglected Poisson mass {neglected:.3e} exceeds 1e-10; raise truncation"
             )
-        return probs / probs.sum(), states
+        return probs / probs.sum()
 
-    pa, sa = law(mu)
-    pb, sb = law(nu)
-    # L1 cost, one cell at a time: sums of small integers, exact in float64
-    C = np.zeros((len(pa), len(pb)))
-    for k in range(sa.shape[1]):
-        diff = np.subtract.outer(sa[:, k], sb[:, k])
-        C += np.abs(diff, out=diff)
+    pa, pb = law(mu), law(nu)
+    # L1 cost between count vectors, in the row-major order of np.outer:
+    # sums of small integers, exact in float64
+    counts = np.arange(truncation + 1, dtype=float)
+    D = np.abs(counts[:, None] - counts[None, :])
+    C = D if len(mu) == 1 else (D[:, None, :, None] + D[None, :, None, :]).reshape(vectors, vectors)
     plan = emd(pa, pb, C)
     return plan.cost

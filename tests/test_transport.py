@@ -302,12 +302,27 @@ class TestEmdProperties:
     @given(cost_matrices())
     @example(np.array([[0.0, 0.0], [0.0, 1e-11]]))  # an absolute tolerance gave 5e-12, not 0
     @example(np.full((2, 2), 5e-324))  # each 0.5 * 5e-324 underflowed, and the cost read 0
+    @example(  # the optimum / 6 is a rounding tie of the subnormal grid: 1.5e-323 against 2e-323
+        5e-324
+        * np.array(
+            [
+                [26, 6, 37, 33, 4, 17],
+                [3, 22, 31, 30, 16, 19],
+                [24, 35, 2, 8, 4, 19],
+                [0, 6, 18, 9, 17, 24],
+                [30, 24, 31, 15, 23, 0],
+                [36, 17, 4, 10, 1, 39],
+            ]
+        )
+    )
     def test_uniform_marginals_equal_the_assignment_optimum(self, C):
         n = C.shape[0]
         plan = emd(np.full(n, 1.0 / n), np.full(n, 1.0 / n), C)
         assert_plan_has_its_marginals(plan)
         # the simplex stops once every reduced cost is above -1e-11 * max C,
-        # which bounds the cost above the optimum by that much for unit mass
+        # which bounds the cost above the optimum by that much for unit mass;
+        # on subnormal costs the plan's weights round, so one step of the
+        # grid is allowed too (no double lies between the two values)
         gap = 1e-11 * float(C[np.isfinite(C)].max(initial=0.0))
         try:
             rows, cols = scipy.optimize.linear_sum_assignment(C)
@@ -317,10 +332,10 @@ class TestEmdProperties:
         if math.isinf(want):
             assert plan.cost == math.inf
         else:
-            assert plan.cost == pytest.approx(want, rel=1e-12, abs=gap)
+            assert plan.cost == pytest.approx(want, rel=1e-12, abs=max(gap, math.ulp(want)))
         if np.all(np.isfinite(C)):
             _, value = assignment_solve(C)
-            assert plan.cost == pytest.approx(value / n, rel=1e-12, abs=gap)
+            assert plan.cost == pytest.approx(value / n, rel=1e-12, abs=max(gap, math.ulp(value / n)))
 
     @settings(max_examples=300, deadline=None)
     @given(cost_matrices(square=False), st.data())
@@ -430,11 +445,12 @@ _TIED_COSTS = [
 @st.composite
 def tied_cost_matrices(draw):
     """1-9 rows and columns (1 x 1, 1 x m and n x 1 included) of costs
-    drawn from ``_TIED_COSTS`` or from all finite nonnegative doubles,
-    row-major or as a column-major (transposed) view."""
+    drawn from ``_TIED_COSTS``, from the whole numbers 0-70000 (below and
+    above the 2^16 of the radix order) or from all finite nonnegative
+    doubles, row-major or as a column-major (transposed) view."""
     n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     pool = st.sampled_from(_TIED_COSTS[: draw(st.integers(2, len(_TIED_COSTS)))])
-    entry = draw(st.sampled_from([pool, st.floats(0.0, allow_infinity=False)]))
+    entry = draw(st.sampled_from([pool, st.integers(0, 70000).map(float), st.floats(0.0, allow_infinity=False)]))
     C = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m)), float).reshape(n, m)
     return np.ascontiguousarray(C.T).T if draw(st.booleans()) else C
 
@@ -445,6 +461,14 @@ class TestLeastCostStart:
     @example(np.zeros((1, 1)))
     @example(np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]]))
     @example(np.asfortranarray([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    # at the edges of the radix order on whole numbers below 2^16: a
+    # fractional or too large cost lies in flat order before the value a
+    # cast to uint16 would make it, and -0.0 sorts as 0
+    @example(np.array([[7.0, 65535.0, 3.0], [65535.0, 0.0, 7.0]]))
+    @example(np.array([[65536.0, 3.0, 65535.0], [0.0, 65536.0, 3.0]]))  # would wrap to 0
+    @example(np.array([[65535.5, 3.0, 65535.0], [0.0, 65535.0, 3.0]]))  # would truncate to 65535
+    @example(np.array([[2.0, 0.5, 0.0], [1.0, 0.0, 2.0]]))  # would truncate to 0
+    @example(np.array([[3.0, -0.0, 1.0, 0.0], [0.0, 2.0, -0.0, 3.0]]))
     def test_order_is_the_stable_argsort(self, C):
         want = np.argsort(C, axis=None, kind="stable")
         got = transport._least_cost_order(C)
@@ -464,6 +488,20 @@ class TestLeastCostStart:
         # put back in flat-index order
         want = np.argsort(C, axis=None, kind="stable")
         assert transport._least_cost_order(C).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("top, radix", [(10.0, True), (3000.0, False)])
+    def test_infinite_cells_keep_the_stable_order_at_either_side_of_2_16(self, monkeypatch, top, radix):
+        # the order is taken on the working costs, +inf replaced by the big M
+        # 4 * top * (n + m): 240, a whole number for the radix order, or 72000
+        least_cost_order, seen = transport._least_cost_order, []
+        monkeypatch.setattr(
+            transport, "_least_cost_order", lambda Cw: seen.append((Cw, least_cost_order(Cw))) or seen[-1][1]
+        )
+        C = np.array([[0.0, 1.0, math.inf], [math.inf, 2.0, 1.0], [top, math.inf, 0.0]])
+        emd(np.full(3, 1 / 3), np.full(3, 1 / 3), C)
+        [(Cw, got)] = seen
+        assert (Cw.max() < 65536) == radix
+        assert got.tolist() == np.argsort(C, axis=None, kind="stable").tolist()
 
     @settings(max_examples=400, deadline=None)
     @given(finite_start_instances())
@@ -834,6 +872,11 @@ class TestExactOracle:
         states = np.stack([g.ravel() for g in grids], axis=1)
         want = np.abs(states[:, None, :] - states[None, :, :]).sum(axis=2).astype(float)
         assert len(seen) == 1 and seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
+        # and the bytes of the float sum taken cell by cell, sum_k |s_a[:, k] - s_b[:, k]|
+        per_cell = np.zeros(want.shape)
+        for k in range(len(mu)):
+            per_cell += np.abs(np.subtract.outer(states[:, k].astype(float), states[:, k].astype(float)))
+        assert seen[0].tobytes() == per_cell.tobytes()
 
     def test_an_oversized_lp_is_rejected_before_anything_is_built(self, monkeypatch):
         # 151^2 = 22801 count vectors a side would need a 22801^2 cost matrix
